@@ -47,29 +47,28 @@ class Coefficient:
             )
         return t
 
+    # checked entry points; subclasses supply unchecked _value/_deriv1/_deriv2
     def __call__(self, t):
-        raise NotImplementedError
+        return self._value(self._check(t))
 
     def deriv1(self, t):
-        raise NotImplementedError
+        return self._deriv1(self._check(t))
 
     def deriv2(self, t):
-        raise NotImplementedError
+        return self._deriv2(self._check(t))
 
 
 @dataclass(frozen=True)
 class Constant(Coefficient):
     value: float
 
-    def __call__(self, t):
-        t = self._check(t)
-        return np.broadcast_to(float(self.value), t.shape).copy() if t.ndim else float(self.value)
+    def _value(self, t):
+        return np.full(np.shape(t), float(self.value)) if np.ndim(t) else float(self.value)
 
-    def deriv1(self, t):
-        t = self._check(t)
-        return np.zeros(t.shape) if t.ndim else 0.0
+    def _deriv1(self, t):
+        return np.zeros(np.shape(t)) if np.ndim(t) else 0.0
 
-    deriv2 = deriv1
+    _deriv2 = _deriv1
 
 
 @dataclass(frozen=True)
@@ -89,16 +88,16 @@ class Polynomial(Coefficient):
             out = out * t + c
         return out
 
-    def __call__(self, t):
-        return self._horner(self._check(t), self.coeffs)
+    def _value(self, t):
+        return self._horner(t, self.coeffs)
 
-    def deriv1(self, t):
+    def _deriv1(self, t):
         d = [k * c for k, c in enumerate(self.coeffs)][1:] or [0.0]
-        return self._horner(self._check(t), d)
+        return self._horner(t, d)
 
-    def deriv2(self, t):
+    def _deriv2(self, t):
         d = [k * (k - 1) * c for k, c in enumerate(self.coeffs)][2:] or [0.0]
-        return self._horner(self._check(t), d)
+        return self._horner(t, d)
 
 
 @dataclass(frozen=True)
@@ -108,14 +107,14 @@ class Exponential(Coefficient):
     a: float
     gamma: float
 
-    def __call__(self, t):
-        return self.a * np.exp(self.gamma * self._check(t))
+    def _value(self, t):
+        return self.a * np.exp(self.gamma * t)
 
-    def deriv1(self, t):
-        return self.gamma * self.a * np.exp(self.gamma * self._check(t))
+    def _deriv1(self, t):
+        return self.gamma * self.a * np.exp(self.gamma * t)
 
-    def deriv2(self, t):
-        return self.gamma**2 * self.a * np.exp(self.gamma * self._check(t))
+    def _deriv2(self, t):
+        return self.gamma**2 * self.a * np.exp(self.gamma * t)
 
 
 @dataclass(frozen=True)
@@ -127,14 +126,14 @@ class Sinusoidal(Coefficient):
     nu: float
     theta: float = 0.0
 
-    def __call__(self, t):
-        return self.a + self.b * np.cos(self.nu * self._check(t) + self.theta)
+    def _value(self, t):
+        return self.a + self.b * np.cos(self.nu * t + self.theta)
 
-    def deriv1(self, t):
-        return -self.b * self.nu * np.sin(self.nu * self._check(t) + self.theta)
+    def _deriv1(self, t):
+        return -self.b * self.nu * np.sin(self.nu * t + self.theta)
 
-    def deriv2(self, t):
-        return -self.b * self.nu**2 * np.cos(self.nu * self._check(t) + self.theta)
+    def _deriv2(self, t):
+        return -self.b * self.nu**2 * np.cos(self.nu * t + self.theta)
 
 
 @dataclass(frozen=True)
@@ -162,14 +161,14 @@ class Power(Coefficient):
         eps = 1e-12 * (1.0 + abs(root))
         return (root + eps, np.inf) if self.b > 0 else (-np.inf, root - eps)
 
-    def __call__(self, t):
-        return (self.a + self.b * self._check(t)) ** self.n
+    def _value(self, t):
+        return (self.a + self.b * t) ** self.n
 
-    def deriv1(self, t):
-        return self.n * self.b * (self.a + self.b * self._check(t)) ** (self.n - 1)
+    def _deriv1(self, t):
+        return self.n * self.b * (self.a + self.b * t) ** (self.n - 1)
 
-    def deriv2(self, t):
-        base = self.a + self.b * self._check(t)
+    def _deriv2(self, t):
+        base = self.a + self.b * t
         return self.n * (self.n - 1) * self.b**2 * base ** (self.n - 2)
 
 
@@ -217,14 +216,14 @@ class Spline(Coefficient):
     def domain(self):
         return (self.knots[0], self.knots[-1])
 
-    def __call__(self, t):
-        return self._pp(self._check(t))
+    def _value(self, t):
+        return self._pp(t)
 
-    def deriv1(self, t):
-        return self._d1(self._check(t))
+    def _deriv1(self, t):
+        return self._d1(t)
 
-    def deriv2(self, t):
-        return self._d2(self._check(t))
+    def _deriv2(self, t):
+        return self._d2(t)
 
 
 # --- JSON (de)serialization ----------------------------------------------

@@ -29,6 +29,13 @@ constant alpha makes Gam vanish identically, i.e. when
 
 for some fixed a; systems violating this are flagged inadmissible (with
 diagnostics), never silently accepted.
+
+The auxiliary ODE solve calls Om_j^2 hundreds of times per window, so
+:meth:`DecoupledSystem.omega_sq_on` checks the window once and returns an
+unchecked callable.  One check is enough: SystemSpec guarantees that every
+coefficient's domain covers [t_min, t_max], and the DOP853 integrator only
+evaluates its right-hand side at stage times t + c*h with c in [0, 1] and
+the step clipped to the solve window.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from .system import (
     PhasePoint,
     SystemSpec,
     TransformedPhasePoint,
-    effective_frequency_sq,
+    _effective_frequency_sq,
 )
 
 __all__ = [
@@ -60,6 +67,9 @@ ANGLE_LO = -np.pi / 4
 ANGLE_HI = np.pi / 4
 
 DEFAULT_GAMMA_TOL = 1e-9
+
+#: angles per block in the solve_angle scan
+_SCAN_BLOCK = 32
 
 
 def normalize_angle(alpha):
@@ -116,6 +126,41 @@ class CanonicalTransform:
         return np.array([[c * sm1, -s * sm2], [s * sm1, c * sm2]])
 
 
+def _channel_terms(spec: SystemSpec, t, corrected):
+    """(w~_1^2, w~_2^2, g, m_1, m_2) at times already inside [t_min, t_max].
+
+    Each coefficient is evaluated once, through its unchecked formula.
+    """
+    m1, m2 = spec.m1._value(t), spec.m2._value(t)
+    if corrected:
+        wt1 = _effective_frequency_sq(spec.omega1._value(t), m1,
+                                      spec.m1._deriv1(t), spec.m1._deriv2(t))
+        wt2 = _effective_frequency_sq(spec.omega2._value(t), m2,
+                                      spec.m2._deriv1(t), spec.m2._deriv2(t))
+    else:
+        wt1 = spec.omega1._value(t) ** 2
+        wt2 = spec.omega2._value(t) ** 2
+    g = spec.coupling._value(t) / np.sqrt(m1 * m2)
+    return wt1, wt2, g, m1, m2
+
+
+def _channel_weights(alpha):
+    """Per-channel (p, q, r) for :func:`_omega_sq`.
+
+    Channel 2 swaps cos^2 and sin^2 and negates sin 2a; x - g*(-s) equals
+    x + g*s exactly, so both channels share one formula.
+    """
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    s2 = np.sin(2 * alpha)
+    return (ca**2, sa**2, s2), (sa**2, ca**2, -s2)
+
+
+def _omega_sq(wt1, wt2, g, weights):
+    """Om_j^2 = w~_1^2 p + w~_2^2 q - g r for channel weights (p, q, r)."""
+    p, q, r = weights
+    return wt1 * p + wt2 * q - g * r
+
+
 def channel_quantities(spec: SystemSpec, alpha, t, corrected=True):
     """(Om1^2, Om2^2, F1, F2, Gam) at time(s) t for a given angle.
 
@@ -124,21 +169,15 @@ def channel_quantities(spec: SystemSpec, alpha, t, corrected=True):
     reproduce the defective construction for comparison runs.
     """
     t = spec.check_time(t)
-    if corrected:
-        wt1 = effective_frequency_sq(spec, 1, t)
-        wt2 = effective_frequency_sq(spec, 2, t)
-    else:
-        wt1 = spec.omega1(t) ** 2
-        wt2 = spec.omega2(t) ** 2
-    g = spec.coupling(t) / np.sqrt(spec.m1(t) * spec.m2(t))
+    wt1, wt2, g, m1, m2 = _channel_terms(spec, t, corrected)
+    w1, w2 = _channel_weights(alpha)
     ca, sa = np.cos(alpha), np.sin(alpha)
     s2, c2 = np.sin(2 * alpha), np.cos(2 * alpha)
-    om1 = wt1 * ca**2 + wt2 * sa**2 - g * s2
-    om2 = wt1 * sa**2 + wt2 * ca**2 + g * s2
     gam = 0.5 * (wt1 - wt2) * s2 + g * c2
-    sf1 = np.sqrt(spec.m1(t)) * spec.f1(t)
-    sf2 = np.sqrt(spec.m2(t)) * spec.f2(t)
-    return om1, om2, sf1 * ca - sf2 * sa, sf1 * sa + sf2 * ca, gam
+    sf1 = np.sqrt(m1) * spec.f1._value(t)
+    sf2 = np.sqrt(m2) * spec.f2._value(t)
+    return (_omega_sq(wt1, wt2, g, w1), _omega_sq(wt1, wt2, g, w2),
+            sf1 * ca - sf2 * sa, sf1 * sa + sf2 * ca, gam)
 
 
 @dataclass(frozen=True)
@@ -162,6 +201,23 @@ class DecoupledSystem:
     def omega_sq(self, j, t, corrected=True):
         q = channel_quantities(self.system, self.alpha, t, corrected=corrected)
         return q[0] if j == 1 else q[1]
+
+    def omega_sq_on(self, j, t_start, t_end, corrected=True):
+        """Unchecked callable t -> Om_j^2(t) for times in [t_start, t_end].
+
+        The window is checked here, once (DomainError if it leaves
+        [t_min, t_max]); the callable then skips every domain check and
+        equals ``omega_sq(j, t, corrected)`` bit for bit.
+        """
+        spec = self.system
+        spec.check_time([t_start, t_end])
+        weights = _channel_weights(self.alpha)[j - 1]
+
+        def omega_sq(t):
+            wt1, wt2, g, _, _ = _channel_terms(spec, t, corrected)
+            return _omega_sq(wt1, wt2, g, weights)
+
+        return omega_sq
 
     def driving(self, j, t):
         q = channel_quantities(self.system, self.alpha, t)
@@ -194,6 +250,28 @@ def decoupled_at_angle(spec: SystemSpec, alpha, n_time=1024,
     )
 
 
+def _scan_worst(dd, g, sin2a, cos2a):
+    """max_t |D sin 2a + g cos 2a| per angle, scanned in blocks of angles.
+
+    Two reused (angle, time) buffers of _SCAN_BLOCK rows replace full-size
+    temporaries; every element and every maximum is the same as in one
+    full-size scan, so the chosen angle does not depend on the block size.
+    """
+    n = len(sin2a)
+    out = np.empty(n)
+    buf = np.empty((min(_SCAN_BLOCK, n), len(dd)))
+    tmp = np.empty_like(buf)
+    for i in range(0, n, _SCAN_BLOCK):
+        rows = slice(i, min(i + _SCAN_BLOCK, n))
+        b, t = buf[:rows.stop - i], tmp[:rows.stop - i]
+        np.multiply.outer(sin2a[rows], dd, out=b)
+        np.multiply.outer(cos2a[rows], g, out=t)
+        b += t
+        np.abs(b, out=b)
+        b.max(axis=1, out=out[rows])
+    return out
+
+
 def solve_angle(spec: SystemSpec, n_alpha=2048, n_time=1024,
                 gamma_tol=DEFAULT_GAMMA_TOL) -> DecoupledSystem:
     """Find the constant angle minimizing max_t |Gam(t)|.
@@ -208,9 +286,7 @@ def solve_angle(spec: SystemSpec, n_alpha=2048, n_time=1024,
     Inadmissibility is reported in the result, never raised.
     """
     ts = _grid(spec, n_time)
-    wt1 = effective_frequency_sq(spec, 1, ts)
-    wt2 = effective_frequency_sq(spec, 2, ts)
-    g = spec.coupling(ts) / np.sqrt(spec.m1(ts) * spec.m2(ts))
+    wt1, wt2, g, _, _ = _channel_terms(spec, ts, True)
     dd = 0.5 * (wt1 - wt2)
     scale = float(np.max(np.abs(wt1)) + np.max(np.abs(wt2)) + np.max(np.abs(g)) + 1.0)
 
@@ -223,10 +299,7 @@ def solve_angle(spec: SystemSpec, n_alpha=2048, n_time=1024,
         return float(np.max(np.abs(dd * math.sin(2 * alpha) + g * math.cos(2 * alpha))))
 
     alphas = np.linspace(ANGLE_LO, ANGLE_HI, int(n_alpha), endpoint=True)
-    # vectorized scan: |D sin2a + g cos2a| over (time, angle)
-    vals = np.abs(np.outer(dd, np.sin(2 * alphas)) + np.outer(g, np.cos(2 * alphas)))
-    per_alpha = vals.max(axis=0)
-    k = int(np.argmin(per_alpha))
+    k = int(np.argmin(_scan_worst(dd, g, np.sin(2 * alphas), np.cos(2 * alphas))))
     # bracket around the best sample; indices wrap with a pi/2 shift since
     # |Gam| is pi/2-periodic in alpha
     step = alphas[1] - alphas[0]

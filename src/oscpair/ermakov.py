@@ -51,7 +51,6 @@ class ErmakovSolution:
     tol: float
     ill_conditioned: bool
     _sol: object = field(repr=False, compare=False)
-    _omega_sq: object = field(repr=False, compare=False)
 
     def _check(self, t):
         t = np.asarray(t, dtype=float)
@@ -180,7 +179,6 @@ def solve_ermakov(omega_sq, t0, t1, ic=(1.0, 0.0), tol=DEFAULT_TOL,
                 tol=float(tol),
                 ill_conditioned=bool(np.sqrt(np.max(rho_sq)) > ILL_CONDITIONED_RHO),
                 _sol=sol.sol,
-                _omega_sq=omega_sq,
             )
         if rtol <= 1.1e-13:
             break

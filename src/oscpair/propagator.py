@@ -120,19 +120,26 @@ class Kernel:
         return self.evaluate(x1q, x2q, x1p, x2p)
 
 
-def _driving_integrals(sol, F_of_t, t_start, t_end, panels, order):
-    phi_end = float(sol.phi(t_end))
+def _solve_channel(decoupled, j, t_start, t_end, corrected, tol, ic=(1.0, 0.0)):
+    """Auxiliary solve of channel j on [t_start, t_end] (window checked once)."""
+    om = decoupled.omega_sq_on(j, t_start, t_end, corrected=corrected)
+    return solve_ermakov(om, t_start, t_end, ic=ic, tol=tol, channel=j)
 
+
+def _driving_integrals(sol, F_of_t, t_start, t_end, panels, order):
     t_nodes, _ = composite_gl_nodes(t_start, t_end, panels, order)
     F_nodes = np.asarray(F_of_t(t_nodes), dtype=float)
     if np.max(np.abs(F_nodes)) == 0.0:
         return 0.0, 0.0, 0.0
+    # phases are measured from t_start, wherever the solve itself started
+    phi_start = float(sol.phi(t_start))
+    phi_end = float(sol.phi(t_end)) - phi_start
 
     def G_sin_from_start(t):
-        return F_of_t(t) * sol.rho(t) * np.sin(sol.phi(t))
+        return F_of_t(t) * sol.rho(t) * np.sin(sol.phi(t) - phi_start)
 
     def G_sin_to_end(t):
-        return F_of_t(t) * sol.rho(t) * np.sin(phi_end - sol.phi(t))
+        return F_of_t(t) * sol.rho(t) * np.sin(phi_end - (sol.phi(t) - phi_start))
 
     _, w = composite_gl_nodes(t_start, t_end, panels, order)
     I_end = float(np.dot(w, G_sin_from_start(t_nodes)))
@@ -172,9 +179,8 @@ def build_kernel(decoupled: DecoupledSystem, t_start, t_end, variant="corrected"
         if _solutions is not None:
             sol = _solutions[j - 1]
         else:
-            om = lambda t, _j=j: decoupled.omega_sq(_j, t, corrected=corrected)
-            sol = solve_ermakov(om, t_start, t_end, ic=ermakov_ic,
-                                tol=ode_tol, channel=j)
+            sol = _solve_channel(decoupled, j, t_start, t_end, corrected, ode_tol,
+                                 ic=ermakov_ic)
         rho_q = float(sol.rho(t_end))
         drho_q = float(sol.drho(t_end))
         rho_p = float(sol.rho(t_start))
@@ -280,8 +286,8 @@ def residual_sample_points(decoupled, t_start, t_end, n_points=20, seed=0,
     """
     spec = decoupled.system
     corrected = variant == "corrected"
-    sols = [solve_ermakov(lambda t, j=j: decoupled.omega_sq(j, t, corrected=corrected),
-                          t_start, t_end, tol=ode_tol, channel=j) for j in (1, 2)]
+    sols = [_solve_channel(decoupled, j, t_start, t_end, corrected, ode_tol)
+            for j in (1, 2)]
     T = t_end - t_start
     candidates = np.linspace(t_start + margin_frac * T,
                              t_end - margin_frac * T, 8 * n_points)

@@ -118,6 +118,15 @@ def _pair(doc, key, problems, where="", default=None, required=False):
     return (float(v[0]), float(v[1]))
 
 
+def _count(doc, key, problems, where="", default=None):
+    """A whole number >= 1 (JSON 8 or 8.0); fractions are rejected, not cut."""
+    v = _num(doc, key, problems, where=where, default=default)
+    if v is not None and (not float(v).is_integer() or v < 1):
+        problems.append(f"field {where + key!r} must be a positive integer")
+        return default
+    return v
+
+
 def parse_scenario(text) -> Scenario:
     """Parse and validate a scenario document (bytes or str of UTF-8 JSON).
 
@@ -166,9 +175,15 @@ def parse_scenario(text) -> Scenario:
     ode_tol = _num(tols, "ode_tol", problems, where="tolerances.", default=1e-10)
     gamma_tol = _num(tols, "gamma_tol", problems, where="tolerances.", default=1e-9)
     caustic_tol = _num(tols, "caustic_tol", problems, where="tolerances.", default=1e-8)
+    if ode_tol is not None and ode_tol <= 0:
+        problems.append("field 'tolerances.ode_tol' must be positive")
+    if gamma_tol is not None and gamma_tol < 0:
+        problems.append("field 'tolerances.gamma_tol' must not be negative")
+    if caustic_tol is not None and not 0 <= caustic_tol < 1:
+        problems.append("field 'tolerances.caustic_tol' must lie in [0, 1)")
 
-    quad_order = _num(doc, "quad_order", problems, default=8.0)
-    quad_panels = _num(doc, "quad_panels", problems, default=64.0)
+    quad_order = _count(doc, "quad_order", problems, default=8.0)
+    quad_panels = _count(doc, "quad_panels", problems, default=64.0)
 
     grid_doc = doc.get("grid", {})
     if not isinstance(grid_doc, dict):
@@ -177,15 +192,16 @@ def parse_scenario(text) -> Scenario:
     for key in sorted(set(grid_doc) - _GRID_FIELDS):
         problems.append(f"unknown field 'grid.{key}'")
     pts = grid_doc.get("points", 256)
-    if isinstance(pts, (int, float)) and not isinstance(pts, bool):
-        grid_points = (int(pts), int(pts))
-    elif isinstance(pts, (list, tuple)) and len(pts) == 2:
+    if not isinstance(pts, (list, tuple)):
+        pts = (pts, pts)
+    if len(pts) == 2 and all(isinstance(n, (int, float)) and not isinstance(n, bool)
+                             and float(n).is_integer() and n >= 1 for n in pts):
         grid_points = (int(pts[0]), int(pts[1]))
     else:
-        problems.append("field 'grid.points' must be an integer or a pair")
+        problems.append("field 'grid.points' must be a positive integer or a pair")
         grid_points = (256, 256)
     grid_extent = _pair(grid_doc, "extent", problems, where="grid.")
-    grid_steps = int(_num(grid_doc, "steps", problems, where="grid.", default=2048.0))
+    grid_steps = int(_count(grid_doc, "steps", problems, where="grid.", default=2048.0))
 
     init_doc = doc.get("initial", {})
     if not isinstance(init_doc, dict):

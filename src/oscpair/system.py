@@ -102,6 +102,11 @@ class SystemSpec:
                 )
 
     def check_time(self, t):
+        """t as a float array, or DomainError if any time leaves [t_min, t_max].
+
+        Every coefficient's domain covers the window (checked above), so
+        times that pass may go to the unchecked coefficient formulas.
+        """
         t = np.asarray(t, dtype=float)
         if np.any(t < self.t_min) or np.any(t > self.t_max):
             raise DomainError(
@@ -121,10 +126,12 @@ def effective_frequency_sq(spec: SystemSpec, j: int, t):
     t = spec.check_time(t)
     m = spec.m1 if j == 1 else spec.m2
     w = spec.omega1 if j == 1 else spec.omega2
-    mv = m(t)
-    md = m.deriv1(t)
-    mdd = m.deriv2(t)
-    return w(t) ** 2 + 0.25 * (md**2 / mv**2 - 2.0 * mdd / mv)
+    return _effective_frequency_sq(w._value(t), m._value(t), m._deriv1(t), m._deriv2(t))
+
+
+def _effective_frequency_sq(w, mv, md, mdd):
+    """w~^2 from w, m, mdot and mddot already evaluated at the same times."""
+    return w ** 2 + 0.25 * (md**2 / mv**2 - 2.0 * mdd / mv)
 
 
 def potential(spec: SystemSpec, x1, x2, t):

@@ -10,12 +10,16 @@ from oscpair import (
     channel_quantities,
     decoupled_at_angle,
     effective_frequency_sq,
+    load_shipped,
     normalize_angle,
     solve_angle,
 )
+from oscpair import decoupling
 from oscpair.coefficients import Constant, Exponential, Sinusoidal
+from oscpair.decoupling import _scan_worst
+from oscpair.errors import DomainError
 
-from conftest import ck_spec, const_spec, random_admissible_spec
+from conftest import SHIPPED, ck_spec, const_spec, random_admissible_spec
 
 
 def test_normalize_angle():
@@ -254,3 +258,53 @@ def test_rotated_trajectories_satisfy_decoupled_equations():
                                  -om2 * Q2 + F2 - gam * Q1])
             worst = max(worst, float(np.max(np.abs(dz - expected))))
     assert worst <= 1e-6
+
+
+# --- window-bound Om_j^2 and the blocked angle scan ----------------------------
+
+def _window_specs():
+    rng = np.random.default_rng(29)
+    specs = {name: load_shipped(name).system for name in SHIPPED}
+    for kind in range(3):
+        specs[f"random-{kind}"] = random_admissible_spec(rng, kind=kind, drive=True)
+    return specs
+
+
+@pytest.mark.parametrize("corrected", [True, False])
+def test_window_omega_sq_matches_channel_quantities_bitwise(corrected):
+    rng = np.random.default_rng(31)
+    for name, spec in _window_specs().items():
+        dec = solve_angle(spec)
+        t0, t1 = spec.t_min, spec.t_max
+        fns = [dec.omega_sq_on(j, t0, t1, corrected=corrected) for j in (1, 2)]
+        times = rng.uniform(t0, t1, size=12)
+        for t in list(times) + [float(times[0]), t0, t1]:
+            q = channel_quantities(spec, dec.alpha, t, corrected=corrected)
+            for j in (1, 2):
+                assert fns[j - 1](t) == q[j - 1], (name, corrected, j, t)
+
+
+def test_window_omega_sq_checks_window_once():
+    spec = ck_spec(t_max=4.0)
+    dec = solve_angle(spec)
+    with pytest.raises(DomainError):
+        dec.omega_sq_on(1, -0.1, 2.0)
+    with pytest.raises(DomainError):
+        dec.omega_sq_on(2, 1.0, 4.5, corrected=False)
+    dec.omega_sq_on(1, 0.0, 4.0)(2.0)
+
+
+def test_blocked_angle_scan_is_bit_identical(monkeypatch):
+    """Block size changes neither the per-angle maxima nor alpha."""
+    for name, spec in _window_specs().items():
+        alpha = solve_angle(spec).alpha
+        monkeypatch.setattr(decoupling, "_SCAN_BLOCK", 1 << 16)
+        assert solve_angle(spec).alpha == alpha, name
+        monkeypatch.undo()
+
+    rng = np.random.default_rng(37)
+    dd, g = rng.normal(size=(2, 300))
+    alphas = np.linspace(-np.pi / 4, np.pi / 4, 1000)
+    s, c = np.sin(2 * alphas), np.cos(2 * alphas)
+    full = np.abs(np.outer(dd, s) + np.outer(g, c)).max(axis=0)
+    assert np.array_equal(_scan_worst(dd, g, s, c), full)

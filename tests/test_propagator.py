@@ -8,6 +8,7 @@ from oscpair import (
     build_kernel,
     decoupled_at_angle,
     gaussian_fidelity,
+    load_shipped,
     overlap,
     propagate_gaussian,
     schrodinger_residual,
@@ -121,6 +122,21 @@ def test_driving_integrals_constant_force():
     assert I_end == pytest.approx(F0 * (1 - np.cos(T)), abs=1e-10)
     assert I_start == pytest.approx(F0 * (1 - np.cos(T)), abs=1e-10)
     assert D == pytest.approx(F0**2 * (1 - np.cos(T) - T / 2 * np.sin(T)), abs=1e-10)
+
+
+def test_injected_solve_starting_before_window():
+    """Driving phases are measured from t_start, not from the solve's start."""
+    dec = solve_angle(load_shipped("driven-static").system)
+    t_start, t_end = 0.4, 1.1
+    sols = [solve_ermakov(lambda t, j=j: dec.omega_sq(j, t), 0.0, t_end,
+                          tol=1e-12, channel=j) for j in (1, 2)]
+    injected = build_kernel(dec, t_start, t_end, _solutions=sols)
+    fresh = build_kernel(dec, t_start, t_end, ode_tol=1e-12)
+    assert any(ch.I_end != 0.0 for ch in fresh.channels)
+    pts = np.random.default_rng(41).normal(size=(32, 4))
+    a = injected.evaluate(*pts.T)
+    b = fresh.evaluate(*pts.T)
+    assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-10
 
 
 def test_driving_integrals_panel_refinement():

@@ -71,6 +71,23 @@ def test_window_must_sit_inside_domain():
         parse_scenario(_doc(window=[2.0, 1.0]))
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"quad_panels": 0}, "quad_panels"),
+    ({"tolerances": {"ode_tol": -1e-10}}, "tolerances.ode_tol"),
+    ({"quad_order": 8.7}, "quad_order"),
+    ({"grid": {"points": 100.5}}, "grid.points"),
+    ({"tolerances": {"caustic_tol": 2.0}}, "tolerances.caustic_tol"),
+])
+def test_malformed_values_rejected(overrides, field):
+    with pytest.raises(SchemaError, match=f"field '{field}'"):
+        parse_scenario(_doc(**overrides))
+
+
+def test_integral_floats_still_accepted():
+    sc = parse_scenario(_doc(quad_order=6.0, grid={"points": [64.0, 128], "steps": 512.0}))
+    assert sc.quad_order == 6 and sc.grid_points == (64, 128) and sc.grid_steps == 512
+
+
 def test_invalid_json_and_encoding():
     with pytest.raises(SchemaError, match="not valid JSON"):
         parse_scenario(b"{nope")
