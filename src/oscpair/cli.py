@@ -42,7 +42,7 @@ from .errors import (
     SchemaError,
     SolverFailure,
 )
-from .oracle import energy_expectation, from_gaussian, step
+from .oracle import energy_expectation, evolve, from_gaussian
 from .propagator import build_kernel, propagate_gaussian, schrodinger_residual
 from .scenario import load_scenario
 
@@ -55,6 +55,10 @@ EXIT_IO = 3
 
 COMPARE_FIDELITY_MIN = 1.0 - 1e-4
 COMPARE_RESIDUAL_MAX = 1e-4
+
+#: integer options that count something and must be positive; the
+#: ``--points`` of ``kernel`` is a file name and is not checked
+COUNT_OPTIONS = ("steps", "rows", "grid", "points", "t_points", "aux_points")
 
 
 def _fmt(x):
@@ -178,22 +182,25 @@ def _cmd_oracle(args):
     sc = load_scenario(args.scenario)
     spec = sc.system
     grid = sc.grid(points=args.grid)
-    n_steps = args.steps or sc.grid_steps
+    n_steps = sc.grid_steps if args.steps is None else args.steps
     t0, t1 = sc.window
     state = from_gaussian(grid, sc.initial_state().normalized(), time=t0)
     stride = max(1, n_steps // args.rows)
     rows = []
+    taken = 0
 
     def record(st):
         rows.append((st.time, st.norm(), st.mean(0), st.mean(1),
                      st.mean_sq(0), st.mean_sq(1), energy_expectation(spec, st)))
 
+    def every_stride(st):
+        nonlocal taken
+        taken += 1
+        if taken % stride == 0 or taken == n_steps:
+            record(st)
+
     record(state)
-    dt = (t1 - t0) / n_steps
-    for k in range(n_steps):
-        state = step(spec, state, dt)
-        if (k + 1) % stride == 0 or k + 1 == n_steps:
-            record(state)
+    state = evolve(spec, state, t0, t1, n_steps, observer=every_stride)
     _write_csv(args.out, ["t", "norm", "x1_mean", "x2_mean",
                           "x1_sq_mean", "x2_sq_mean", "energy"], rows)
     if args.dump_psi:
@@ -209,7 +216,7 @@ def _cmd_compare(args):
     sc = load_scenario(args.scenario)
     dec = _decoupled(sc)
     grid = sc.grid(points=args.grid)
-    n_steps = args.steps or sc.grid_steps
+    n_steps = sc.grid_steps if args.steps is None else args.steps
     rep_c, rep_lw = run_comparison(
         dec, sc.window, sc.initial_state(), grid, n_steps,
         scenario_id=sc.name or args.scenario, seed=args.seed,
@@ -324,6 +331,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    for name in COUNT_OPTIONS:
+        n = getattr(args, name, None)
+        if isinstance(n, int) and n <= 0:
+            print(f"error: --{name.replace('_', '-')} must be positive, got {n}",
+                  file=sys.stderr)
+            return EXIT_VALIDATION
     try:
         return args.func(args)
     except SchemaError as exc:

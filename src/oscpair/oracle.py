@@ -7,19 +7,33 @@ momentum space even with time-dependent masses, so every substep is a pure
 phase and the scheme is unconditionally stable and exactly unitary;
 midpoint sampling keeps it second order in dt for time-dependent
 coefficients.
+
+Loop invariants are built once per grid.  ``Grid2D`` holds its axes and
+their squares, x_j^2 and k_j^2, as read-only 1D arrays; a step broadcasts
+them (x1 down the rows, x2 along the columns) instead of building meshes.
+V comes from ``system._potential``, the formula ``system.potential`` uses,
+with the same scalar factors formed left to right and the same operations
+per grid point, so it is bit-identical to ``potential`` on the mesh.  The
+kinetic phase is separable, exp(-i dt hbar k1^2 / 2 m1) times
+exp(-i dt hbar k2^2 / 2 m2), so it is applied as two 1D factors.  A step
+checks its midpoint time once and then reads the coefficients unchecked.
+
+Observables (``GridState.mean``, ``mean_sq``, ``energy_expectation``) use
+the 1D marginals of |psi|^2, which a state computes once and shares.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import fft as sfft
 
 from .errors import GridMismatch
 from .gaussian import GaussianState2D
-from .system import SystemSpec, potential
+from .system import SystemSpec, _potential, _potential_coefficients
 
 __all__ = ["Grid2D", "GridState", "from_gaussian", "step", "evolve",
            "fidelity", "energy_expectation", "suggest_extent"]
@@ -37,6 +51,8 @@ class Grid2D:
 
     ``extent`` is the full box length per axis (x in [-L/2, L/2)),
     ``points`` the number of samples per axis (powers of two, >= 32).
+    The axes ``x1``, ``x2``, wave numbers ``k1``, ``k2`` and their squares
+    are read-only 1D arrays.
     """
 
     extent: tuple
@@ -45,6 +61,10 @@ class Grid2D:
     x2: np.ndarray = field(init=False, repr=False, compare=False)
     k1: np.ndarray = field(init=False, repr=False, compare=False)
     k2: np.ndarray = field(init=False, repr=False, compare=False)
+    x1_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    x2_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    k1_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    k2_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         L1, L2 = (float(v) for v in self.extent)
@@ -55,10 +75,15 @@ class Grid2D:
             raise ValueError("points per axis must be powers of two, >= 32")
         object.__setattr__(self, "extent", (L1, L2))
         object.__setattr__(self, "points", (N1, N2))
-        object.__setattr__(self, "x1", np.linspace(-L1 / 2, L1 / 2, N1, endpoint=False))
-        object.__setattr__(self, "x2", np.linspace(-L2 / 2, L2 / 2, N2, endpoint=False))
-        object.__setattr__(self, "k1", 2 * np.pi * sfft.fftfreq(N1, d=L1 / N1))
-        object.__setattr__(self, "k2", 2 * np.pi * sfft.fftfreq(N2, d=L2 / N2))
+        axes = {"x1": np.linspace(-L1 / 2, L1 / 2, N1, endpoint=False),
+                "x2": np.linspace(-L2 / 2, L2 / 2, N2, endpoint=False),
+                "k1": 2 * np.pi * sfft.fftfreq(N1, d=L1 / N1),
+                "k2": 2 * np.pi * sfft.fftfreq(N2, d=L2 / N2)}
+        for name in ("x1", "x2", "k1", "k2"):
+            axes[name + "_sq"] = axes[name] ** 2
+        for name, arr in axes.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dx(self):
@@ -88,6 +113,12 @@ def suggest_extent(states, n_sigma=12.0):
 
 @dataclass(frozen=True)
 class GridState:
+    """Wave function sampled on ``grid`` at ``time``.
+
+    ``psi`` must not be modified in place: the observables share one
+    |psi|^2 computed on first use.
+    """
+
     psi: np.ndarray
     grid: Grid2D
     time: float
@@ -98,8 +129,12 @@ class GridState:
             raise ValueError(f"psi shape {psi.shape} != grid {self.grid.points}")
         object.__setattr__(self, "psi", psi)
 
+    @cached_property
+    def _density(self):
+        return np.abs(self.psi) ** 2
+
     def norm_sq(self):
-        return float(np.sum(np.abs(self.psi) ** 2) * self.grid.cell)
+        return float(np.sum(self._density) * self.grid.cell)
 
     def norm(self):
         return float(np.sqrt(self.norm_sq()))
@@ -109,20 +144,24 @@ class GridState:
 
     def boundary_density(self):
         """max |psi|^2 on the boundary ring relative to the global max."""
-        d = np.abs(self.psi) ** 2
+        d = self._density
         peak = float(d.max()) or 1.0
         ring = max(d[0, :].max(), d[-1, :].max(), d[:, 0].max(), d[:, -1].max())
         return float(ring) / peak
 
+    def _marginal(self, axis):
+        """|psi|^2 summed over the other axis, as a function of x_axis."""
+        return self._density.sum(axis=1 - axis)
+
     def mean(self, axis):
-        d = np.abs(self.psi) ** 2
-        X = self.grid.mesh()[axis]
-        return float(np.sum(X * d) / np.sum(d))
+        p = self._marginal(axis)
+        x = self.grid.x1 if axis == 0 else self.grid.x2
+        return float(x @ p / np.sum(p))
 
     def mean_sq(self, axis):
-        d = np.abs(self.psi) ** 2
-        X = self.grid.mesh()[axis]
-        return float(np.sum(X**2 * d) / np.sum(d))
+        p = self._marginal(axis)
+        x_sq = self.grid.x1_sq if axis == 0 else self.grid.x2_sq
+        return float(x_sq @ p / np.sum(p))
 
 
 def from_gaussian(grid: Grid2D, state: GaussianState2D, time=0.0) -> GridState:
@@ -130,23 +169,33 @@ def from_gaussian(grid: Grid2D, state: GaussianState2D, time=0.0) -> GridState:
     return GridState(state(X1, X2), grid, float(time))
 
 
+def _unit_phase(phi):
+    """exp(i phi) for real phi; cos and sin cost less than a complex exp."""
+    out = np.empty(np.shape(phi), dtype=complex)
+    np.cos(phi, out=out.real)
+    np.sin(phi, out=out.imag)
+    return out
+
+
 def step(spec: SystemSpec, state: GridState, dt) -> GridState:
     """One Strang step from state.time to state.time + dt."""
     dt = float(dt)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    t_mid = state.time + dt / 2
+    t_mid = spec.check_time(state.time + dt / 2)
     hbar = spec.hbar
-    X1, X2 = state.grid.mesh()
-    K1, K2 = state.grid.k_mesh()
-    V = potential(spec, X1, X2, t_mid)
-    half_pot = np.exp(-0.5j * dt / hbar * V)
-    kin = np.exp(-1j * dt * hbar * (K1**2 / (2 * spec.m1(t_mid))
-                                    + K2**2 / (2 * spec.m2(t_mid))))
-    psi = half_pot * state.psi
-    psi = sfft.ifft2(kin * sfft.fft2(psi))
-    psi = half_pot * psi
-    return GridState(psi, state.grid, state.time + dt)
+    g = state.grid
+    V = _potential(_potential_coefficients(spec, t_mid),
+                   g.x1[:, None], g.x2, g.x1_sq[:, None], g.x2_sq)
+    half_pot = _unit_phase(-0.5 * dt / hbar * V)
+    kin1 = _unit_phase(-dt * hbar / (2 * spec.m1._value(t_mid)) * g.k1_sq)
+    kin2 = _unit_phase(-dt * hbar / (2 * spec.m2._value(t_mid)) * g.k2_sq)
+    psi = sfft.fft2(half_pot * state.psi, overwrite_x=True)
+    psi *= kin1[:, None]
+    psi *= kin2
+    psi = sfft.ifft2(psi, overwrite_x=True)
+    psi *= half_pot
+    return GridState(psi, g, state.time + dt)
 
 
 def evolve(spec: SystemSpec, state: GridState, t0, t1, n_steps,
@@ -188,14 +237,19 @@ def fidelity(a: GridState, b: GridState) -> float:
 
 def energy_expectation(spec: SystemSpec, state: GridState) -> float:
     """<H(t)> at the state's own time stamp."""
-    t = state.time
-    X1, X2 = state.grid.mesh()
-    K1, K2 = state.grid.k_mesh()
+    t = spec.check_time(state.time)
+    g = state.grid
     hbar = spec.hbar
-    psi_k = sfft.fft2(state.psi)
-    kin_density = hbar**2 * (K1**2 / (2 * spec.m1(t)) + K2**2 / (2 * spec.m2(t)))
+    dk = np.abs(sfft.fft2(state.psi)) ** 2
     # Parseval: grid inner product equals (1/N) spectral inner product
-    n_cells = state.psi.size
-    kin = np.sum(kin_density * np.abs(psi_k) ** 2) / n_cells * state.grid.cell
-    pot = np.sum(potential(spec, X1, X2, t) * np.abs(state.psi) ** 2) * state.grid.cell
+    kin = hbar**2 * (g.k1_sq @ dk.sum(axis=1) / (2 * spec.m1._value(t))
+                     + g.k2_sq @ dk.sum(axis=0) / (2 * spec.m2._value(t)))
+    kin = kin / state.psi.size * g.cell
+    # <V> is linear in the moments <x_j>, <x_j^2> and <x1 x2> of |psi|^2
+    a1, b1, a2, b2, lam = _potential_coefficients(spec, t)
+    d = state._density
+    p1, p2 = state._marginal(0), state._marginal(1)
+    pot = (a1 * (g.x1_sq @ p1) - b1 * (g.x1 @ p1)
+           + a2 * (g.x2_sq @ p2) - b2 * (g.x2 @ p2)
+           + lam * (g.x1 @ d @ g.x2)) * g.cell
     return float((kin + pot) / state.norm_sq())

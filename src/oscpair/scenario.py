@@ -79,7 +79,7 @@ class Scenario:
             sigma=self.initial_sigma, hbar=self.system.hbar)
 
     def grid(self, points=None, extent=None) -> Grid2D:
-        pts = points or self.grid_points
+        pts = self.grid_points if points is None else points
         if isinstance(pts, int):
             pts = (pts, pts)
         ext = extent or self.grid_extent

@@ -137,10 +137,27 @@ def _effective_frequency_sq(w, mv, md, mdd):
 def potential(spec: SystemSpec, x1, x2, t):
     """Lab-frame potential, including driving and coupling terms."""
     t = spec.check_time(t)
-    m1, m2 = spec.m1(t), spec.m2(t)
-    v = 0.5 * m1 * spec.omega1(t) ** 2 * x1**2 - m1 * spec.f1(t) * x1
-    v += 0.5 * m2 * spec.omega2(t) ** 2 * x2**2 - m2 * spec.f2(t) * x2
-    return v + spec.coupling(t) * x1 * x2
+    return _potential(_potential_coefficients(spec, t), x1, x2, x1**2, x2**2)
+
+
+def _potential_coefficients(spec: SystemSpec, t):
+    """(m1 w1^2 / 2, m1 f1, m2 w2^2 / 2, m2 f2, lam) at checked times t.
+
+    The scalar products are formed left to right, as in
+    ``0.5 * m1 * w1**2 * x1**2``, so folding them first changes no bit of V.
+    """
+    m1, m2 = spec.m1._value(t), spec.m2._value(t)
+    return (0.5 * m1 * spec.omega1._value(t) ** 2, m1 * spec.f1._value(t),
+            0.5 * m2 * spec.omega2._value(t) ** 2, m2 * spec.f2._value(t),
+            spec.coupling._value(t))
+
+
+def _potential(coeffs, x1, x2, x1_sq, x2_sq):
+    """V from ``_potential_coefficients``; x1 and x2 may be broadcast axes."""
+    a1, b1, a2, b2, lam = coeffs
+    v = a1 * x1_sq - b1 * x1
+    v = v + (a2 * x2_sq - b2 * x2)
+    return v + lam * x1 * x2
 
 
 def kinetic_energy(spec: SystemSpec, pt: PhasePoint, t):

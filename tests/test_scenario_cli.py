@@ -206,6 +206,35 @@ def test_cli_oracle_and_psi_dump(scenario_file, tmp_path):
     assert density.sum() * (16.0 / 64) ** 2 == pytest.approx(1.0, abs=1e-9)
 
 
+def test_cli_oracle_warns_about_boundary_density(scenario_file):
+    scen = scenario_file(window=[0.0, 0.1],
+                         grid={"points": 32, "extent": [3.0, 3.0], "steps": 4})
+    proc = subprocess.run([sys.executable, "-m", "oscpair.cli", "oracle",
+                           "--scenario", scen, "--out", "/dev/null"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "boundary density" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--rows", "0"],
+    ["oracle", "--steps", "-3"],
+    ["oracle", "--steps", "0"],
+    ["oracle", "--grid", "0"],
+    ["compare", "--steps", "0"],
+    ["evolve", "--steps", "0"],
+    ["evolve", "--steps", "-1"],
+    ["decouple", "--t-points", "0"],
+    ["kernel", "--points", "p.csv", "--aux-points", "0"],
+    ["residual", "--points", "0"],
+])
+def test_cli_rejects_non_positive_counts(argv, scenario_file, capsys):
+    rc = main([*argv, "--scenario", scenario_file(), "--out", "/dev/null"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and f"{argv[-2]} must be positive" in err
+
+
 def test_cli_residual(scenario_file, tmp_path):
     out = tmp_path / "res.csv"
     rc = main(["residual", "--scenario", scenario_file(window=[0.0, 1.2]),
