@@ -47,6 +47,7 @@ from .propagator import (
     build_kernel,
     propagate_gaussian,
     schrodinger_residual,
+    solve_channels,
 )
 from .scenario import (
     Scenario,

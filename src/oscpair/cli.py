@@ -7,7 +7,8 @@ decouple   solve for the rotation angle; print alpha, gamma_max, admissible
 kernel     evaluate K on position tuples from a CSV/JSON file; emit CSV
            (x1q, x2q, x1p, x2p, ReK, ImK); optionally dump auxiliary data
 evolve     propagate the scenario's Gaussian state; emit a CSV time series
-           of means, covariances, norm and global phase
+           of means, covariances, norm and global phase (one auxiliary
+           solve for the window, shared by every interval's kernel)
 oracle     split-operator evolution; emit CSV observables and optionally a
            binary |psi|^2 dump
 compare    corrected vs lw variant vs oracle; exit 0 iff the corrected
@@ -43,7 +44,12 @@ from .errors import (
     SolverFailure,
 )
 from .oracle import energy_expectation, evolve, from_gaussian
-from .propagator import build_kernel, propagate_gaussian, schrodinger_residual
+from .propagator import (
+    build_kernel,
+    propagate_gaussian,
+    schrodinger_residual,
+    solve_channels,
+)
 from .scenario import load_scenario
 
 __all__ = ["main", "build_parser"]
@@ -167,10 +173,11 @@ def _cmd_evolve(args):
                      cov[0, 0], cov[1, 1], cov[0, 1], st.norm(), phase))
 
     record(times[0], state)
+    sols = solve_channels(dec, t0, t1, ode_tol=sc.ode_tol)
     for ta, tb in zip(times[:-1], times[1:]):
         kern = build_kernel(dec, ta, tb,
                             quad_order=sc.quad_order, quad_panels=sc.quad_panels,
-                            ode_tol=sc.ode_tol, caustic_tol=sc.caustic_tol)
+                            caustic_tol=sc.caustic_tol, solutions=sols)
         state = propagate_gaussian(kern, state)
         record(tb, state)
     _write_csv(args.out, ["t", "x1_mean", "x2_mean", "p1_mean", "p2_mean",
@@ -329,14 +336,24 @@ def build_parser():
     return p
 
 
-def main(argv=None):
-    args = build_parser().parse_args(argv)
+def _option_problem(args):
+    """The first out-of-range count or seed, as a message; None if all fit."""
     for name in COUNT_OPTIONS:
         n = getattr(args, name, None)
         if isinstance(n, int) and n <= 0:
-            print(f"error: --{name.replace('_', '-')} must be positive, got {n}",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
+            return f"--{name.replace('_', '-')} must be positive, got {n}"
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        return f"--seed must be non-negative, got {seed}"
+    return None
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+    problem = _option_problem(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         return args.func(args)
     except SchemaError as exc:

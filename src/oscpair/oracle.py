@@ -40,9 +40,17 @@ __all__ = ["Grid2D", "GridState", "from_gaussian", "step", "evolve",
 
 BOUNDARY_DENSITY_WARN = 1e-12
 
+#: grid sizes per axis are powers of two, at least this large
+MIN_GRID_POINTS = 32
+GRID_POINTS_RULE = f"powers of two, >= {MIN_GRID_POINTS}"
+
 
 def _is_pow2(n):
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _grid_points_ok(n):
+    return _is_pow2(n) and n >= MIN_GRID_POINTS
 
 
 @dataclass(frozen=True)
@@ -71,8 +79,8 @@ class Grid2D:
         N1, N2 = (int(v) for v in self.points)
         if L1 <= 0 or L2 <= 0:
             raise ValueError("grid extent must be positive")
-        if not (_is_pow2(N1) and _is_pow2(N2)) or N1 < 32 or N2 < 32:
-            raise ValueError("points per axis must be powers of two, >= 32")
+        if not (_grid_points_ok(N1) and _grid_points_ok(N2)):
+            raise ValueError(f"points per axis must be {GRID_POINTS_RULE}")
         object.__setattr__(self, "extent", (L1, L2))
         object.__setattr__(self, "points", (N1, N2))
         axes = {"x1": np.linspace(-L1 / 2, L1 / 2, N1, endpoint=False),

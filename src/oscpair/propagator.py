@@ -33,6 +33,14 @@ Everything is evaluated through one internal representation,
 shared by pointwise evaluation and by the closed-form Gaussian-state
 update, so there is a single code path to validate.
 
+Inside a window every kernel depends on the auxiliary data only through
+rho_j and phi_j, so one auxiliary solve per window fixes them all.
+``solve_channels`` is the one place that solve happens: ``build_kernel``
+calls it unless it is handed ``solutions``, the residual check solves
+once and builds every stencil kernel from that pair, and the command
+line's ``evolve`` solves once for the scenario window and builds each
+interval's kernel from it (2 solves per run, not 2 per interval).
+
 The ``variant="lw"`` kernel reproduces the defective construction for the
 comparison experiments: channel frequencies built from the bare w_j^2
 (no mass-derivative correction) and no boundary mass factor.  For constant
@@ -57,6 +65,7 @@ __all__ = [
     "ChannelKernelData",
     "Kernel",
     "build_kernel",
+    "solve_channels",
     "propagate_gaussian",
     "schrodinger_residual",
     "residual_sample_points",
@@ -120,14 +129,34 @@ class Kernel:
         return self.evaluate(x1q, x2q, x1p, x2p)
 
 
-def _solve_channel(decoupled, j, t_start, t_end, corrected, tol, ic=(1.0, 0.0)):
-    """Auxiliary solve of channel j on [t_start, t_end] (window checked once)."""
-    om = decoupled.omega_sq_on(j, t_start, t_end, corrected=corrected)
-    return solve_ermakov(om, t_start, t_end, ic=ic, tol=tol, channel=j)
+def _is_corrected(decoupled, variant):
+    """Check the variant name, and admissibility for the corrected one."""
+    if variant not in ("corrected", "lw"):
+        raise ValueError(f"unknown kernel variant {variant!r}")
+    corrected = variant == "corrected"
+    if corrected and not decoupled.admissible:
+        raise InadmissibleSystem(decoupled.gamma_max, decoupled.worst_t)
+    return corrected
+
+
+def solve_channels(decoupled: DecoupledSystem, t_start, t_end, variant="corrected",
+                   ode_tol=DEFAULT_ODE_TOL, ic=(1.0, 0.0)):
+    """Auxiliary solutions (ErmakovSolution) of both channels on [t_start, t_end].
+
+    Every kernel of ``variant`` whose window lies inside [t_start, t_end]
+    can be built from the returned pair with ``build_kernel(...,
+    solutions=...)``.  ``ic`` is (rho, rho') at t_start for both channels;
+    the window is checked once per channel.
+    """
+    corrected = _is_corrected(decoupled, variant)
+    return tuple(
+        solve_ermakov(decoupled.omega_sq_on(j, t_start, t_end, corrected=corrected),
+                      t_start, t_end, ic=ic, tol=ode_tol, channel=j)
+        for j in (1, 2))
 
 
 def _driving_integrals(sol, F_of_t, t_start, t_end, panels, order):
-    t_nodes, _ = composite_gl_nodes(t_start, t_end, panels, order)
+    t_nodes, w = composite_gl_nodes(t_start, t_end, panels, order)
     F_nodes = np.asarray(F_of_t(t_nodes), dtype=float)
     if np.max(np.abs(F_nodes)) == 0.0:
         return 0.0, 0.0, 0.0
@@ -141,7 +170,6 @@ def _driving_integrals(sol, F_of_t, t_start, t_end, panels, order):
     def G_sin_to_end(t):
         return F_of_t(t) * sol.rho(t) * np.sin(phi_end - (sol.phi(t) - phi_start))
 
-    _, w = composite_gl_nodes(t_start, t_end, panels, order)
     I_end = float(np.dot(w, G_sin_from_start(t_nodes)))
     I_start = float(np.dot(w, G_sin_to_end(t_nodes)))
     D = triangle_double_integral(G_sin_to_end, G_sin_from_start,
@@ -152,35 +180,31 @@ def _driving_integrals(sol, F_of_t, t_start, t_end, panels, order):
 def build_kernel(decoupled: DecoupledSystem, t_start, t_end, variant="corrected",
                  quad_order=DEFAULT_QUAD_ORDER, quad_panels=DEFAULT_QUAD_PANELS,
                  ode_tol=DEFAULT_ODE_TOL, caustic_tol=DEFAULT_CAUSTIC_TOL,
-                 ermakov_ic=(1.0, 0.0), _solutions=None) -> Kernel:
+                 ermakov_ic=(1.0, 0.0), solutions=None) -> Kernel:
     """Assemble the kernel for the window [t_start, t_end].
 
     The corrected variant requires an admissible decoupling.  ``ermakov_ic``
     fixes the auxiliary initial condition; the kernel value is independent
     of it (a tested property), the default merely makes runs reproducible.
-    ``_solutions`` optionally injects pre-solved channels covering the
-    window (used when many end times share one solve).
+    ``solutions`` is the pair returned by ``solve_channels`` for the same
+    variant on a window containing [t_start, t_end]; it lets many kernels
+    share one solve, and ``ode_tol`` and ``ermakov_ic`` are then unused.
+    Without it the kernel solves its own window.
     """
     spec = decoupled.system
     t_start, t_end = float(t_start), float(t_end)
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
     spec.check_time([t_start, t_end])
-    if variant not in ("corrected", "lw"):
-        raise ValueError(f"unknown kernel variant {variant!r}")
-    corrected = variant == "corrected"
-    if corrected and not decoupled.admissible:
-        raise InadmissibleSystem(decoupled.gamma_max, decoupled.worst_t)
+    corrected = _is_corrected(decoupled, variant)
+    if solutions is None:
+        solutions = solve_channels(decoupled, t_start, t_end, variant=variant,
+                                   ode_tol=ode_tol, ic=ermakov_ic)
 
     hbar = spec.hbar
     channels = []
     per_channel = []
-    for j in (1, 2):
-        if _solutions is not None:
-            sol = _solutions[j - 1]
-        else:
-            sol = _solve_channel(decoupled, j, t_start, t_end, corrected, ode_tol,
-                                 ic=ermakov_ic)
+    for j, sol in zip((1, 2), solutions):
         rho_q = float(sol.rho(t_end))
         drho_q = float(sol.drho(t_end))
         rho_p = float(sol.rho(t_start))
@@ -283,11 +307,11 @@ def residual_sample_points(decoupled, t_start, t_end, n_points=20, seed=0,
     length scale sqrt(hbar); times are spread over the interior of the
     window, rejecting those where either channel is within ``sin_phi_min``
     of a caustic (the kernel is singular there by construction).
+    Returns (times, points, solutions), the last from ``solve_channels``
+    on the window.
     """
     spec = decoupled.system
-    corrected = variant == "corrected"
-    sols = [_solve_channel(decoupled, j, t_start, t_end, corrected, ode_tol)
-            for j in (1, 2)]
+    sols = solve_channels(decoupled, t_start, t_end, variant=variant, ode_tol=ode_tol)
     T = t_end - t_start
     candidates = np.linspace(t_start + margin_frac * T,
                              t_end - margin_frac * T, 8 * n_points)
@@ -334,7 +358,7 @@ def schrodinger_residual(decoupled, t_start, t_end, variant="corrected",
         def kernel_at(t_eval):
             return build_kernel(decoupled, t_start, t_eval, variant=variant,
                                 quad_order=quad_order, quad_panels=quad_panels,
-                                ode_tol=ode_tol, _solutions=sols)
+                                solutions=sols)
 
         cache = {}
 

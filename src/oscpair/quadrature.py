@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["composite_gl_nodes", "composite_gl", "triangle_double_integral"]
+__all__ = ["composite_gl_nodes", "triangle_double_integral"]
 
 
 def composite_gl_nodes(a, b, panels, order):
@@ -20,12 +20,6 @@ def composite_gl_nodes(a, b, panels, order):
     t = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
     w = (half[:, None] * wi[None, :]).ravel()
     return t, w
-
-
-def composite_gl(f, a, b, panels=64, order=8):
-    """Integral of a vectorized integrand over [a, b]."""
-    t, w = composite_gl_nodes(a, b, panels, order)
-    return float(np.dot(w, f(t)))
 
 
 def triangle_double_integral(f_outer, f_inner, a, b, panels=64, order=8):

@@ -39,7 +39,7 @@ import numpy as np
 from .coefficients import coefficient_from_dict
 from .errors import SchemaError
 from .gaussian import GaussianState2D
-from .oracle import Grid2D, suggest_extent
+from .oracle import GRID_POINTS_RULE, Grid2D, _grid_points_ok, suggest_extent
 from .system import SystemSpec
 
 __all__ = ["Scenario", "parse_scenario", "load_scenario", "shipped_scenarios",
@@ -197,10 +197,14 @@ def parse_scenario(text) -> Scenario:
     if len(pts) == 2 and all(isinstance(n, (int, float)) and not isinstance(n, bool)
                              and float(n).is_integer() and n >= 1 for n in pts):
         grid_points = (int(pts[0]), int(pts[1]))
+        if not all(_grid_points_ok(n) for n in grid_points):
+            problems.append(f"field 'grid.points' must be {GRID_POINTS_RULE}")
     else:
         problems.append("field 'grid.points' must be a positive integer or a pair")
         grid_points = (256, 256)
     grid_extent = _pair(grid_doc, "extent", problems, where="grid.")
+    if grid_extent is not None and min(grid_extent) <= 0:
+        problems.append("field 'grid.extent' entries must be positive")
     grid_steps = int(_count(grid_doc, "steps", problems, where="grid.", default=2048.0))
 
     init_doc = doc.get("initial", {})

@@ -13,6 +13,7 @@ from oscpair import (
     propagate_gaussian,
     schrodinger_residual,
     solve_angle,
+    solve_channels,
 )
 from oscpair.propagator import _driving_integrals
 from oscpair.ermakov import solve_ermakov
@@ -128,9 +129,8 @@ def test_injected_solve_starting_before_window():
     """Driving phases are measured from t_start, not from the solve's start."""
     dec = solve_angle(load_shipped("driven-static").system)
     t_start, t_end = 0.4, 1.1
-    sols = [solve_ermakov(lambda t, j=j: dec.omega_sq(j, t), 0.0, t_end,
-                          tol=1e-12, channel=j) for j in (1, 2)]
-    injected = build_kernel(dec, t_start, t_end, _solutions=sols)
+    injected = build_kernel(dec, t_start, t_end,
+                            solutions=solve_channels(dec, 0.0, t_end, ode_tol=1e-12))
     fresh = build_kernel(dec, t_start, t_end, ode_tol=1e-12)
     assert any(ch.I_end != 0.0 for ch in fresh.channels)
     pts = np.random.default_rng(41).normal(size=(32, 4))
@@ -267,6 +267,29 @@ def test_semigroup_property():
         assert gaussian_fidelity(one, two) >= 1 - 1e-8
         assert np.max(np.abs(one.A - two.A)) <= 1e-7
         assert np.max(np.abs(one.b - two.b)) <= 1e-7
+        checked += 1
+
+
+def test_kernels_from_one_solve_compose():
+    """Kernels on [0, s] and [s, t] cut from one window solve compose exactly."""
+    rng = np.random.default_rng(12)
+    g0 = GaussianState2D.coherent(center=(0.4, -0.1), momentum=(0.2, 0.3))
+    checked = 0
+    while checked < 10:
+        spec = random_admissible_spec(rng, drive=bool(checked % 2))
+        dec = solve_angle(spec)
+        t_end = float(rng.uniform(1.0, 2.0))
+        s = float(rng.uniform(0.3, 0.7)) * t_end
+        sols = solve_channels(dec, 0.0, t_end)
+        try:
+            one = propagate_gaussian(build_kernel(dec, 0.0, t_end, solutions=sols), g0)
+            two = propagate_gaussian(
+                build_kernel(dec, s, t_end, solutions=sols),
+                propagate_gaussian(build_kernel(dec, 0.0, s, solutions=sols), g0))
+        except CausticError:
+            continue
+        assert np.max(np.abs(one.A - two.A)) <= 1e-12
+        assert np.max(np.abs(one.b - two.b)) <= 1e-12
         checked += 1
 
 

@@ -2,11 +2,22 @@ import json
 import struct
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from oscpair import SchemaError, load_shipped, parse_scenario, shipped_scenarios, solve_angle
+import oscpair.comparison
+import oscpair.propagator
+from oscpair import (
+    SchemaError,
+    build_kernel,
+    load_shipped,
+    parse_scenario,
+    propagate_gaussian,
+    shipped_scenarios,
+    solve_angle,
+)
 from oscpair.cli import main
 
 from conftest import SHIPPED
@@ -81,6 +92,18 @@ def test_window_must_sit_inside_domain():
 def test_malformed_values_rejected(overrides, field):
     with pytest.raises(SchemaError, match=f"field '{field}'"):
         parse_scenario(_doc(**overrides))
+
+
+@pytest.mark.parametrize("grid, field", [
+    ({"points": 48}, "grid.points"),
+    ({"points": 16}, "grid.points"),
+    ({"points": [64, 100]}, "grid.points"),
+    ({"extent": [0.0, 12.0]}, "grid.extent"),
+    ({"extent": [12.0, -1.0]}, "grid.extent"),
+], ids=["48", "16", "64x100", "zero-extent", "negative-extent"])
+def test_grid_values_rejected_at_parse(grid, field):
+    with pytest.raises(SchemaError, match=f"field '{field}'"):
+        parse_scenario(_doc(grid=grid))
 
 
 def test_integral_floats_still_accepted():
@@ -189,6 +212,43 @@ def test_cli_evolve_columns(scenario_file, tmp_path):
     assert np.allclose(norms, 1.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("steps", [8, 64])
+def test_cli_evolve_solves_once_per_window(steps, scenario_file, monkeypatch):
+    solves = []
+    solve = oscpair.propagator.solve_ermakov
+
+    def counted(*args, **kwargs):
+        solves.append(args[1:3])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(oscpair.propagator, "solve_ermakov", counted)
+    rc = main(["evolve", "--scenario", scenario_file(window=[0.0, 1.0]),
+               "--steps", str(steps), "--out", "/dev/null"])
+    assert rc == 0
+    assert solves == [(0.0, 1.0), (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("name", ["static", "caldirola-kanai"])
+def test_cli_evolve_ends_on_the_one_shot_state(name, tmp_path):
+    out = tmp_path / "ev.csv"
+    path = str(resources.files("oscpair.scenarios") / f"{name}.json")
+    assert main(["evolve", "--scenario", path, "--steps", "64", "--out", str(out)]) == 0
+    last = np.loadtxt(out, delimiter=",", skiprows=1)[-1]
+    sc = load_shipped(name)
+    dec = solve_angle(sc.system, gamma_tol=sc.gamma_tol)
+    st = propagate_gaussian(
+        build_kernel(dec, *sc.window, quad_order=sc.quad_order,
+                     quad_panels=sc.quad_panels, ode_tol=sc.ode_tol,
+                     caustic_tol=sc.caustic_tol),
+        sc.initial_state())
+    mu, p, cov = st.mean_position(), st.mean_momentum(), st.covariance_position()
+    ref = np.array([sc.window[1], mu[0], mu[1], p[0], p[1],
+                    cov[0, 0], cov[1, 1], cov[0, 1], st.norm(), np.imag(st.c)])
+    gap = last - ref
+    gap[9] = np.angle(np.exp(1j * gap[9]))  # phase modulo 2 pi
+    assert np.max(np.abs(gap) / np.maximum(1.0, np.abs(ref))) <= 1e-12
+
+
 def test_cli_oracle_and_psi_dump(scenario_file, tmp_path):
     out = tmp_path / "orc.csv"
     dump = tmp_path / "psi.bin"
@@ -233,6 +293,19 @@ def test_cli_rejects_non_positive_counts(argv, scenario_file, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and f"{argv[-2]} must be positive" in err
+
+
+@pytest.mark.parametrize("command", ["compare", "residual"])
+def test_cli_rejects_negative_seed_before_any_work(command, scenario_file, capsys,
+                                                   monkeypatch):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(oscpair.comparison, "evolve", no_oracle)
+    rc = main([command, "--seed", "-1", "--scenario", scenario_file(),
+               "--out", "/dev/null"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
 
 
 def test_cli_residual(scenario_file, tmp_path):
