@@ -19,13 +19,21 @@ residual   finite-difference Schrodinger residual of the kernel at sampled
 Exit codes: 0 success; 1 validation failure (bad config, inadmissible
 system, compare thresholds unmet); 2 numerical failure (caustic, solver);
 3 I/O error.  All numbers are printed with 17 significant digits so CSV
-output round-trips bit-exactly; rows are emitted in fixed order.
+output round-trips bit-exactly; rows are emitted in fixed order.  Every
+table goes through one writer, ``_write_csv``, which takes whole columns,
+formats each row with one ``%.17g`` template and writes the rows in one
+piece; string cells are quoted as the csv module quotes them.
+
+A points file is CSV (an optional header line, then rows of four
+numbers) or a JSON list of such rows.  Every value must be a finite
+number; anything else is a validation failure naming the points file.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import struct
 import sys
@@ -67,8 +75,7 @@ COMPARE_RESIDUAL_MAX = 1e-4
 COUNT_OPTIONS = ("steps", "rows", "grid", "points", "t_points", "aux_points")
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
+ROWS_MESSAGE = "points file must contain rows of (x1q, x2q, x1p, x2p)"
 
 
 def _open_out(path):
@@ -77,13 +84,36 @@ def _open_out(path):
     return open(path, "w", newline=""), True
 
 
-def _write_csv(path, header, rows):
+def _quoted(cell):
+    """A string cell as ``csv.writer`` writes it among other cells."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([cell, ""])
+    return buf.getvalue()[:-2]
+
+
+def _write_csv(path, header, columns):
+    """Write ``header`` and one row per index of the equal-length ``columns``.
+
+    A column is an array, or a list or tuple of numbers or of strings.
+    Strings are quoted as ``csv.writer`` quotes them (minimal quoting);
+    numbers are converted to float and printed with ``%.17g``, which
+    round-trips every float64.  The rows are formatted with one template
+    and written in one piece.
+    """
+    cells = []
+    formats = []
+    for col in columns:
+        if not isinstance(col, np.ndarray) and col and isinstance(col[0], str):
+            cells.append([_quoted(v) for v in col])
+            formats.append("%s")
+        else:
+            cells.append(np.asarray(col, dtype=float).tolist())
+            formats.append("%.17g")
+    template = ",".join(formats) + "\n"
     fh, close = _open_out(path)
     try:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.write("".join(template % row for row in zip(*cells)))
     finally:
         if close:
             fh.close()
@@ -100,31 +130,54 @@ def _decoupled(sc):
 def _cmd_decouple(args):
     sc = load_scenario(args.scenario)
     dec = _decoupled(sc)
-    print(f"alpha = {_fmt(dec.alpha)}")
-    print(f"gamma_max = {_fmt(dec.gamma_max)}")
-    print(f"worst_t = {_fmt(dec.worst_t)}")
+    print("alpha = %.17g" % dec.alpha)
+    print("gamma_max = %.17g" % dec.gamma_max)
+    print("worst_t = %.17g" % dec.worst_t)
     print(f"admissible = {'true' if dec.admissible else 'false'}")
     ts = np.linspace(sc.system.t_min, sc.system.t_max, args.t_points)
-    om1, om2, F1, F2, gam = channel_quantities(sc.system, dec.alpha, ts)
-    rows = zip(ts, om1, om2, F1, F2, gam)
-    _write_csv(args.out, ["t", "omega1_sq", "omega2_sq", "F1", "F2", "gamma"], rows)
+    quantities = channel_quantities(sc.system, dec.alpha, ts)
+    _write_csv(args.out, ["t", "omega1_sq", "omega2_sq", "F1", "F2", "gamma"],
+               [ts, *quantities])
     return EXIT_OK
 
 
 def _read_points(path):
+    """(n, 4) finite floats from a CSV (optional header line) or JSON file."""
     if path.endswith(".json"):
         with open(path) as fh:
             data = json.load(fh)
-        pts = np.asarray(data, dtype=float)
+        if not isinstance(data, list):
+            raise SchemaError([ROWS_MESSAGE])
+        for v in _leaves(data):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise SchemaError(
+                    [f"points file holds a non-numeric value: {json.dumps(v)}"])
+        try:
+            pts = np.asarray(data, dtype=float)
+        except OverflowError:
+            raise SchemaError(["points file holds a non-finite value"]) from None
     else:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         if rows and not all(_is_number(v) for v in rows[0]):
             rows = rows[1:]  # header line
-        pts = np.asarray([[float(v) for v in row] for row in rows])
+        pts = np.array(rows, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 4:
-        raise SchemaError(["points file must contain rows of (x1q, x2q, x1p, x2p)"])
+        raise SchemaError([ROWS_MESSAGE])
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise SchemaError(
+            [f"points file holds a non-finite value in point {bad[0] + 1}"])
     return pts
+
+
+def _leaves(data):
+    """The values inside nested lists, depth first."""
+    for item in data:
+        if isinstance(item, list):
+            yield from _leaves(item)
+        else:
+            yield item
 
 
 def _is_number(s):
@@ -142,17 +195,16 @@ def _cmd_kernel(args):
     kern = build_kernel(dec, sc.window[0], sc.window[1], variant=args.variant,
                         quad_order=sc.quad_order, quad_panels=sc.quad_panels,
                         ode_tol=sc.ode_tol, caustic_tol=sc.caustic_tol)
-    K = kern.evaluate(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
-    rows = [(pt[0], pt[1], pt[2], pt[3], k.real, k.imag) for pt, k in zip(pts, K)]
-    _write_csv(args.out, ["x1q", "x2q", "x1p", "x2p", "ReK", "ImK"], rows)
+    K = kern.evaluate(*pts.T)
+    _write_csv(args.out, ["x1q", "x2q", "x1p", "x2p", "ReK", "ImK"],
+               [*pts.T, K.real, K.imag])
     if args.dump_aux:
         ts = np.linspace(sc.window[0], sc.window[1], args.aux_points)
         cols = [ts]
         for ch in kern.channels:
-            cols += [ch.solution.rho(ts), ch.solution.drho(ts), ch.solution.phi(ts)]
+            cols += ch.solution.rho_drho_phi(ts)
         _write_csv(args.dump_aux,
-                   ["t", "rho1", "drho1", "phi1", "rho2", "drho2", "phi2"],
-                   zip(*cols))
+                   ["t", "rho1", "drho1", "phi1", "rho2", "drho2", "phi2"], cols)
     return EXIT_OK
 
 
@@ -181,7 +233,8 @@ def _cmd_evolve(args):
         state = propagate_gaussian(kern, state)
         record(tb, state)
     _write_csv(args.out, ["t", "x1_mean", "x2_mean", "p1_mean", "p2_mean",
-                          "var_x1", "var_x2", "cov_x1x2", "norm", "phase"], rows)
+                          "var_x1", "var_x2", "cov_x1x2", "norm", "phase"],
+               zip(*rows))
     return EXIT_OK
 
 
@@ -209,7 +262,7 @@ def _cmd_oracle(args):
     record(state)
     state = evolve(spec, state, t0, t1, n_steps, observer=every_stride)
     _write_csv(args.out, ["t", "norm", "x1_mean", "x2_mean",
-                          "x1_sq_mean", "x2_sq_mean", "energy"], rows)
+                          "x1_sq_mean", "x2_sq_mean", "energy"], zip(*rows))
     if args.dump_psi:
         density = np.abs(state.psi) ** 2
         n1, n2 = grid.points
@@ -235,7 +288,7 @@ def _cmd_compare(args):
              r.gamma_max, r.alpha, r.maslov[0], r.maslov[1],
              r.window[0], r.window[1], r.grid_points[0], r.grid_points[1],
              r.n_steps) for r in (rep_c, rep_lw)]
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, header, zip(*rows))
     print(f"corrected: fidelity {rep_c.fidelity_vs_oracle:.12f}, "
           f"max residual {rep_c.max_residual:.3e} "
           f"({rep_c.runtime_s:.1f}s)", file=sys.stderr)
@@ -263,7 +316,7 @@ def _cmd_residual(args):
             rows.append((variant, t, pt[0], pt[1], pt[2], pt[3], r))
         print(f"{variant}: max residual {np.max(res):.6e}", file=sys.stderr)
     _write_csv(args.out, ["variant", "t", "x1q", "x2q", "x1p", "x2p", "residual"],
-               rows)
+               zip(*rows))
     return EXIT_OK
 
 

@@ -68,8 +68,16 @@ class ErmakovSolution:
         return np.sqrt(u * u + v * v)
 
     def drho(self, t):
-        u, du, v, dv, _ = self._state(t)
-        return (u * du + v * dv) / np.sqrt(u * u + v * v)
+        return self.rho_drho_phi(t)[1]
+
+    def rho_drho_phi(self, t):
+        """rho, rho' and phi at t from one read of the dense output.
+
+        Each value equals what ``rho``, ``drho`` and ``phi`` return.
+        """
+        u, du, v, dv, phi = self._state(t)
+        rho = np.sqrt(u * u + v * v)
+        return rho, (u * du + v * dv) / rho, phi
 
     def phi(self, t):
         """Accumulated phase int_{t_start}^t ds / rho(s)^2; phi(t_start) = 0."""

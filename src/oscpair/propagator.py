@@ -41,6 +41,12 @@ once and builds every stencil kernel from that pair, and the command
 line's ``evolve`` solves once for the scenario window and builds each
 interval's kernel from it (2 solves per run, not 2 per interval).
 
+A kernel reads each channel's dense output once per node set: once at
+each endpoint (``ErmakovSolution.rho_drho_phi``), and for a driven
+channel once at the composite Gauss-Legendre nodes, whose values serve
+I''_j, I'_j and the outer rule of D_j, and once at the partial-panel
+nodes of D_j.  An undriven channel reads only its endpoints.
+
 The ``variant="lw"`` kernel reproduces the defective construction for the
 comparison experiments: channel frequencies built from the bare w_j^2
 (no mass-derivative correction) and no boundary mass factor.  For constant
@@ -155,24 +161,38 @@ def solve_channels(decoupled: DecoupledSystem, t_start, t_end, variant="correcte
         for j in (1, 2))
 
 
-def _driving_integrals(sol, F_of_t, t_start, t_end, panels, order):
+def _driving_integrals(sol, F_of_t, t_start, t_end, panels, order, phis=None):
+    """(I_end, I_start, D) of one channel on [t_start, t_end].
+
+    ``phis`` is (phi(t_start), phi(t_end)) of ``sol`` when the caller has
+    read them already.  A driven channel reads ``sol`` once at the
+    composite nodes and once at the partial-panel nodes of the double
+    integral; an undriven one does not read it.
+    """
     t_nodes, w = composite_gl_nodes(t_start, t_end, panels, order)
     F_nodes = np.asarray(F_of_t(t_nodes), dtype=float)
     if np.max(np.abs(F_nodes)) == 0.0:
         return 0.0, 0.0, 0.0
+    if phis is None:
+        phis = (float(sol.phi(t_start)), float(sol.phi(t_end)))
     # phases are measured from t_start, wherever the solve itself started
-    phi_start = float(sol.phi(t_start))
-    phi_end = float(sol.phi(t_end)) - phi_start
+    phi_start = phis[0]
+    phi_end = phis[1] - phi_start
+
+    def G_and_phase(t, F):
+        rho, _, phi = sol.rho_drho_phi(t)
+        return F * rho, phi - phi_start
 
     def G_sin_from_start(t):
-        return F_of_t(t) * sol.rho(t) * np.sin(sol.phi(t) - phi_start)
+        G, phase = G_and_phase(t, F_of_t(t))
+        return G * np.sin(phase)
 
-    def G_sin_to_end(t):
-        return F_of_t(t) * sol.rho(t) * np.sin(phi_end - (sol.phi(t) - phi_start))
-
-    I_end = float(np.dot(w, G_sin_from_start(t_nodes)))
-    I_start = float(np.dot(w, G_sin_to_end(t_nodes)))
-    D = triangle_double_integral(G_sin_to_end, G_sin_from_start,
+    G, phase = G_and_phase(t_nodes, F_nodes)
+    from_start = G * np.sin(phase)
+    to_end = G * np.sin(phi_end - phase)
+    I_end = float(np.dot(w, from_start))
+    I_start = float(np.dot(w, to_end))
+    D = triangle_double_integral(to_end, from_start, G_sin_from_start,
                                  t_start, t_end, panels, order)
     return I_end, I_start, D
 
@@ -205,11 +225,9 @@ def build_kernel(decoupled: DecoupledSystem, t_start, t_end, variant="corrected"
     channels = []
     per_channel = []
     for j, sol in zip((1, 2), solutions):
-        rho_q = float(sol.rho(t_end))
-        drho_q = float(sol.drho(t_end))
-        rho_p = float(sol.rho(t_start))
-        drho_p = float(sol.drho(t_start))
-        phi = float(sol.phase(t_start, t_end))
+        rho_p, drho_p, phi_p = map(float, sol.rho_drho_phi(t_start))
+        rho_q, drho_q, phi_q = map(float, sol.rho_drho_phi(t_end))
+        phi = phi_q - phi_p
         sin_phi = math.sin(phi)
         if abs(sin_phi) <= caustic_tol:
             caustics = sol.caustics_in(t_start, min(sol.t_end, t_end))
@@ -217,7 +235,8 @@ def build_kernel(decoupled: DecoupledSystem, t_start, t_end, variant="corrected"
             raise CausticError(j, sin_phi, nearest)
         F_j = lambda t, _j=j: decoupled.driving(_j, t)
         I_end, I_start, D = _driving_integrals(sol, F_j, t_start, t_end,
-                                               quad_panels, quad_order)
+                                               quad_panels, quad_order,
+                                               phis=(phi_p, phi_q))
         data = ChannelKernelData(
             channel=j, solution=sol,
             rho_p=rho_p, drho_p=drho_p, rho_q=rho_q, drho_q=drho_q,

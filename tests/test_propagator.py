@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -309,3 +311,23 @@ def test_kernel_vectorized_evaluation():
     vals = kern.evaluate(xs, 0.0, 0.0, 0.0)
     assert vals.shape == (5,)
     assert vals[2] == pytest.approx(kern.evaluate(0.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("name, limit", [("driven-static", 4), ("static", 2)])
+def test_kernel_reads_each_solution_once_per_node_set(name, limit):
+    """Endpoints, composite nodes and partial nodes: one dense-output read each."""
+    sc = load_shipped(name)
+    dec = solve_angle(sc.system)
+    calls = {1: 0, 2: 0}
+
+    def counted(sol):
+        def read(t):
+            calls[sol.channel] += 1
+            return sol._sol(t)
+        return dataclasses.replace(sol, _sol=read)
+
+    sols = tuple(counted(s) for s in solve_channels(dec, *sc.window))
+    kern = build_kernel(dec, *sc.window, solutions=sols)
+    driven = name == "driven-static"
+    assert all((ch.I_end != 0.0) == driven for ch in kern.channels)
+    assert all(0 < n <= limit for n in calls.values()), calls
