@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import struct
@@ -389,6 +390,13 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser :func:`main` uses, built on its first call (argparse is
+    slow to build and keeps no state between ``parse_args`` calls)."""
+    return build_parser()
+
+
 def _option_problem(args):
     """The first out-of-range count or seed, as a message; None if all fit."""
     for name in COUNT_OPTIONS:
@@ -402,7 +410,7 @@ def _option_problem(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     problem = _option_problem(args)
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)

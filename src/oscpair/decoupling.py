@@ -28,7 +28,10 @@ constant alpha makes Gam vanish identically, i.e. when
     lam(t) = (1/2) sqrt(m_1 m_2) (w~_2^2 - w~_1^2) tan(2a)
 
 for some fixed a; systems violating this are flagged inadmissible (with
-diagnostics), never silently accepted.
+diagnostics), never silently accepted.  The best angle is exact on the
+time grid: max_t |Gam| is the support function of the centrally symmetric
+polygon conv(+-(D(t), g(t))), D = (w~_1^2 - w~_2^2)/2, and is least along
+the normal of its hull edge nearest the origin (:func:`solve_angle`).
 
 The auxiliary ODE solve calls Om_j^2 hundreds of times per window, so
 :meth:`DecoupledSystem.omega_sq_on` checks the window once and returns an
@@ -64,12 +67,8 @@ __all__ = [
 #: Gam and Om_j^2 are pi-periodic in 2*alpha, so (-pi/4, pi/4] covers every
 #: distinct transformation exactly once.
 ANGLE_LO = -np.pi / 4
-ANGLE_HI = np.pi / 4
 
 DEFAULT_GAMMA_TOL = 1e-9
-
-#: angles per block in the solve_angle scan
-_SCAN_BLOCK = 32
 
 
 def normalize_angle(alpha):
@@ -250,38 +249,52 @@ def decoupled_at_angle(spec: SystemSpec, alpha, n_time=1024,
     )
 
 
-def _scan_worst(dd, g, sin2a, cos2a):
-    """max_t |D sin 2a + g cos 2a| per angle, scanned in blocks of angles.
+def _nearest_edge(dd, g):
+    """Edge vector (e_x, e_y) of conv(+-(dd[i], g[i])) nearest the origin.
 
-    Two reused (angle, time) buffers of _SCAN_BLOCK rows replace full-size
-    temporaries; every element and every maximum is the same as in one
-    full-size scan, so the chosen angle does not depend on the block size.
+    Andrew's monotone chain builds the lower chain.  The hull is centrally
+    symmetric, so the upper chain is the lower one negated and holds the
+    same edge distances.  Collinear points are dropped: points on one line
+    through the origin leave the single edge from the leftmost point to the
+    rightmost, at distance 0 up to roundoff.
     """
-    n = len(sin2a)
-    out = np.empty(n)
-    buf = np.empty((min(_SCAN_BLOCK, n), len(dd)))
-    tmp = np.empty_like(buf)
-    for i in range(0, n, _SCAN_BLOCK):
-        rows = slice(i, min(i + _SCAN_BLOCK, n))
-        b, t = buf[:rows.stop - i], tmp[:rows.stop - i]
-        np.multiply.outer(sin2a[rows], dd, out=b)
-        np.multiply.outer(cos2a[rows], g, out=t)
-        b += t
-        np.abs(b, out=b)
-        b.max(axis=1, out=out[rows])
-    return out
+    x = np.concatenate([dd, -dd])
+    y = np.concatenate([g, -g])
+    order = np.lexsort((y, x))
+    chain = []
+    for px, py in zip(x[order].tolist(), y[order].tolist()):
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
+                break
+            chain.pop()
+        chain.append((px, py))
+    v = np.array(chain)
+    e = np.diff(v, axis=0)
+    dist = np.abs(v[:-1, 0] * e[:, 1] - v[:-1, 1] * e[:, 0]) / np.hypot(e[:, 0], e[:, 1])
+    return e[np.argmin(dist)]
 
 
-def solve_angle(spec: SystemSpec, n_alpha=2048, n_time=1024,
+def solve_angle(spec: SystemSpec, n_time=1024,
                 gamma_tol=DEFAULT_GAMMA_TOL) -> DecoupledSystem:
-    """Find the constant angle minimizing max_t |Gam(t)|.
+    """The constant angle minimizing max_t |Gam(t)| on the time grid, exactly.
 
-    Strategy: precompute D(t) = (w~_1^2 - w~_2^2)/2 and g(t) on a dense
-    time grid, scan max_t |D sin 2a + g cos 2a| over n_alpha angles on the
-    canonical branch, then refine by golden section around the best sample.
-    Two exact special cases short-circuit the scan: lam identically zero
-    (alpha = 0) and identical effective frequencies with nonzero coupling
-    (alpha = pi/4, the branch boundary, where cos 2a = 0 kills Gam).
+    With p_t = (D(t), g(t)), D = (w~_1^2 - w~_2^2)/2, and the unit vector
+    n = (sin 2a, cos 2a), Gam(t) = <p_t, n>, so max_t |Gam(t)| = h(n) is the
+    support function of the polygon P = conv(+-p_t) over the n_time grid
+    points.  P is centrally symmetric, so its width along n is 2 h(n) and
+    the best angle realises the minimum width of P.  Between two adjacent
+    edge normals h(n) = |v| cos(angle(n, v)) for the one vertex v between
+    those edges, a concave function of the angle, so its minimum lies at an
+    edge normal.  There h is the distance |v x e| / |e| from the origin to
+    the edge's line, and the nearest edge e gives 2a = atan2(e_y, -e_x).
+
+    An admissible system has g/D constant (lam = (1/2) sqrt(m_1 m_2)
+    (w~_2^2 - w~_1^2) tan 2a), so every p_t lies on one line through the
+    origin: P is a 2-vertex hull whose edge normal gives width 0.  Two exact
+    special cases skip the hull: lam identically zero (alpha = 0) and
+    identical effective frequencies with nonzero coupling (alpha = pi/4, the
+    branch boundary, where cos 2a = 0 kills Gam).
 
     Inadmissibility is reported in the result, never raised.
     """
@@ -295,31 +308,5 @@ def solve_angle(spec: SystemSpec, n_alpha=2048, n_time=1024,
     if np.max(np.abs(dd)) <= 1e-13 * scale:
         return decoupled_at_angle(spec, np.pi / 4, n_time, gamma_tol)
 
-    def worst(alpha):
-        return float(np.max(np.abs(dd * math.sin(2 * alpha) + g * math.cos(2 * alpha))))
-
-    alphas = np.linspace(ANGLE_LO, ANGLE_HI, int(n_alpha), endpoint=True)
-    k = int(np.argmin(_scan_worst(dd, g, np.sin(2 * alphas), np.cos(2 * alphas))))
-    # bracket around the best sample; indices wrap with a pi/2 shift since
-    # |Gam| is pi/2-periodic in alpha
-    step = alphas[1] - alphas[0]
-    lo, hi = alphas[k] - step, alphas[k] + step
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = worst(c), worst(d)
-    for _ in range(120):
-        if b - a < 1e-14:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = worst(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = worst(d)
-    alpha = 0.5 * (a + b)
-    return decoupled_at_angle(spec, alpha, n_time, gamma_tol)
+    ex, ey = _nearest_edge(dd, g)
+    return decoupled_at_angle(spec, 0.5 * math.atan2(ey, -ex), n_time, gamma_tol)

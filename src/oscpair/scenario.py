@@ -159,6 +159,8 @@ def parse_scenario(text) -> Scenario:
             problems.append(str(exc))
 
     hbar = _num(doc, "hbar", problems, default=1.0)
+    if hbar <= 0:
+        problems.append("field 'hbar' must be positive")
     t_min = _num(doc, "t_min", problems, required=True)
     t_max = _num(doc, "t_max", problems, required=True)
     window = _pair(doc, "window", problems)
@@ -215,7 +217,7 @@ def parse_scenario(text) -> Scenario:
         problems.append(f"unknown field 'initial.{key}'")
     center = _pair(init_doc, "center", problems, where="initial.", default=(0.0, 0.0))
     momentum = _pair(init_doc, "momentum", problems, where="initial.", default=(0.0, 0.0))
-    sigma_default = (np.sqrt(hbar / 2.0), np.sqrt(hbar / 2.0)) if hbar else (0.7, 0.7)
+    sigma_default = (np.sqrt(hbar / 2.0), np.sqrt(hbar / 2.0)) if hbar > 0 else None
     sigma = _pair(init_doc, "sigma", problems, where="initial.", default=sigma_default)
     if sigma is not None and (sigma[0] <= 0 or sigma[1] <= 0):
         problems.append("field 'initial.sigma' entries must be positive")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -14,9 +16,8 @@ from oscpair import (
     normalize_angle,
     solve_angle,
 )
-from oscpair import decoupling
 from oscpair.coefficients import Constant, Exponential, Sinusoidal
-from oscpair.decoupling import _scan_worst
+from oscpair.decoupling import DEFAULT_GAMMA_TOL, _channel_terms, _grid
 from oscpair.errors import DomainError
 
 from conftest import SHIPPED, ck_spec, const_spec, random_admissible_spec
@@ -161,7 +162,7 @@ def test_solve_angle_uncoupled():
 
 def test_solve_angle_closed_form():
     dec = solve_angle(const_spec(w1=1.0, w2=2.0, lam=1.5))
-    assert dec.alpha == pytest.approx(np.pi / 8, abs=1e-10)
+    assert abs(dec.alpha - np.pi / 8) <= np.spacing(np.pi / 8)
     rng = np.random.default_rng(21)
     for _ in range(20):
         spec = random_admissible_spec(rng, kind=0)
@@ -191,14 +192,17 @@ def test_solve_angle_grid_stability():
         assert max(alphas) - min(alphas) <= 1e-8
 
 
-def test_inadmissible_flagged_not_raised():
-    # sinusoidal coupling with constant everything else cannot be removed
-    # by any constant angle
-    spec = SystemSpec(m1=Constant(1.0), m2=Constant(1.0),
-                      omega1=Constant(1.0), omega2=Constant(2.0),
+def _inadmissible_spec(omega1=Constant(1.0), coupling=Sinusoidal(0.0, 1.0, 1.3)):
+    # by default a sinusoidal coupling with constant everything else, which
+    # no constant angle can remove
+    return SystemSpec(m1=Constant(1.0), m2=Constant(1.0),
+                      omega1=omega1, omega2=Constant(2.0),
                       f1=Constant(0.0), f2=Constant(0.0),
-                      coupling=Sinusoidal(0.0, 1.0, 1.3),
-                      t_min=0.0, t_max=4.0)
+                      coupling=coupling, t_min=0.0, t_max=4.0)
+
+
+def test_inadmissible_flagged_not_raised():
+    spec = _inadmissible_spec()
     dec = solve_angle(spec)
     assert not dec.admissible
     assert dec.gamma_max > 0.1
@@ -260,7 +264,7 @@ def test_rotated_trajectories_satisfy_decoupled_equations():
     assert worst <= 1e-6
 
 
-# --- window-bound Om_j^2 and the blocked angle scan ----------------------------
+# --- window-bound Om_j^2 --------------------------------------------------------
 
 def _window_specs():
     rng = np.random.default_rng(29)
@@ -294,17 +298,74 @@ def test_window_omega_sq_checks_window_once():
     dec.omega_sq_on(1, 0.0, 4.0)(2.0)
 
 
-def test_blocked_angle_scan_is_bit_identical(monkeypatch):
-    """Block size changes neither the per-angle maxima nor alpha."""
-    for name, spec in _window_specs().items():
-        alpha = solve_angle(spec).alpha
-        monkeypatch.setattr(decoupling, "_SCAN_BLOCK", 1 << 16)
-        assert solve_angle(spec).alpha == alpha, name
-        monkeypatch.undo()
+# --- exact angle against the former scan -------------------------------------
 
-    rng = np.random.default_rng(37)
-    dd, g = rng.normal(size=(2, 300))
-    alphas = np.linspace(-np.pi / 4, np.pi / 4, 1000)
-    s, c = np.sin(2 * alphas), np.cos(2 * alphas)
-    full = np.abs(np.outer(dd, s) + np.outer(g, c)).max(axis=0)
-    assert np.array_equal(_scan_worst(dd, g, s, c), full)
+def _scan_reference(spec, n_time=1024, gamma_tol=DEFAULT_GAMMA_TOL):
+    """solve_angle as it was before the hull: a 2,048-angle scan, then golden
+    section.
+
+    The full (angle, time) table gives the same per-angle maxima as the
+    former blocked scan, so this returns the former angle bit for bit.
+    """
+    ts = _grid(spec, n_time)
+    wt1, wt2, g, _, _ = _channel_terms(spec, ts, True)
+    dd = 0.5 * (wt1 - wt2)
+    scale = float(np.max(np.abs(wt1)) + np.max(np.abs(wt2)) + np.max(np.abs(g)) + 1.0)
+    if np.max(np.abs(g)) <= 1e-300:
+        return decoupled_at_angle(spec, 0.0, n_time, gamma_tol)
+    if np.max(np.abs(dd)) <= 1e-13 * scale:
+        return decoupled_at_angle(spec, np.pi / 4, n_time, gamma_tol)
+
+    def worst(alpha):
+        return float(np.max(np.abs(dd * math.sin(2 * alpha) + g * math.cos(2 * alpha))))
+
+    alphas = np.linspace(-np.pi / 4, np.pi / 4, 2048, endpoint=True)
+    table = (np.multiply.outer(np.sin(2 * alphas), dd)
+             + np.multiply.outer(np.cos(2 * alphas), g))
+    k = int(np.argmin(np.abs(table).max(axis=1)))
+    step = alphas[1] - alphas[0]
+    a, b = alphas[k] - step, alphas[k] + step
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = worst(c), worst(d)
+    for _ in range(120):
+        if b - a < 1e-14:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = worst(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = worst(d)
+    return decoupled_at_angle(spec, 0.5 * (a + b), n_time, gamma_tol)
+
+
+def _reference_specs():
+    specs = {name: load_shipped(name).system for name in SHIPPED}
+    rng = np.random.default_rng(43)
+    for i in range(20):
+        specs[f"random-{i}"] = random_admissible_spec(rng, kind=i % 3,
+                                                      drive=bool(i % 2))
+    specs["sinusoidal-coupling"] = _inadmissible_spec()
+    specs["offset-sinusoidal-coupling"] = _inadmissible_spec(
+        coupling=Sinusoidal(0.4, 1.0, 1.3))
+    specs["constant-coupling-sinusoidal-omega1"] = _inadmissible_spec(
+        omega1=Sinusoidal(1.2, 0.3, 0.9), coupling=Constant(0.8))
+    return specs
+
+
+def test_hull_angle_no_worse_than_scan():
+    """The exact minimax is never worse than the former scan, beyond roundoff."""
+    eps = np.finfo(float).eps
+    for name, spec in _reference_specs().items():
+        new, ref = solve_angle(spec), _scan_reference(spec)
+        ts = _grid(spec, 1024)
+        om1, om2, _, _, _ = channel_quantities(spec, new.alpha, ts)
+        stiffness = float(max(np.max(np.abs(om1)), np.max(np.abs(om2))))
+        assert new.gamma_max <= ref.gamma_max + 8 * eps * (1 + stiffness), name
+        assert new.admissible == ref.admissible, name
+        if ref.admissible:
+            assert abs(new.alpha - ref.alpha) <= 1e-13, name

@@ -2,11 +2,13 @@ import json
 import struct
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import oscpair.cli
 import oscpair.comparison
 import oscpair.propagator
 from oscpair import (
@@ -18,7 +20,7 @@ from oscpair import (
     shipped_scenarios,
     solve_angle,
 )
-from oscpair.cli import main
+from oscpair.cli import build_parser, main
 
 from conftest import SHIPPED
 
@@ -88,6 +90,7 @@ def test_window_must_sit_inside_domain():
     ({"quad_order": 8.7}, "quad_order"),
     ({"grid": {"points": 100.5}}, "grid.points"),
     ({"tolerances": {"caustic_tol": 2.0}}, "tolerances.caustic_tol"),
+    ({"hbar": 0.0}, "hbar"),
 ])
 def test_malformed_values_rejected(overrides, field):
     with pytest.raises(SchemaError, match=f"field '{field}'"):
@@ -306,6 +309,38 @@ def test_cli_rejects_negative_seed_before_any_work(command, scenario_file, capsy
                "--out", "/dev/null"])
     assert rc == 1
     assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("hbar", [-1.0, 0.0])
+def test_cli_rejects_non_positive_hbar_without_warning(hbar, scenario_file, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["decouple", "--scenario", scenario_file(hbar=hbar)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: field 'hbar' must be positive\n"
+
+
+def test_cli_builds_its_parser_once(scenario_file, monkeypatch, capsys):
+    built = []
+    real = oscpair.cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(oscpair.cli, "build_parser", counting)
+    oscpair.cli._parser.cache_clear()
+    scen = scenario_file()
+    try:
+        assert main(["decouple", "--scenario", scen, "--out", "/dev/null"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["decouple", "--no-such-option", "--scenario", scen])
+        assert exc.value.code == 2
+        assert main(["decouple", "--scenario", scen, "--out", "/dev/null"]) == 0
+    finally:
+        oscpair.cli._parser.cache_clear()
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
 
 
 def test_cli_residual(scenario_file, tmp_path):

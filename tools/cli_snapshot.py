@@ -23,14 +23,28 @@ compare byte for byte::
     diff -r /tmp/a /tmp/b
 
 Any difference is a change of an output byte or of an exit code.
+
+A change that moves numbers at roundoff level is checked at a tolerance
+instead::
+
+    python3 tools/cli_snapshot.py --compare /tmp/a /tmp/b [--tol 1e-12]
+
+prints, per file, the largest scaled error |b - a| / max(1, |a|) over the
+numeric CSV cells and over the numbers in stdout and stderr, where a
+difference in a phase column (``phase``, ``phi1``, ``phi2``) is taken
+modulo 2 pi.  It fails (exit 1) on a missing file, a different exit code,
+header, row count or non-numeric byte, and on any scaled error above the
+tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +57,11 @@ SCENARIOS = SRC / "oscpair" / "scenarios"
 
 KERNEL_POINTS = 1024
 POINTS_SEED = 20031
+
+PHASE_COLUMNS = {"phase", "phi1", "phi2"}
+#: a number standing on its own, not a digit inside a name such as x1q
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                    r"|inf|nan)(?![\w.])")
 
 
 def commands(name, scenario, points, out):
@@ -83,10 +102,98 @@ def run(argv, out, tag):
     return proc.returncode
 
 
+def scaled_error(a, b, phase=False):
+    """|b - a| / max(1, |a|): 0 for equal values (two nans included), inf
+    when only one side is finite."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    d = abs(b - a)
+    if phase:
+        d %= 2 * math.pi
+        d = min(d, 2 * math.pi - d)
+    return d / max(1.0, abs(a))
+
+
+def compare_csv(a, b):
+    """Largest scaled error between two CSV texts; ValueError on a structural
+    difference (header, row count, row length or a non-numeric cell)."""
+    ra = list(csv.reader(a.splitlines()))
+    rb = list(csv.reader(b.splitlines()))
+    if len(ra) != len(rb):
+        raise ValueError(f"{len(ra)} rows against {len(rb)}")
+    if not ra:
+        return 0.0
+    if ra[0] != rb[0]:
+        raise ValueError(f"header {ra[0]} against {rb[0]}")
+    phase = [name in PHASE_COLUMNS for name in ra[0]]
+    worst = 0.0
+    for i, (row_a, row_b) in enumerate(zip(ra, rb)):
+        if len(row_a) != len(row_b):
+            raise ValueError(f"row {i}: {len(row_a)} cells against {len(row_b)}")
+        for j, (x, y) in enumerate(zip(row_a, row_b)):
+            try:
+                fx, fy = float(x), float(y)
+            except ValueError:
+                if x != y:
+                    raise ValueError(f"row {i}: {x!r} against {y!r}") from None
+                continue
+            worst = max(worst, scaled_error(fx, fy, i > 0 and phase[j]))
+    return worst
+
+
+def compare_text(a, b):
+    """Largest scaled error between the numbers of two texts; ValueError if
+    the text between the numbers differs."""
+    if NUMBER.split(a) != NUMBER.split(b):
+        raise ValueError("text between the numbers differs")
+    return max((scaled_error(float(x), float(y))
+                for x, y in zip(NUMBER.findall(a), NUMBER.findall(b))),
+               default=0.0)
+
+
+def compare(dir_a, dir_b, tol):
+    """Print the scaled error of every file of two snapshots; 0 iff they agree."""
+    files_a = {p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(dir_b) for p in dir_b.rglob("*") if p.is_file()}
+    failures = [f"{f}: only in {dir_a}" for f in sorted(files_a - files_b)]
+    failures += [f"{f}: only in {dir_b}" for f in sorted(files_b - files_a)]
+    worst, worst_file = 0.0, None
+    for f in sorted(files_a & files_b):
+        a, b = (dir_a / f).read_text(), (dir_b / f).read_text()
+        if f.suffix == ".exit":
+            if a != b:
+                failures.append(f"{f}: exit {a.strip()} against {b.strip()}")
+            continue
+        try:
+            err = compare_csv(a, b) if f.suffix == ".csv" else compare_text(a, b)
+        except ValueError as exc:
+            failures.append(f"{f}: {exc}")
+            continue
+        print(f"{err:.3e}  {f}")
+        if err > tol:
+            failures.append(f"{f}: scaled error {err:.3e} above {tol:g}")
+        if worst_file is None or err > worst:
+            worst, worst_file = err, f
+    print(f"largest scaled error {worst:.3e} ({worst_file}), "
+          f"{len(files_a & files_b)} files, tolerance {tol:g}")
+    for line in failures:
+        print(f"FAIL {line}")
+    return 1 if failures else 0
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("outdir", help="directory for the snapshot (created)")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("outdir", nargs="?", help="directory for the snapshot (created)")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"), type=Path,
+                      help="compare two snapshots instead of writing one")
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="largest scaled error --compare accepts (default 1e-12)")
     args = p.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare, args.tol)
     out = Path(args.outdir).resolve()
     inputs = out / "inputs"
     inputs.mkdir(parents=True, exist_ok=True)
