@@ -12,6 +12,8 @@ All evaluators accept scalars or numpy arrays of times.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,9 +248,39 @@ _KINDS = {
     "spline": (Spline, {"knots", "values"}, {"bc", "end_derivs"}),
 }
 
+#: fields holding a list of numbers; every other field but ``bc`` is one number
+_LIST_FIELDS = {"coeffs", "knots", "values", "end_derivs"}
+
+
+def _finite_number(v):
+    """A real, non-boolean number that is finite as a float."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:
+        return False
+
+
+def _parameter_problems(doc, fields, where):
+    """One message per parameter that is not a finite number (or a list of
+    them); JSON's NaN, Infinity, strings and booleans are all rejected."""
+    problems = []
+    for name in sorted(fields - {"bc"}):
+        v = doc[name]
+        if name == "end_derivs" and v is None:
+            continue
+        if name in _LIST_FIELDS:
+            if not (isinstance(v, (list, tuple)) and all(map(_finite_number, v))):
+                problems.append(f"{where}: field {name!r} must be a list of finite numbers")
+        elif not _finite_number(v):
+            problems.append(f"{where}: field {name!r} must be a finite number")
+    return problems
+
 
 def coefficient_from_dict(doc, where="coefficient"):
-    """Build a Coefficient from its JSON dict; strict about field names.
+    """Build a Coefficient from its JSON dict; strict about field names and
+    about parameter values, which must be finite numbers.
 
     Raises ValueError listing every problem found (the scenario parser
     aggregates these per document).
@@ -267,6 +299,7 @@ def coefficient_from_dict(doc, where="coefficient"):
         problems.append(f"{where}: unknown field {name!r} for kind {kind!r}")
     for name in sorted(required - fields):
         problems.append(f"{where}: missing field {name!r} for kind {kind!r}")
+    problems += _parameter_problems(doc, fields & (required | optional), where)
     if problems:
         raise ValueError("; ".join(problems))
     kwargs = {k: doc[k] for k in fields}

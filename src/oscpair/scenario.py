@@ -36,7 +36,7 @@ from importlib import resources
 
 import numpy as np
 
-from .coefficients import coefficient_from_dict
+from .coefficients import _finite_number, coefficient_from_dict
 from .errors import SchemaError
 from .gaussian import GaussianState2D
 from .oracle import GRID_POINTS_RULE, Grid2D, _grid_points_ok, suggest_extent
@@ -97,7 +97,7 @@ def _num(doc, key, problems, where="", default=None, required=False):
             problems.append(f"missing field {full!r}")
         return default
     v = doc[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not np.isfinite(v):
+    if not _finite_number(v):
         problems.append(f"field {full!r} must be a finite number")
         return default
     return float(v)
@@ -110,9 +110,8 @@ def _pair(doc, key, problems, where="", default=None, required=False):
             problems.append(f"missing field {full!r}")
         return default
     v = doc[key]
-    if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       and np.isfinite(x) for x in v)):
+    if not (isinstance(v, (list, tuple)) and len(v) == 2
+            and all(map(_finite_number, v))):
         problems.append(f"field {full!r} must be a pair of finite numbers")
         return default
     return (float(v[0]), float(v[1]))
@@ -196,8 +195,8 @@ def parse_scenario(text) -> Scenario:
     pts = grid_doc.get("points", 256)
     if not isinstance(pts, (list, tuple)):
         pts = (pts, pts)
-    if len(pts) == 2 and all(isinstance(n, (int, float)) and not isinstance(n, bool)
-                             and float(n).is_integer() and n >= 1 for n in pts):
+    if len(pts) == 2 and all(_finite_number(n) and float(n).is_integer() and n >= 1
+                             for n in pts):
         grid_points = (int(pts[0]), int(pts[1]))
         if not all(_grid_points_ok(n) for n in grid_points):
             problems.append(f"field 'grid.points' must be {GRID_POINTS_RULE}")

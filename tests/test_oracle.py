@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import fft as sfft
 
+import oscpair.oracle
 from oscpair import (
     GaussianState2D,
     Grid2D,
@@ -19,7 +20,7 @@ from oscpair import (
 from oscpair.coefficients import Constant, Exponential, Polynomial, Power, Sinusoidal
 from oscpair.system import _potential, _potential_coefficients
 
-from conftest import ck_spec, const_spec
+from conftest import ck_spec, const_spec, random_admissible_spec
 
 
 def driven_spec():
@@ -70,6 +71,65 @@ def test_step_matches_textbook_step(case):
         ref = textbook_step(spec, ref, 1.0 / 64)
     assert fast.time == ref.time
     assert np.max(np.abs(fast.psi - ref.psi)) <= 1e-13
+
+
+KICK_GRIDS = {
+    "32x32": ((10.0, 10.0), (32, 32)),
+    "32x256": ((8.0, 14.0), (32, 256)),
+    "256x32": ((14.0, 8.0), (256, 32)),
+    "64x128": ((12.0, 16.0), (64, 128)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KICK_GRIDS))
+def test_half_kick_matches_mesh_exponential(case):
+    extent, points = KICK_GRIDS[case]
+    spec = driven_spec()
+    grid = Grid2D(extent=extent, points=points)
+    X1, X2 = grid.mesh()
+    dt = 0.1
+    for t in (0.2, 1.3, 2.5):
+        phase = -0.5 * dt / spec.hbar * potential(spec, X1, X2, t)
+        assert np.max(np.abs(phase)) > 5.0  # several radians of coupled phase
+        plane = oscpair.oracle._half_kick(spec, grid, t, dt)
+        assert plane.shape == points
+        assert np.max(np.abs(plane - np.exp(1j * phase))) <= 1e-13
+        assert np.max(np.abs(np.abs(plane) - 1.0)) <= 8 * np.finfo(float).eps
+
+
+def test_step_takes_no_phase_over_the_whole_plane(monkeypatch):
+    sizes = []
+    unit_phase = oscpair.oracle._unit_phase
+
+    def recording(phi):
+        sizes.append(np.size(phi))
+        return unit_phase(phi)
+
+    monkeypatch.setattr(oscpair.oracle, "_unit_phase", recording)
+    spec = driven_spec()
+    grid = Grid2D(extent=(14.0, 14.0), points=(256, 256))
+    st = from_gaussian(grid, GaussianState2D.coherent(hbar=spec.hbar), time=0.5)
+    step(spec, st, 0.01)
+    n1, n2 = grid.points
+    assert sizes and max(sizes) < n1 * n2
+    # blocks of 16 columns: two (256, 16) tables, then three 1D phases
+    assert sum(sizes) == n1 * (n2 // 16 + 16) + n2 + n1 + n2
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_step_matches_textbook_step_on_random_systems(seed):
+    rng = np.random.default_rng([7001, seed])
+    spec = random_admissible_spec(rng, kind=seed % 3, drive=seed % 2 == 1)
+    grid = Grid2D(extent=(16.0, 16.0), points=(64, 64))
+    st = from_gaussian(grid, GaussianState2D.coherent(
+        center=(0.6, -0.4), momentum=(0.3, 0.5), sigma=(0.9, 1.1),
+        hbar=spec.hbar), time=0.3).normalized()
+    fast = ref = st
+    for _ in range(32):
+        fast = step(spec, fast, 1.0 / 32)
+        ref = textbook_step(spec, ref, 1.0 / 32)
+    assert np.max(np.abs(fast.psi - ref.psi)) <= 1e-13
+    assert abs(fast.norm_sq() - st.norm_sq()) <= 1e-13
 
 
 def test_observables_match_direct_sums():

@@ -109,6 +109,76 @@ def test_grid_values_rejected_at_parse(grid, field):
         parse_scenario(_doc(grid=grid))
 
 
+BAD_PARAMETERS = {
+    "nan": ("omega1", {"kind": "constant", "value": float("nan")},
+            "omega1: field 'value' must be a finite number"),
+    "infinity": ("m1", {"kind": "exponential", "a": 1.0, "gamma": float("inf")},
+                 "m1: field 'gamma' must be a finite number"),
+    "string": ("m2", {"kind": "constant", "value": "1.0"},
+               "m2: field 'value' must be a finite number"),
+    "boolean": ("f1", {"kind": "sinusoidal", "a": 0.0, "b": True, "nu": 1.0},
+                "f1: field 'b' must be a finite number"),
+    "list-for-number": ("m1", {"kind": "constant", "value": [1.0]},
+                        "m1: field 'value' must be a finite number"),
+    "string-power": ("m2", {"kind": "power", "a": 1.0, "b": 0.1, "n": "n"},
+                     "m2: field 'n' must be a finite number"),
+    "coeffs-entry": ("lambda", {"kind": "polynomial", "coeffs": [1.5, float("nan")]},
+                     "lambda: field 'coeffs' must be a list of finite numbers"),
+    "knots-entry": ("f2", {"kind": "spline", "knots": [0.0, "2", 4.0],
+                           "values": [0.0, 0.1, 0.0]},
+                    "f2: field 'knots' must be a list of finite numbers"),
+    "values-entry": ("f2", {"kind": "spline", "knots": [0.0, 2.0, 4.0],
+                            "values": [0.0, False, 0.0]},
+                     "f2: field 'values' must be a list of finite numbers"),
+    "values-not-list": ("f2", {"kind": "spline", "knots": [0.0, 4.0], "values": 1.0},
+                        "f2: field 'values' must be a list of finite numbers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARAMETERS))
+def test_malformed_coefficient_parameters_rejected(case):
+    key, coeff, message = BAD_PARAMETERS[case]
+    with pytest.raises(SchemaError) as exc:
+        parse_scenario(_doc(**{key: coeff}))
+    assert exc.value.violations == [message]
+
+
+def test_every_malformed_parameter_reported():
+    doc = {key: coeff for key, coeff, _ in BAD_PARAMETERS.values()}
+    with pytest.raises(SchemaError) as exc:
+        parse_scenario(_doc(**doc))
+    assert len(exc.value.violations) == len(doc)
+
+
+HUGE_INT = "1" + "0" * 400  # a JSON integer that no float can hold
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("hbar", HUGE_INT, "field 'hbar' must be a finite number"),
+    ("window", f"[0, {HUGE_INT}]", "field 'window' must be a pair of finite numbers"),
+    ("grid", f'{{"points": {HUGE_INT}}}',
+     "field 'grid.points' must be a positive integer or a pair"),
+    ("m1", f'{{"kind": "constant", "value": {HUGE_INT}}}',
+     "m1: field 'value' must be a finite number"),
+], ids=["hbar", "window", "grid.points", "m1"])
+def test_integers_too_large_for_a_float_rejected(key, value, message):
+    text = _doc()[:-1] + f', "{key}": {value}}}'
+    with pytest.raises(SchemaError) as exc:
+        parse_scenario(text)
+    assert exc.value.violations == [message]
+
+
+@pytest.mark.parametrize("command", ["decouple", "oracle"])
+@pytest.mark.parametrize("case", ["nan", "list-for-number", "string-power"])
+def test_cli_rejects_malformed_parameters(command, case, scenario_file, capsys):
+    key, coeff, message = BAD_PARAMETERS[case]
+    scen = scenario_file(**{key: coeff}, window=[0.0, 0.1],
+                         grid={"points": 32, "extent": [12.0, 12.0], "steps": 2})
+    rc = main([command, "--scenario", scen, "--out", "/dev/null"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_integral_floats_still_accepted():
     sc = parse_scenario(_doc(quad_order=6.0, grid={"points": [64.0, 128], "steps": 512.0}))
     assert sc.quad_order == 6 and sc.grid_points == (64, 128) and sc.grid_steps == 512

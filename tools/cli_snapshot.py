@@ -11,9 +11,10 @@ that imports the ``oscpair`` of this checkout (``src/``):
     kernel --variant corrected|lw --dump-aux   (seeded 1,024-point file)
     evolve --steps 64
     residual --variant both --points 8
-    oracle --steps 256
+    oracle --steps 256 --dump-psi
 
-and keeps each command's CSV outputs, stdout, stderr and exit code.  In
+and keeps each command's CSV outputs, the oracle's final density dump,
+stdout, stderr and exit code.  In
 stderr the source directory of this checkout (warning locations) reads
 ``<src>`` and OUTDIR reads ``<out>``, so that snapshots of two checkouts
 compare byte for byte::
@@ -30,10 +31,11 @@ instead::
     python3 tools/cli_snapshot.py --compare /tmp/a /tmp/b [--tol 1e-12]
 
 prints, per file, the largest scaled error |b - a| / max(1, |a|) over the
-numeric CSV cells and over the numbers in stdout and stderr, where a
-difference in a phase column (``phase``, ``phi1``, ``phi2``) is taken
-modulo 2 pi.  It fails (exit 1) on a missing file, a different exit code,
-header, row count or non-numeric byte, and on any scaled error above the
+numeric CSV cells, the float64 densities of the ``--dump-psi`` files and
+the numbers in stdout and stderr, where a difference in a phase column
+(``phase``, ``phi1``, ``phi2``) is taken modulo 2 pi.  It fails (exit 1) on
+a missing file, a different exit code, header (of a CSV or of a dump), row
+count, dump length or non-numeric byte, and on any scaled error above the
 tolerance.
 """
 
@@ -45,6 +47,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -80,7 +83,8 @@ def commands(name, scenario, points, out):
         ("evolve", ["evolve", *common, "--steps", "64", "--out", o("evolve.csv")]),
         ("residual", ["residual", *common, "--variant", "both", "--points", "8",
                       "--out", o("residual.csv")]),
-        ("oracle", ["oracle", *common, "--steps", "256", "--out", o("oracle.csv")]),
+        ("oracle", ["oracle", *common, "--steps", "256", "--out", o("oracle.csv"),
+                    "--dump-psi", o("oracle-psi.bin")]),
     ]
     return cmds
 
@@ -143,6 +147,20 @@ def compare_csv(a, b):
     return worst
 
 
+def compare_dump(a, b):
+    """Largest scaled error between two ``oracle --dump-psi`` files (bytes);
+    ValueError if their four header ints or their lengths differ."""
+    if min(len(a), len(b)) < 16:
+        raise ValueError("dump shorter than its 16-byte header")
+    head_a, head_b = struct.unpack("<iiii", a[:16]), struct.unpack("<iiii", b[:16])
+    if head_a != head_b:
+        raise ValueError(f"dump header {head_a} against {head_b}")
+    if len(a) != len(b):
+        raise ValueError(f"dump of {len(a)} bytes against {len(b)}")
+    da, db = (np.frombuffer(x, dtype="<f8", offset=16).tolist() for x in (a, b))
+    return max(map(scaled_error, da, db), default=0.0)
+
+
 def compare_text(a, b):
     """Largest scaled error between the numbers of two texts; ValueError if
     the text between the numbers differs."""
@@ -161,13 +179,18 @@ def compare(dir_a, dir_b, tol):
     failures += [f"{f}: only in {dir_b}" for f in sorted(files_b - files_a)]
     worst, worst_file = 0.0, None
     for f in sorted(files_a & files_b):
-        a, b = (dir_a / f).read_text(), (dir_b / f).read_text()
+        if f.suffix == ".bin":
+            a, b = (dir_a / f).read_bytes(), (dir_b / f).read_bytes()
+        else:
+            a, b = (dir_a / f).read_text(), (dir_b / f).read_text()
         if f.suffix == ".exit":
             if a != b:
                 failures.append(f"{f}: exit {a.strip()} against {b.strip()}")
             continue
         try:
-            err = compare_csv(a, b) if f.suffix == ".csv" else compare_text(a, b)
+            compare_file = {".csv": compare_csv, ".bin": compare_dump}.get(
+                f.suffix, compare_text)
+            err = compare_file(a, b)
         except ValueError as exc:
             failures.append(f"{f}: {exc}")
             continue
