@@ -20,7 +20,7 @@ from .decoupling import (
     normalize_angle,
     solve_angle,
 )
-from .ermakov import ErmakovSolution, solve_ermakov, solve_ermakov_nonlinear
+from .ermakov import ErmakovSolution, SolveStats, solve_ermakov, solve_ermakov_nonlinear
 from .errors import (
     CausticError,
     DomainError,

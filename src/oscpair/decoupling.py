@@ -33,12 +33,12 @@ time grid: max_t |Gam| is the support function of the centrally symmetric
 polygon conv(+-(D(t), g(t))), D = (w~_1^2 - w~_2^2)/2, and is least along
 the normal of its hull edge nearest the origin (:func:`solve_angle`).
 
-The auxiliary ODE solve calls Om_j^2 hundreds of times per window, so
-:meth:`DecoupledSystem.omega_sq_on` checks the window once and returns an
-unchecked callable.  One check is enough: SystemSpec guarantees that every
-coefficient's domain covers [t_min, t_max], and the DOP853 integrator only
-evaluates its right-hand side at stage times t + c*h with c in [0, 1] and
-the step clipped to the solve window.
+The auxiliary ODE solve reads Om_j^2 once per integration step, tens of
+times per window, so :meth:`DecoupledSystem.omega_sq_on` checks the window
+once and returns an unchecked callable.  One check is enough: SystemSpec
+guarantees that every coefficient's domain covers [t_min, t_max], and the
+DOP853 integrator only evaluates its right-hand side at stage times
+t + c*h with c in [0, 1] and the step clipped to the solve window.
 """
 
 from __future__ import annotations
@@ -205,8 +205,14 @@ class DecoupledSystem:
         """Unchecked callable t -> Om_j^2(t) for times in [t_start, t_end].
 
         The window is checked here, once (DomainError if it leaves
-        [t_min, t_max]); the callable then skips every domain check and
-        equals ``omega_sq(j, t, corrected)`` bit for bit.
+        [t_min, t_max]); the callable then skips every domain check.  It
+        equals ``omega_sq(j, t, corrected)`` bit for bit when both get a
+        time of the same kind, 0-d or array.  Across kinds it need not:
+        numpy's scalar and array math paths can round differently, so a
+        0-d read and an array read of the same time may differ in the last
+        bits.  On pulsed-coupling they do at a few times in 10^4: a 0-d
+        ``w ** 2`` goes through libm ``pow``, which is not always
+        correctly rounded, where the array square is.
         """
         spec = self.system
         spec.check_time([t_start, t_end])
@@ -232,7 +238,13 @@ def _grid(spec, n_time):
 
 def decoupled_at_angle(spec: SystemSpec, alpha, n_time=1024,
                        gamma_tol=DEFAULT_GAMMA_TOL) -> DecoupledSystem:
-    """Bind a given (possibly user-overridden) angle and judge admissibility."""
+    """Bind a given (possibly user-overridden) angle and judge admissibility.
+
+    ``worst_t`` is the grid time of the largest |Gam|, except when that is
+    at the roundoff floor, max |Gam| <= 64 eps (1 + stiffness): the argmax
+    of roundoff carries no information and jumps when alpha moves by an
+    ulp, so it is reported as the grid start, t_min.
+    """
     alpha = normalize_angle(alpha)
     ts = _grid(spec, n_time)
     om1, om2, _, _, gam = channel_quantities(spec, alpha, ts)
@@ -240,10 +252,11 @@ def decoupled_at_angle(spec: SystemSpec, alpha, n_time=1024,
     i = int(np.argmax(gam))
     stiffness = float(max(np.max(np.abs(om1)), np.max(np.abs(om2))))
     tol_abs = gamma_tol * (1.0 + stiffness)
+    i_worst = 0 if gam[i] <= 64.0 * np.finfo(float).eps * (1.0 + stiffness) else i
     return DecoupledSystem(
         transform=CanonicalTransform(system=spec, alpha=alpha),
         gamma_max=float(gam[i]),
-        worst_t=float(ts[i]),
+        worst_t=float(ts[i_worst]),
         gamma_tol=tol_abs,
         admissible=bool(gam[i] <= tol_abs),
     )

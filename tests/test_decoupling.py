@@ -286,6 +286,9 @@ def test_window_omega_sq_matches_channel_quantities_bitwise(corrected):
             q = channel_quantities(spec, dec.alpha, t, corrected=corrected)
             for j in (1, 2):
                 assert fns[j - 1](t) == q[j - 1], (name, corrected, j, t)
+        q = channel_quantities(spec, dec.alpha, times, corrected=corrected)
+        for j in (1, 2):
+            assert np.array_equal(fns[j - 1](times), q[j - 1]), (name, corrected, j)
 
 
 def test_window_omega_sq_checks_window_once():
@@ -369,3 +372,25 @@ def test_hull_angle_no_worse_than_scan():
         assert new.admissible == ref.admissible, name
         if ref.admissible:
             assert abs(new.alpha - ref.alpha) <= 1e-13, name
+
+
+HULL_SCENARIOS = ["static", "driven-static", "caldirola-kanai", "pulsed-coupling"]
+
+
+@pytest.mark.parametrize("name", HULL_SCENARIOS)
+def test_worst_t_at_roundoff_floor_is_grid_start(name):
+    # |Gam| is pure roundoff at the solved angle; its argmax jumped across
+    # the window when alpha moved by one ulp
+    spec = load_shipped(name).system
+    dec = solve_angle(spec)
+    assert dec.admissible and dec.gamma_max <= 1e-15
+    for alpha in (np.nextafter(dec.alpha, -1.0), dec.alpha, np.nextafter(dec.alpha, 1.0)):
+        assert decoupled_at_angle(spec, alpha).worst_t == spec.t_min, alpha
+
+
+def test_worst_t_above_roundoff_floor_is_argmax():
+    spec = _inadmissible_spec(coupling=Sinusoidal(0.0, 1.0, 1.3, -2.0))
+    dec = solve_angle(spec)
+    ts = _grid(spec, 1024)
+    gam = np.abs(channel_quantities(spec, dec.alpha, ts)[4])
+    assert dec.worst_t == ts[np.argmax(gam)] > spec.t_min
