@@ -25,7 +25,7 @@ formats each row with one ``%.17g`` template and writes the rows in one
 piece; string cells are quoted as the csv module quotes them.
 
 A points file is CSV (an optional header line, then rows of four
-numbers) or a JSON list of such rows.  Every value must be a finite
+numbers, with no blank line) or a JSON list of such rows.  Every value must be a finite
 number; anything else is a validation failure naming the points file.
 """
 
@@ -159,10 +159,17 @@ def _read_points(path):
             raise SchemaError(["points file holds a non-finite value"]) from None
     else:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if rows and not all(_is_number(v) for v in rows[0]):
-            rows = rows[1:]  # header line
-        pts = np.array(rows, dtype=float)
+            lines = fh.read().replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if lines[-1] == "":
+            lines.pop()  # the terminator of the last row
+        if lines and not all(_is_number(v) for v in next(csv.reader(lines[:1]))):
+            lines = lines[1:]  # header line
+        if not lines or "" in lines:  # no rows, or a blank line: a row of no values
+            raise SchemaError([ROWS_MESSAGE])
+        try:
+            pts = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        except ValueError:  # a ragged row or a cell that is not a number
+            raise SchemaError([ROWS_MESSAGE]) from None
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise SchemaError([ROWS_MESSAGE])
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))

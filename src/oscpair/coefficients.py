@@ -59,6 +59,11 @@ class Coefficient:
     def deriv2(self, t):
         return self._deriv2(self._check(t))
 
+    def _value_derivs(self, t):
+        """(value, first, second derivative) at unchecked times t, each equal
+        to what ``_value``, ``_deriv1`` and ``_deriv2`` return."""
+        return self._value(t), self._deriv1(t), self._deriv2(t)
+
 
 @dataclass(frozen=True)
 class Constant(Coefficient):
@@ -118,6 +123,10 @@ class Exponential(Coefficient):
     def _deriv2(self, t):
         return self.gamma**2 * self.a * np.exp(self.gamma * t)
 
+    def _value_derivs(self, t):
+        e = np.exp(self.gamma * t)
+        return self.a * e, self.gamma * self.a * e, self.gamma**2 * self.a * e
+
 
 @dataclass(frozen=True)
 class Sinusoidal(Coefficient):
@@ -136,6 +145,11 @@ class Sinusoidal(Coefficient):
 
     def _deriv2(self, t):
         return -self.b * self.nu**2 * np.cos(self.nu * t + self.theta)
+
+    def _value_derivs(self, t):
+        arg = self.nu * t + self.theta
+        c = np.cos(arg)
+        return self.a + self.b * c, -self.b * self.nu * np.sin(arg), -self.b * self.nu**2 * c
 
 
 @dataclass(frozen=True)
@@ -163,15 +177,20 @@ class Power(Coefficient):
         eps = 1e-12 * (1.0 + abs(root))
         return (root + eps, np.inf) if self.b > 0 else (-np.inf, root - eps)
 
+    def _base(self, t):
+        """a + b*t as an array, also for a 0-d t: numpy's array power squares
+        for n = 2 where a scalar power calls libm ``pow``, which is not always
+        correctly rounded, so 0-d and array reads would differ."""
+        return np.asarray(self.a + self.b * t)
+
     def _value(self, t):
-        return (self.a + self.b * t) ** self.n
+        return self._base(t) ** self.n
 
     def _deriv1(self, t):
-        return self.n * self.b * (self.a + self.b * t) ** (self.n - 1)
+        return self.n * self.b * self._base(t) ** (self.n - 1)
 
     def _deriv2(self, t):
-        base = self.a + self.b * t
-        return self.n * (self.n - 1) * self.b**2 * base ** (self.n - 2)
+        return self.n * (self.n - 1) * self.b**2 * self._base(t) ** (self.n - 2)
 
 
 @dataclass(frozen=True)

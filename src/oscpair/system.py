@@ -130,8 +130,13 @@ def effective_frequency_sq(spec: SystemSpec, j: int, t):
 
 
 def _effective_frequency_sq(w, mv, md, mdd):
-    """w~^2 from w, m, mdot and mddot already evaluated at the same times."""
-    return w ** 2 + 0.25 * (md**2 / mv**2 - 2.0 * mdd / mv)
+    """w~^2 from w, m, mdot and mddot already evaluated at the same times.
+
+    Squares are products: numpy squares an array as x*x, while a 0-d
+    ``x ** 2`` goes through libm ``pow``, which is not always correctly
+    rounded, so a product keeps 0-d and array reads equal.
+    """
+    return w * w + 0.25 * (md * md / (mv * mv) - 2.0 * mdd / mv)
 
 
 def potential(spec: SystemSpec, x1, x2, t):

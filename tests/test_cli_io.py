@@ -7,7 +7,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from oscpair.cli import _write_csv, main
+from oscpair.cli import _read_points, _write_csv, main
+from oscpair.errors import SchemaError
 
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e-320,
            2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3, 1e16,
@@ -115,3 +116,78 @@ def test_points_csv_and_json_read_the_same(tmp_path):
     rc_json, out_json = _kernel(tmp_path, "p.json", f"[{json_rows}]")
     assert rc_json == 0
     assert out_json.read_bytes() == out_csv.read_bytes()
+
+
+def _csv_reference(path):
+    """The csv.reader points reader the command line used before np.loadtxt."""
+    def number(s):
+        try:
+            float(s)
+            return True
+        except ValueError:
+            return False
+
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if rows and not all(number(v) for v in rows[0]):
+        rows = rows[1:]
+    pts = np.array(rows, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 4 or not np.isfinite(pts).all():
+        raise SchemaError(["points file"])
+    return pts
+
+
+POINTS_PARITY = {
+    "quoted": '"1.5",2,"-3e-2",4\n"0.25",-1,2,"7"\n',
+    "quoted-header": '"x1q","x2q","x1p","x2p"\n1,2,3,4\n',
+    "whitespace": " 1.5 ,2,  -3 ,\t4\n5, 6 ,7,8 \n",
+    "crlf": "x1q,x2q,x1p,x2p\r\n1,2,3,4\r\n5,6,7,8\r\n",
+    "no-final-newline": "1,2,3,4\n5,6,7,8",
+    "signed-zero-subnormal": "-0.0,5e-324,-5e-324,0.0\n-0,1e-320,2.2250738585072014e-308,-0.0\n",
+    "trailing-blank-line": "1,2,3,4\n\n",
+    "blank-line-between": "1,2,3,4\n\n5,6,7,8\n",
+    "leading-blank-line": "\nx1q,x2q,x1p,x2p\n1,2,3,4\n",
+    "ragged-short": "1,2,3,4\n1,2,3\n",
+    "ragged-long": "1,2,3,4\n1,2,3,4,5\n",
+    "five-columns": "1,2,3,4,5\n",
+    "header-only": "x1q,x2q,x1p,x2p\n",
+    "empty": "",
+    "non-numeric-cell": "1,2,3,4\n1,a,3,4\n",
+    "empty-cell": "1,2,3,4\n1,,3,4\n",
+    "comment-row": "1,2,3,4\n# note\n",
+    "blank-cells-line": "1,2,3,4\n   \n",
+}
+
+
+@pytest.mark.parametrize("name", POINTS_PARITY)
+def test_points_csv_reader_matches_csv_module_reader(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.csv"
+    path.write_text(POINTS_PARITY[name], newline="")
+    try:
+        want = _csv_reference(str(path))
+    except (SchemaError, ValueError):
+        want = None
+    if want is None:
+        with pytest.raises(SchemaError):
+            _read_points(str(path))
+        rc, out = _kernel(tmp_path, f"{name}.csv", POINTS_PARITY[name])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: points file ")
+        assert not out.exists()
+    else:
+        got = _read_points(str(path))
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_points_csv_reader_parses_every_bit_pattern_like_float(tmp_path):
+    rng = np.random.default_rng(11)
+    vals = rng.integers(0, 2**64, size=(4000, 4), dtype=np.uint64).view(np.float64)
+    vals[~np.isfinite(vals)] = -0.0
+    vals[0] = [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    path = tmp_path / "bits.csv"
+    path.write_text("x1q,x2q,x1p,x2p\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in vals))
+    got = _read_points(str(path))
+    assert np.array_equal(got.view(np.uint64), vals.view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), _csv_reference(str(path)).view(np.uint64))

@@ -63,6 +63,32 @@ def test_derivatives_match_finite_differences():
             count += 1
 
 
+def test_value_derivs_equal_separate_reads_bitwise():
+    rng = np.random.default_rng(13)
+    spline = Spline((0.0, 0.7, 1.5, 2.0), (1.0, 1.3, 0.8, 1.1))
+    for _ in range(20):
+        for c in [*_random_coefficients(rng), spline]:
+            ts = rng.uniform(0.0, 2.0, size=64)
+            for t in (ts, ts[0], float(ts[1])):
+                got = c._value_derivs(t)
+                want = (c._value(t), c._deriv1(t), c._deriv2(t))
+                for g, w in zip(got, want):
+                    assert np.shape(g) == np.shape(w)
+                    assert np.array_equal(np.asarray(g, float).view(np.uint64),
+                                          np.asarray(w, float).view(np.uint64)), c
+
+
+def test_power_scalar_read_equals_array_read():
+    # a 0-d (a + b t)**2 must not go through libm pow, which is not always
+    # correctly rounded, where the array path squares
+    rng = np.random.default_rng(2)
+    p = Power(float(np.sqrt(1.2)), float(np.sqrt(1.2)) * 0.15, 2)
+    ts = rng.uniform(0.0, 6.0, 20_000)
+    for read in (p, p.deriv1, p.deriv2):
+        want = read(ts)
+        assert np.array_equal(np.array([read(float(t)) for t in ts]), want)
+
+
 def test_spline_reproduces_knots_and_is_smooth():
     rng = np.random.default_rng(3)
     knots = np.sort(rng.uniform(0, 5, size=12))

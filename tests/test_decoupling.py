@@ -311,7 +311,7 @@ def _scan_reference(spec, n_time=1024, gamma_tol=DEFAULT_GAMMA_TOL):
     former blocked scan, so this returns the former angle bit for bit.
     """
     ts = _grid(spec, n_time)
-    wt1, wt2, g, _, _ = _channel_terms(spec, ts, True)
+    wt1, wt2, g = _channel_terms(spec, ts, True)
     dd = 0.5 * (wt1 - wt2)
     scale = float(np.max(np.abs(wt1)) + np.max(np.abs(wt2)) + np.max(np.abs(g)) + 1.0)
     if np.max(np.abs(g)) <= 1e-300:
@@ -394,3 +394,53 @@ def test_worst_t_above_roundoff_floor_is_argmax():
     ts = _grid(spec, 1024)
     gam = np.abs(channel_quantities(spec, dec.alpha, ts)[4])
     assert dec.worst_t == ts[np.argmax(gam)] > spec.t_min
+
+
+def test_scalar_and_array_omega_sq_reads_agree():
+    """A 0-d read of Om_j^2 has the bits of the array read at the same time."""
+    sc = load_shipped("pulsed-coupling")
+    dec = solve_angle(sc.system)
+    cases = [(dec, np.random.default_rng(0).uniform(sc.system.t_min, sc.system.t_max, 20_000))]
+    rng = np.random.default_rng(7)
+    for k in range(12):
+        spec = random_admissible_spec(rng, kind=k % 3, drive=k % 2 == 1)
+        cases.append((solve_angle(spec), rng.uniform(spec.t_min, spec.t_max, 500)))
+    for d, ts in cases:
+        for corrected in (True, False):
+            for j in (1, 2):
+                want = d.omega_sq(j, ts, corrected).view(np.uint64)
+                got = np.array([d.omega_sq(j, float(t), corrected) for t in ts])
+                assert np.array_equal(got.view(np.uint64), want), (corrected, j)
+        window = d.omega_sq_on(1, d.system.t_min, d.system.t_max)
+        got = np.array([window(float(t)) for t in ts[:200]])
+        assert np.array_equal(got, window(ts[:200]))
+
+
+def test_omega_sq_on_folds_time_independent_terms(monkeypatch):
+    """Constant terms are evaluated when the callable is made, not per read."""
+    ts = np.linspace(0.0, 2.0, 15)
+    for name in ("static", "pulsed-coupling"):
+        spec = load_shipped(name).system
+        dec = solve_angle(spec)
+        for corrected in (True, False):
+            want = channel_quantities(spec, dec.alpha, ts, corrected=corrected)
+            fns = [dec.omega_sq_on(j, 0.0, 2.0, corrected) for j in (1, 2)]
+            read = set()
+            with monkeypatch.context() as m:
+                for attr in ("_value", "_deriv1", "_deriv2", "_value_derivs"):
+                    def recorded(c, t, attr=attr, f=getattr(Constant, attr)):
+                        read.add((attr, id(c)))
+                        return f(c, t)
+                    m.setattr(Constant, attr, recorded)
+                got = [f(ts) for f in fns]
+            if name == "static":
+                # every term folds: nothing is read, and a read keeps its shape
+                assert read == set()
+                assert fns[0](1.0).shape == ()
+            else:
+                # w~_1^2 folds: omega1 is not read, and m1 only for g, which
+                # varies with lambda
+                assert all(i != id(spec.omega1) for _, i in read)
+                assert {a for a, i in read if i == id(spec.m1)} == {"_value"}
+            for j in (1, 2):
+                assert np.array_equal(got[j - 1], want[j - 1]), (name, corrected, j)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import inspect
+
 from scipy.integrate import OdeSolution, solve_ivp
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 import oscpair.ermakov
 from oscpair import decoupled_at_angle, load_shipped, solve_angle, solve_ermakov, solve_ermakov_nonlinear
-from oscpair.ermakov import _attempt, _omega_sq_reader
-from oscpair.errors import DomainError, SolverFailure
+from oscpair.ermakov import ErmakovSolution, _Attempt, _attempt, _check_steps, _DenseOutput, _omega_sq_reader
+from oscpair.errors import DomainError, NonPositiveRho, SolverFailure
 
 from conftest import SHIPPED, ck_spec, random_admissible_spec
 
@@ -234,9 +237,8 @@ def test_step_loop_bit_identical_to_scipy(rtol, channels, scipy_reference):
         assert att.nfev == ref.nfev, label
         assert att.nfev == 2 + 12 * (att.accepted_steps + att.rejected_steps) \
             + 3 * att.accepted_steps, label
-        sol = OdeSolution(np.array(att.ts), att.interpolants)
-        _assert_same_as_scipy(label, sol.ts, sol, ref, t0, t1)
-        # the per-step pieces are the full-grid read, for the final checks
+        _assert_same_as_scipy(label, att.dense.ts, att.dense, ref, t0, t1)
+        # the batched pieces are the full-grid read, for the final checks
         u, _, v, _, phi = ref.sol(grid)
         assert np.array_equal(np.concatenate(att.rho_sq), u * u + v * v), label
         assert np.array_equal(np.concatenate(att.phi), phi), label
@@ -319,3 +321,166 @@ def test_benchmark_hooks_exist():
     assert callable(oscpair.ermakov.solve_ivp)
     assert callable(oscpair.ermakov.solve_ermakov)
     assert oscpair.ermakov.solve_ermakov is solve_ermakov
+    # ... and spans these methods as dense-output reads, counting the size
+    # of their first argument after self as points: they must stay public
+    # functions of the class itself, taking the times first
+    for name in ("rho", "drho", "phi", "wronskian"):
+        method = vars(ErmakovSolution)[name]
+        assert inspect.isfunction(method), name
+        assert list(inspect.signature(method).parameters)[:2] == ["self", "t"], name
+
+
+# --- the stacked dense output ------------------------------------------------
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _read_times(ts, rng):
+    """1-D and 0-d times covering every way ``OdeSolution`` assigns a step."""
+    t0, t1 = ts[0], ts[-1]
+    inside = rng.uniform(t0, t1, size=300)
+    slack = np.array([t0 - 5e-13, t0 - 1e-12, t1 + 5e-13, t1 + 1e-12])
+    arrays = [
+        np.linspace(t0, t1, 1024),                               # sorted
+        inside,                                                  # unsorted
+        rng.permutation(np.repeat(np.concatenate([inside[:40], ts[:5]]), 3)),  # repeated
+        ts,                                                      # every knot
+        np.array([t0, t1]), np.array([t1, t0]),
+        slack,
+        rng.permutation(np.concatenate([inside[:50], ts, slack])),
+        inside[:1],
+    ]
+    scalars = [t0, t1, *ts[1:-1][:20], *inside[:20], *slack, np.float64(inside[0]), np.array(ts[1])]
+    return arrays, scalars
+
+
+def test_dense_output_equals_scipy_ode_solution(channels, scipy_reference):
+    """Stacked reads equal solve_ivp's OdeSolution over scipy's interpolants."""
+    rng = np.random.default_rng(17)
+    y0 = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
+    for label, om, t0, t1, _ in channels:
+        ref = scipy_reference(label, om, t0, t1, 1e-10)
+        att = _attempt(_omega_sq_reader(om), t0, t1, y0, 1e-10, 1e-12,
+                       np.linspace(t0, t1, 1024), np.inf)
+        dense = att.dense
+        assert np.array_equal(dense.ts, ref.t), label
+        arrays, scalars = _read_times(dense.ts, rng)
+        for t in arrays:
+            got, want = dense(t), ref.sol(t)
+            assert got.shape == want.shape == (5, len(t)), label
+            assert np.array_equal(_bits(got), _bits(want)), (label, t)
+        for t in scalars:
+            got, want = dense(t), ref.sol(t)
+            assert got.shape == want.shape == (5,), label
+            assert np.array_equal(_bits(got), _bits(want)), (label, t)
+
+
+def test_dense_output_equals_ode_solution_of_its_own_steps():
+    """Reads equal OdeSolution over Dop853DenseOutput objects made from the
+    stacked arrays, also across the buffer growth and with -0.0 in F."""
+    rng = np.random.default_rng(5)
+    dense = _DenseOutput(0.25, 5, capacity=1)
+    ts = 0.25 + np.cumsum(rng.uniform(0.01, 0.3, size=40))
+    interpolants = []
+    t_old = 0.25
+    for t_new in ts:
+        y_old = rng.normal(size=5)
+        F = rng.normal(size=(7, 5))
+        F[rng.uniform(size=(7, 5)) < 0.2] = -0.0
+        # a component that is -0.0 throughout reads as +0.0 in scipy
+        F[:, 2] = y_old[2] = -0.0
+        dense.push(t_new, y_old)[:] = F
+        interpolants.append(Dop853DenseOutput(t_old, t_new, y_old, F))
+        t_old = t_new
+    ref = OdeSolution(dense.ts, interpolants)
+    arrays, scalars = _read_times(dense.ts, rng)
+    for t in arrays + scalars:
+        assert np.array_equal(_bits(dense(t)), _bits(ref(t))), t
+
+
+def test_solution_reads_have_scipy_shapes_and_exact_arrays():
+    sol = solve_ermakov(lambda t: 1.0 + 0.0 * t, 0.0, 3.0)
+    assert sol._sol(1.0).shape == (5,)
+    assert sol._sol(np.array([1.0, 0.5])).shape == (5, 2)
+    assert np.shape(sol.rho(1.0)) == ()
+    assert sol.rho([0.5, 1.0, 0.5]).shape == (3,)
+    assert np.array_equal(sol._sol.ts, np.unique(sol._sol.ts))
+    # a finished solution keeps no spare capacity
+    n = sol.stats.accepted_steps
+    assert len(sol._sol.ts) == n + 1
+    assert sol._sol._F.shape == (7, n, 5) and sol._sol._y_old.shape == (n, 5)
+
+
+# --- batched residual checks ---------------------------------------------------
+
+#: constant interpolant states: rho = 1 and W = 1 (residual 0), W = 2
+#: (residual 3), and rho = 0
+GOOD = (1.0, 0.0, 0.0, 1.0, 0.0)
+LOOSE = (1.0, 0.0, 0.0, 2.0, 0.0)
+ZERO = (0.0, 0.0, 0.0, 1.0, 0.0)
+#: u falls linearly from 1 to 0 over the step, with v' = 3: residual 10 at
+#: the step's midpoint, then rho = 0 at its end
+FALLING = ((1.0, 0.0, 0.0, 3.0, 0.0), (-1.0, 0.0, 0.0, 0.0, 0.0))
+
+
+def _outcome(states, grid, batch):
+    """Check unit steps, ``batch`` steps at a time: ("raised", steps) or
+    ("aborted" | "passed", steps, max_residual).  A state is constant over
+    its step, or a (start, slope) pair: F[0] alone makes y linear in x."""
+    att = _Attempt(dense=_DenseOutput(0.0, 5))
+    for i, y in enumerate(states, start=1):
+        y_old, slope = (y, 0.0) if len(y) == 5 else y
+        F = att.dense.push(float(i), np.array(y_old))
+        F[:] = 0.0
+        F[0] = slope
+        if i % batch == 0 or i == len(states):
+            try:
+                _check_steps(att, grid, 1e-10)
+            except NonPositiveRho:
+                return "raised", i
+            if att.aborted:
+                return "aborted", i, att.max_residual
+    return "passed", len(states), att.max_residual
+
+
+@pytest.mark.parametrize("states, step_by_step", [
+    ([GOOD, LOOSE, ZERO, GOOD], ("aborted", 2, 3.0)),
+    ([GOOD, ZERO, LOOSE, GOOD], ("raised", 2)),
+    ([GOOD, GOOD, GOOD, LOOSE], ("aborted", 4, 3.0)),
+    ([GOOD, (np.nan,) * 5, GOOD, GOOD], ("raised", 2)),
+    ([GOOD, FALLING, LOOSE, GOOD], ("raised", 2)),
+    ([GOOD] * 4, ("passed", 4, 0.0)),
+])
+def test_batched_check_takes_first_failing_step(states, step_by_step):
+    """A batch ends as checking its steps one at a time would: the first
+    failing step decides, positivity before residual within that step."""
+    grid = np.linspace(0.0, 4.0, 9)
+    assert _outcome(states, grid, 1) == step_by_step
+    batched = _outcome(states, grid, len(states))
+    assert batched[0] == step_by_step[0]
+    assert batched[2:] == step_by_step[2:]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_rho_overflow_mid_batch_raises_at_once(monkeypatch):
+    """rho^2 = u^2 + v^2 overflows at about t = 134 (u' = 1e152, Om^2 = 0).
+    The attempt raises at the step where it does, without waiting for the
+    batch or the window end (the steps grow tenfold, so that is before 1,400)."""
+    monkeypatch.setattr(oscpair.ermakov, "_CHECK_BATCH", 10**6)
+    latest = []
+
+    def om(t):
+        latest.append(float(t.max()))
+        return np.zeros_like(t)
+
+    with pytest.raises(NonPositiveRho):
+        solve_ermakov(om, 0.0, 1e4, ic=(1.0, 1e152))
+    assert 134.0 < max(latest) < 1400.0
+    # also when no check-grid point falls in that step
+    latest.clear()
+    with pytest.raises(NonPositiveRho):
+        _attempt(_omega_sq_reader(om), 0.0, 1e4, np.array([1.0, 1e152, 0.0, 1.0, 0.0]),
+                 1e-10, 1e-12, np.array([0.0, 1e4]), 1e-10)
+    assert 134.0 < max(latest) < 1400.0
