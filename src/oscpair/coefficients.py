@@ -15,11 +15,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "Coefficient",
@@ -226,6 +229,8 @@ class Spline(Coefficient):
             bc_type = ((1, float(self.end_derivs[0])), (1, float(self.end_derivs[1])))
         else:
             raise ValueError(f"unknown spline boundary condition {self.bc!r}")
+        from scipy.interpolate import CubicSpline
+
         pp = CubicSpline(knots, values, bc_type=bc_type)
         object.__setattr__(self, "knots", tuple(knots))
         object.__setattr__(self, "values", tuple(values))

@@ -20,10 +20,20 @@ of v, bracketed on the phi grid and polished by root bisection.
 The linear system is integrated by a DOP853 step loop that is scipy's
 ``solve_ivp(method="DOP853", dense_output=True)`` operation for operation
 (same tableau, initial step, step control, error norm and dense output),
-so its steps and interpolants are bit-identical to scipy's.  Om^2 enters
-the right-hand side only through the time, so once a step size is fixed
-all 15 stage times of the step (11 inner stages, t + h and 3 dense-output
-stages) are read with one call.  ``omega_sq`` is therefore called with 1D
+so its steps and interpolants are bit-identical to scipy's.  The tableau
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.4-II.6) is read from
+scipy's own ``integrate/_ivp/dop853_coefficients.py``, loaded by file
+path: that file imports numpy only, while importing it as a submodule
+would run the ``scipy.integrate`` package, which loads scipy.special,
+optimize, linalg and sparse.  The step-control constants, the initial
+step rule and the tolerance check are local copies of scipy's, which the
+tests compare bit for bit.  ``brentq`` (caustic polishing) and
+``solve_ivp`` (the nonlinear cross-check) are imported on first use, so
+importing this module loads numpy and the standard library only.
+
+Om^2 enters the right-hand side only through the time, so once a step
+size is fixed all 15 stage times of the step (11 inner stages, t + h and
+3 dense-output stages) are read with one call.  ``omega_sq`` is therefore called with 1D
 float arrays of times and must return an array of the same shape, or a
 scalar, which stands for a constant Om^2; any other shape is a
 ValueError.  An array read can differ from a 0-d read of the same
@@ -55,15 +65,13 @@ by the kernel.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.integrate._ivp.common import select_initial_step, validate_tol
-from scipy.integrate._ivp.rk import DOP853, MAX_FACTOR, MIN_FACTOR, SAFETY
-from scipy.optimize import brentq
 
 from .errors import DomainError, NonPositiveRho, SolverFailure
 
@@ -76,11 +84,45 @@ _RESIDUAL_GRID = 1024
 #: 8 was the fastest of 1-64 over the shipped channels (4 and 16 within 5%)
 _CHECK_BATCH = 8
 
-_N_STAGES = DOP853.n_stages
-_ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+
+def _load_dop853_coefficients():
+    """scipy's ``integrate/_ivp/dop853_coefficients.py``, loaded by path.
+
+    That file imports numpy only; importing it as a submodule would run
+    ``scipy.integrate``'s ``__init__``, which loads scipy.special,
+    optimize, linalg and sparse.
+    """
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    path = Path(scipy_dir, "integrate", "_ivp", "dop853_coefficients.py")
+    spec = importlib.util.spec_from_file_location("_dop853_coefficients", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_dop = _load_dop853_coefficients()
+
+# scipy's DOP853 class: the tableau slices it takes and its step control
+_N_STAGES = _dop.N_STAGES
+_A = _dop.A[:_N_STAGES, :_N_STAGES]
+_C = _dop.C[:_N_STAGES]
+_A_EXTRA = _dop.A[_N_STAGES + 1:]
+_C_EXTRA = _dop.C[_N_STAGES + 1:]
+_ERROR_ESTIMATOR_ORDER = 7
+_ERROR_EXPONENT = -1 / (_ERROR_ESTIMATOR_ORDER + 1)
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10
+_EPS = np.finfo(float).eps
 #: c of the stage times t + c*h read per step: the inner stages, t + h and
 #: the dense-output extras
-_C_READ = np.concatenate([DOP853.C[1:], [1.0], DOP853.C_EXTRA])
+_C_READ = np.concatenate([_C[1:], [1.0], _C_EXTRA])
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on first call."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -180,6 +222,8 @@ class ErmakovSolution:
         ta, tb = float(ta), float(tb)
         if tb <= ta:
             return []
+        from scipy.optimize import brentq
+
         phi_a = float(self.phi(ta))
         phi_b = float(self.phi(tb))
         out = []
@@ -314,14 +358,56 @@ def _stage_rhs(om2, y, dy, h):
 
 def _error_norm(K, h, scale):
     """DOP853's combined E3/E5 error norm (scipy's ``_estimate_error_norm``)."""
-    err5 = np.dot(K.T, DOP853.E5) / scale
-    err3 = np.dot(K.T, DOP853.E3) / scale
+    err5 = np.dot(K.T, _dop.E5) / scale
+    err3 = np.dot(K.T, _dop.E3) / scale
     err5_norm_2 = np.linalg.norm(err5)**2
     err3_norm_2 = np.linalg.norm(err3)**2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+
+def _validate_tol(rtol, atol):
+    """scipy's ``validate_tol``: an rtol below 100 eps warns and is raised to it."""
+    if np.any(rtol < 100 * _EPS):
+        warnings.warn("At least one element of `rtol` is too small. "
+                      f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.",
+                      stacklevel=3)
+        rtol = np.maximum(rtol, 100 * _EPS)
+    atol = np.asarray(atol)
+    if np.any(atol < 0):
+        raise ValueError("`atol` must be positive.")
+    return rtol, atol
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, t1, f0, rtol, atol):
+    """scipy's ``select_initial_step`` for a forward solve with no step limit.
+
+    The rule of Hairer, Norsett & Wanner, *Solving ODEs I*, II.4: one
+    explicit Euler probe step sizes the first step from the first and
+    second derivative norms.
+    """
+    interval_length = abs(t1 - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (_ERROR_ESTIMATOR_ORDER + 1))
+    return min(100 * h0, h1, interval_length)
 
 
 @dataclass
@@ -390,15 +476,16 @@ def _attempt(read, t0, t1, y0, rtol, atol, grid, tol):
     pass may so run up to ``_CHECK_BATCH - 1`` steps past that step.  A
     step end whose state is not finite, or whose rho^2 is not positive,
     raises NonPositiveRho even if no grid point falls in its step: the
-    next step could not be taken.
+    next step could not be taken.  A right-hand side or an initial step
+    that is not finite at t0 raises SolverFailure: no step could be sized.
     """
-    rtol, atol = validate_tol(rtol, atol, len(y0))
+    rtol, atol = _validate_tol(rtol, atol)
     att = _Attempt(dense=_DenseOutput(t0, len(y0)))
     K_ext = np.empty((_dop.N_STAGES_EXTENDED, len(y0)))
     K = K_ext[:_N_STAGES + 1]
     # (K[:s].T, a[:s]) of the stages after the first, and of the extra stages
-    stages = [(K[:s].T, a[:s]) for s, a in enumerate(DOP853.A[1:], start=1)]
-    extras = [(K_ext[:s].T, a[:s]) for s, a in enumerate(DOP853.A_EXTRA, start=_N_STAGES + 1)]
+    stages = [(K[:s].T, a[:s]) for s, a in enumerate(_A[1:], start=1)]
+    extras = [(K_ext[:s].T, a[:s]) for s, a in enumerate(_A_EXTRA, start=_N_STAGES + 1)]
 
     def fun(t, y):
         att.nfev += 1
@@ -406,8 +493,13 @@ def _attempt(read, t0, t1, y0, rtol, atol, grid, tol):
 
     t, y = t0, y0
     f = fun(t, y)
-    h_abs = select_initial_step(fun, t, y, t1, np.inf, f, 1.0,
-                                DOP853.error_estimator_order, rtol, atol)
+    if not np.isfinite(f).all():
+        raise SolverFailure(f"linear auxiliary solve failed: Om^2 at t0 = {t0:g} "
+                            "is not finite or overflows times rho(t0)")
+    h_abs = _initial_step(fun, t, y, t1, f, rtol, atol)
+    if not math.isfinite(h_abs):
+        raise SolverFailure(f"linear auxiliary solve failed: initial step {h_abs} "
+                            "is not finite")
     while t < t1:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         if h_abs < min_step:
@@ -427,7 +519,7 @@ def _attempt(read, t0, t1, y0, rtol, atol, grid, tol):
             K[0] = f
             for s, (KT, a) in enumerate(stages, start=1):
                 K[s] = _stage_rhs(om2[s - 1], ys, np.dot(KT, a).tolist(), hf)
-            y_new = y + h * np.dot(K[:-1].T, DOP853.B)
+            y_new = y + h * np.dot(K[:-1].T, _dop.B)
             state = y_new.tolist()
             f_new = np.array(_rhs(om2[_N_STAGES - 1], *state[:4]))
             K[-1] = f_new
@@ -449,14 +541,14 @@ def _attempt(read, t0, t1, y0, rtol, atol, grid, tol):
 
         for s, (KT, a) in enumerate(extras, start=_N_STAGES + 1):
             K_ext[s] = _stage_rhs(om2[s - 1], ys, np.dot(KT, a).tolist(), hf)
-        att.nfev += len(DOP853.A_EXTRA)
+        att.nfev += len(_A_EXTRA)
         F = att.dense.push(t_new, y)
         f_old = K_ext[0]
         delta_y = y_new - y
         F[0] = delta_y
         F[1] = h * f_old - delta_y
         F[2] = 2 * delta_y - h * (f_new + f_old)
-        F[3:] = h * np.dot(DOP853.D, K_ext)
+        F[3:] = h * np.dot(_dop.D, K_ext)
         att.accepted_steps += 1
         t, y, f = t_new, y_new, f_new
 
@@ -493,15 +585,23 @@ def solve_ermakov(omega_sq, t0, t1, ic=(1.0, 0.0), tol=DEFAULT_TOL,
     that SolverFailure's message is the largest one the last attempt
     reached up to that step.
     ``stats`` on the result records what the solve did.
+
+    A non-finite initial condition or window, or a rho(t0) whose square
+    underflows, raises ValueError; an Om^2(t0) that is not finite (or
+    overflows times rho(t0)) raises SolverFailure.
     """
     rho0, drho0 = float(ic[0]), float(ic[1])
+    t0, t1 = float(t0), float(t1)
+    if not all(map(math.isfinite, (rho0, drho0, t0, t1))):
+        raise ValueError("initial condition and window must be finite")
     if rho0 <= 0:
         raise ValueError("initial rho must be positive")
+    if rho0 * rho0 < np.finfo(float).tiny:
+        raise ValueError(f"initial rho {rho0:g} is too small: its square underflows")
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
 
     read = _omega_sq_reader(omega_sq)
-    t0, t1 = float(t0), float(t1)
     grid = np.linspace(t0, t1, _RESIDUAL_GRID)
     y0 = np.array([rho0, drho0, 0.0, 1.0 / rho0, 0.0])
     nfev = 0

@@ -22,8 +22,17 @@ exp(-i dt V / 2 hbar) on the mesh by roundoff in the phase, a few ulps of
 |dt V / 2 hbar|, and keeps |exp| = 1 to a few ulps.  A step checks its
 midpoint time once and then reads the coefficients unchecked.
 
+``evolve`` runs its steps in three work planes allocated once per call:
+the half-kick plane, rebuilt in place every step, and two psi planes
+used in turn, so a step writes the kicked psi into the plane its input
+does not occupy and transforms it in place.  A state passed to
+``evolve``'s observer is therefore valid only until the observer
+returns; the returned state owns its psi.
+
 Observables (``GridState.mean``, ``mean_sq``, ``energy_expectation``) use
 the 1D marginals of |psi|^2, which a state computes once and shares.
+``scipy.fft`` is imported by the functions that transform, once per
+call, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -33,7 +42,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import GridMismatch
 from .gaussian import GaussianState2D
@@ -89,8 +97,8 @@ class Grid2D:
         object.__setattr__(self, "points", (N1, N2))
         axes = {"x1": np.linspace(-L1 / 2, L1 / 2, N1, endpoint=False),
                 "x2": np.linspace(-L2 / 2, L2 / 2, N2, endpoint=False),
-                "k1": 2 * np.pi * sfft.fftfreq(N1, d=L1 / N1),
-                "k2": 2 * np.pi * sfft.fftfreq(N2, d=L2 / N2)}
+                "k1": 2 * np.pi * np.fft.fftfreq(N1, d=L1 / N1),
+                "k2": 2 * np.pi * np.fft.fftfreq(N2, d=L2 / N2)}
         for name in ("x1", "x2", "k1", "k2"):
             axes[name + "_sq"] = axes[name] ** 2
         for name, arr in axes.items():
@@ -191,7 +199,7 @@ def _unit_phase(phi):
     return out
 
 
-def _half_kick(spec: SystemSpec, grid: Grid2D, t, dt):
+def _half_kick(spec: SystemSpec, grid: Grid2D, t, dt, out=None):
     """exp(-i dt V(t) / 2 hbar) on the grid, built from 1D phases.
 
     With c = -dt / 2 hbar and theta_i = c lam x1_i, the phase c V is
@@ -200,9 +208,12 @@ def _half_kick(spec: SystemSpec, grid: Grid2D, t, dt):
     which divides N2 because N2 is a power of two, and
     x2_j = x2[bB] + (x2[r] - x2[0]), so the coupling factor is a product of
     an (N1, N2 / B) and an (N1, B) phase table.  About N1 (N2 / B + B)
-    cos/sin pairs replace N1 N2.
+    cos/sin pairs replace N1 N2.  The plane is written into ``out``, a
+    C-contiguous complex (N1, N2) array, when given.
     """
     n1, n2 = grid.points
+    if out is None:
+        out = np.empty((n1, n2), dtype=complex)
     block = 1 << (n2.bit_length() - 1) // 2
     c = -0.5 * dt / spec.hbar
     a1, b1, a2, b2, lam = _potential_coefficients(spec, t)
@@ -211,31 +222,39 @@ def _half_kick(spec: SystemSpec, grid: Grid2D, t, dt):
     left = _unit_phase(c * (a1 * grid.x1_sq - b1 * x1)[:, None]
                        + theta * x2[::block])
     right = _unit_phase(theta * (x2[:block] - x2[0]))
-    plane = left[:, :, None] * right[:, None, :]
+    plane = out.reshape(n1, n2 // block, block)
+    np.multiply(left[:, :, None], right[:, None, :], out=plane)
     plane *= _unit_phase(c * (a2 * grid.x2_sq - b2 * x2)).reshape(-1, block)
-    return plane.reshape(n1, n2)
+    return out
 
 
-def step(spec: SystemSpec, state: GridState, dt) -> GridState:
+def step(spec: SystemSpec, state: GridState, dt, *, work=None) -> GridState:
     """One Strang step from state.time to state.time + dt.
 
     Both half kicks use one plane from ``_half_kick`` at the midpoint time;
     it agrees with exp(-i dt V / 2 hbar) on the mesh to roundoff in the
     phase, a few ulps of |dt V / 2 hbar|, not bit for bit.
+
+    ``work`` is for ``evolve``: a pair (kick, out) of C-contiguous complex
+    planes of the grid's shape, ``out`` not ``state.psi``, which the step
+    writes instead of allocating its own; the returned psi lives in ``out``.
     """
+    from scipy.fft import fft2, ifft2
+
     dt = float(dt)
     if dt <= 0:
         raise ValueError("dt must be positive")
+    g = state.grid
+    kick, out = work or (None, None)
     t_mid = spec.check_time(state.time + dt / 2)
     hbar = spec.hbar
-    g = state.grid
-    half_pot = _half_kick(spec, g, t_mid, dt)
+    half_pot = _half_kick(spec, g, t_mid, dt, kick)
     kin1 = _unit_phase(-dt * hbar / (2 * spec.m1._value(t_mid)) * g.k1_sq)
     kin2 = _unit_phase(-dt * hbar / (2 * spec.m2._value(t_mid)) * g.k2_sq)
-    psi = sfft.fft2(half_pot * state.psi, overwrite_x=True)
+    psi = fft2(np.multiply(half_pot, state.psi, out=out), overwrite_x=True)
     psi *= kin1[:, None]
     psi *= kin2
-    psi = sfft.ifft2(psi, overwrite_x=True)
+    psi = ifft2(psi, overwrite_x=True)
     psi *= half_pot
     return GridState(psi, g, state.time + dt)
 
@@ -245,7 +264,12 @@ def evolve(spec: SystemSpec, state: GridState, t0, t1, n_steps,
     """Uniform-step evolution from t0 to t1; norm is conserved to roundoff.
 
     ``observer(state)`` is called after every step when given (used for
-    time-series output).
+    time-series output).  The steps run in three work planes allocated
+    once per call, a kick plane and two psi planes used in turn, so the
+    state passed to ``observer`` is valid only until the observer
+    returns: read what it needs, keep no reference to the state or its
+    ``psi``.  The command line's ``oracle`` is the only observer.  The
+    returned state owns its ``psi``; ``state`` itself is never written.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -258,8 +282,9 @@ def evolve(spec: SystemSpec, state: GridState, t0, t1, n_steps,
         warnings.warn(f"initial boundary density {bd:.2e} above "
                       f"{BOUNDARY_DENSITY_WARN:g}; enlarge the grid extent")
     dt = (float(t1) - float(t0)) / int(n_steps)
+    kick, *planes = (np.empty(state.grid.points, dtype=complex) for _ in range(3))
     for k in range(int(n_steps)):
-        state = step(spec, state, dt)
+        state = step(spec, state, dt, work=(kick, planes[k % 2]))
         if observer is not None:
             observer(state)
     bd = state.boundary_density()
@@ -279,10 +304,12 @@ def fidelity(a: GridState, b: GridState) -> float:
 
 def energy_expectation(spec: SystemSpec, state: GridState) -> float:
     """<H(t)> at the state's own time stamp."""
+    from scipy.fft import fft2
+
     t = spec.check_time(state.time)
     g = state.grid
     hbar = spec.hbar
-    dk = np.abs(sfft.fft2(state.psi)) ** 2
+    dk = np.abs(fft2(state.psi)) ** 2
     # Parseval: grid inner product equals (1/N) spectral inner product
     kin = hbar**2 * (g.k1_sq @ dk.sum(axis=1) / (2 * spec.m1._value(t))
                      + g.k2_sq @ dk.sum(axis=0) / (2 * spec.m2._value(t)))

@@ -1,5 +1,10 @@
 """Shared fixtures and scenario builders for the test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -84,3 +89,16 @@ def shipped():
 def shipped_decoupled(shipped):
     return {name: solve_angle(sc.system, gamma_tol=sc.gamma_tol)
             for name, sc in shipped.items()}
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(args, timeout):
+    """``python args`` in a fresh interpreter that imports this checkout's
+    ``oscpair``; a CompletedProcess with text output.  Raises
+    subprocess.TimeoutExpired after ``timeout`` seconds."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout)

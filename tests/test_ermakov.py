@@ -1,6 +1,8 @@
+import inspect
+import json
+
 import numpy as np
 import pytest
-import inspect
 
 from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
@@ -10,7 +12,7 @@ from oscpair import decoupled_at_angle, load_shipped, solve_angle, solve_ermakov
 from oscpair.ermakov import ErmakovSolution, _Attempt, _attempt, _check_steps, _DenseOutput, _omega_sq_reader
 from oscpair.errors import DomainError, NonPositiveRho, SolverFailure
 
-from conftest import SHIPPED, ck_spec, random_admissible_spec
+from conftest import SHIPPED, SRC, ck_spec, random_admissible_spec, run_python
 
 
 def test_equilibrium_solution():
@@ -484,3 +486,137 @@ def test_rho_overflow_mid_batch_raises_at_once(monkeypatch):
         _attempt(_omega_sq_reader(om), 0.0, 1e4, np.array([1.0, 1e152, 0.0, 1.0, 0.0]),
                  1e-10, 1e-12, np.array([0.0, 1e4]), 1e-10)
     assert 134.0 < max(latest) < 1400.0
+
+
+# --- the DOP853 tableau and step rules, read without scipy.integrate ---------
+
+def test_tableau_and_step_control_equal_scipy():
+    from scipy.integrate._ivp import dop853_coefficients, rk
+
+    erm = oscpair.ermakov
+    D = rk.DOP853
+    for ours, theirs in [(erm._A, D.A), (erm._C, D.C), (erm._dop.B, D.B),
+                         (erm._dop.E3, D.E3), (erm._dop.E5, D.E5), (erm._dop.D, D.D),
+                         (erm._A_EXTRA, D.A_EXTRA), (erm._C_EXTRA, D.C_EXTRA)]:
+        assert ours.shape == theirs.shape
+        assert np.array_equal(_bits(ours), _bits(theirs))
+    assert erm._N_STAGES == D.n_stages
+    assert erm._ERROR_ESTIMATOR_ORDER == D.error_estimator_order
+    for name in ("N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
+        assert getattr(erm._dop, name) == getattr(dop853_coefficients, name)
+    for name in ("SAFETY", "MIN_FACTOR", "MAX_FACTOR"):
+        ours, theirs = getattr(erm, name), getattr(rk, name)
+        assert type(ours) is type(theirs) and ours == theirs, name
+
+
+def _rtol_ladder(tol):
+    """The rtols ``solve_ermakov`` tries, in order."""
+    rtols = [tol]
+    while rtols[-1] > 1.1e-13 and len(rtols) < 4:
+        rtols.append(max(rtols[-1] * 1e-2, 1e-13))
+    return rtols
+
+
+def test_initial_step_equals_scipy_on_every_rung(channels):
+    from scipy.integrate._ivp.common import select_initial_step, validate_tol
+    from scipy.integrate._ivp.rk import DOP853
+
+    y0 = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
+    rungs = 0
+    for label, om, t0, t1, tol in channels:
+        read = _omega_sq_reader(om)
+
+        def fun(t, y):
+            return np.array(oscpair.ermakov._rhs(read(np.array([t]))[0], *y.tolist()[:4]))
+
+        f0 = fun(t0, y0)
+        for rtol in _rtol_ladder(tol):
+            ours = oscpair.ermakov._validate_tol(rtol, rtol * 1e-2)
+            theirs = validate_tol(rtol, rtol * 1e-2, len(y0))
+            assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(ours, theirs))
+            h = oscpair.ermakov._initial_step(fun, t0, y0, t1, f0, *ours)
+            ref = select_initial_step(fun, t0, y0, t1, np.inf, f0, 1.0,
+                                      DOP853.error_estimator_order, *theirs)
+            assert float(h).hex() == float(ref).hex(), (label, rtol)
+            rungs += 1
+    assert rungs > len(channels)
+
+
+def test_rtol_below_100_eps_warns_and_clamps():
+    from scipy.integrate._ivp.common import validate_tol
+
+    floor = 100 * np.finfo(float).eps
+    with pytest.warns(UserWarning, match="`rtol` is too small") as ours:
+        rtol, _ = oscpair.ermakov._validate_tol(1e-15, 1e-17)
+    with pytest.warns(UserWarning) as theirs:
+        ref, _ = validate_tol(1e-15, 1e-17, 5)
+    assert rtol == ref == floor
+    assert str(ours[0].message) == str(theirs[0].message)
+    # an attempt at a clamped rtol is the attempt at the floor
+    read = _omega_sq_reader(lambda t: 1.5 + np.sin(t))
+    y0 = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
+    grid = np.linspace(0.0, 2.0, 1024)
+    with pytest.warns(UserWarning, match="`rtol` is too small"):
+        low = _attempt(read, 0.0, 2.0, y0, 1e-15, 1e-17, grid, np.inf)
+    at_floor = _attempt(read, 0.0, 2.0, y0, floor, 1e-17, grid, np.inf)
+    assert np.array_equal(low.dense.ts, at_floor.dense.ts)
+    assert np.array_equal(low.dense(grid), at_floor.dense(grid))
+    # a tolerance below the floor reaches the clamp through solve_ermakov
+    with pytest.warns(UserWarning, match="`rtol` is too small"):
+        with pytest.raises(SolverFailure, match="above tolerance"):
+            solve_ermakov(lambda t: 1.0, 0.0, 1.0, tol=1e-15)
+
+
+# --- non-finite and underflowing starts ---------------------------------------
+
+#: solves that looped forever: a NaN initial step never falls below min_step
+_HANGING_STARTS = {
+    "nan-omega-sq-at-t0": ("lambda t: np.full(t.shape, np.nan), 0.0, 1.0", "SolverFailure"),
+    "inf-omega-sq": ("lambda t: np.inf, 0.0, 1.0", "SolverFailure"),
+    "nan-rho0": ("lambda t: 1.0, 0.0, 1.0, ic=(np.nan, 0.0)", "ValueError"),
+    "nan-drho0": ("lambda t: 1.0, 0.0, 1.0, ic=(1.0, np.nan)", "ValueError"),
+    "inf-rho0": ("lambda t: 1.0, 0.0, 1.0, ic=(np.inf, 0.0)", "ValueError"),
+    "inf-t1": ("lambda t: 1.0, 0.0, np.inf", "ValueError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HANGING_STARTS))
+def test_non_finite_start_fails_without_hanging(case):
+    args, expected = _HANGING_STARTS[case]
+    code = ("import numpy as np\nfrom oscpair import solve_ermakov\n"
+            f"try:\n    solve_ermakov({args})\n"
+            "except Exception as exc:\n    print(type(exc).__name__)\n")
+    proc = run_python(["-c", code], timeout=60)
+    assert proc.stdout.split() == [expected], proc.stderr
+
+
+def test_non_finite_omega_sq_after_t0_fails():
+    def om(t):
+        return np.where(t > 0.5, np.nan, 1.0)
+
+    with pytest.raises(SolverFailure):
+        solve_ermakov(om, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("rho0", [1e-160, 1e-170, 5e-324])
+def test_underflowing_rho0_rejected(rho0):
+    with pytest.raises(ValueError, match="square underflows"):
+        solve_ermakov(lambda t: 1.0, 0.0, 1.0, ic=(rho0, 0.0))
+
+
+def test_cli_kernel_with_overflowing_masses_fails_without_hanging(tmp_path):
+    """Caldirola-Kanai with all rates 400 on [3, 4]: the masses overflow
+    and Om^2(t0) is NaN in the lw variant."""
+    sc = json.loads((SRC / "oscpair" / "scenarios" / "caldirola-kanai.json").read_text())
+    for key in ("m1", "m2", "lambda"):
+        sc[key]["gamma"] = 400.0
+    sc["window"] = [3.0, 4.0]
+    scenario = tmp_path / "overflow.json"
+    scenario.write_text(json.dumps(sc))
+    points = tmp_path / "points.csv"
+    points.write_text("0.1,0.2,0.3,0.4\n")
+    proc = run_python(["-m", "oscpair.cli", "kernel", "--scenario", str(scenario),
+                       "--points", str(points), "--variant", "lw",
+                       "--out", str(tmp_path / "out.csv")], timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Om^2 at t0 = 3 is not finite" in proc.stderr
