@@ -256,10 +256,12 @@ def _cmd_oracle(args):
     stride = max(1, n_steps // args.rows)
     rows = []
     taken = 0
+    spectrum = np.empty(grid.points, dtype=complex)
 
     def record(st):
         rows.append((st.time, st.norm(), st.mean(0), st.mean(1),
-                     st.mean_sq(0), st.mean_sq(1), energy_expectation(spec, st)))
+                     st.mean_sq(0), st.mean_sq(1),
+                     energy_expectation(spec, st, work=spectrum)))
 
     def every_stride(st):
         nonlocal taken

@@ -12,27 +12,48 @@ Loop invariants are built once per grid.  ``Grid2D`` holds its axes and
 their squares, x_j^2 and k_j^2, as read-only 1D arrays; a step broadcasts
 them (x1 down the rows, x2 along the columns) instead of building meshes.
 The kinetic phase is separable, exp(-i dt hbar k1^2 / 2 m1) times
-exp(-i dt hbar k2^2 / 2 m2), so it is applied as two 1D factors.  The
-potential half kick exp(-i dt V / 2 hbar) is built from 1D phases too
-(``_half_kick``): the x1 and x2 terms of V are separable, and the coupling
-phase theta_i x2_j is split by angle addition over blocks of about
-sqrt(N2) columns.  So a step takes about N1 (N2 / B + B) cos/sin pairs
-instead of N1 N2 and never forms V on the plane.  The plane differs from
+exp(-i dt hbar k2^2 / 2 m2): it is built from two 1D phases as one plane,
+their outer product, and applied with one multiply.  The potential half
+kick exp(-i dt V / 2 hbar) is built from 1D phases too (``_half_kick``):
+the x1 and x2 terms of V are separable, and the coupling phase
+theta_i x2_j is split by angle addition over blocks of about sqrt(N2)
+columns.  So a kick takes about N1 (N2 / B + B) cos/sin pairs instead of
+N1 N2 and never forms V on the plane.  The plane differs from
 exp(-i dt V / 2 hbar) on the mesh by roundoff in the phase, a few ulps of
 |dt V / 2 hbar|, and keeps |exp| = 1 to a few ulps.  A step checks its
 midpoint time once and then reads the coefficients unchecked.
 
-``evolve`` runs its steps in three work planes allocated once per call:
-the half-kick plane, rebuilt in place every step, and two psi planes
-used in turn, so a step writes the kicked psi into the plane its input
-does not occupy and transforms it in place.  A state passed to
-``evolve``'s observer is therefore valid only until the observer
-returns; the returned state owns its psi.
+Plane keys.  A step gets its kick and kinetic planes from a ``_StepWork``,
+which keeps each plane with the key it was built from: the bytes of
+(a1, b1, a2, b2, lam, dt), the ``_potential_coefficients`` at the midpoint
+time, for the kick, and of (m1, m2, dt) for the kinetic plane.  A plane is
+rebuilt only when its key changes.  ``evolve`` keeps one ``_StepWork`` for
+all its steps, so constant coefficients, which repeat bit for bit, build
+each plane once per call; a standalone ``step`` builds both planes by the
+same code, so ``evolve`` equals ``step`` applied n times bit for bit.
+``evolve``'s work also holds two psi planes used in turn: a step writes
+the kicked psi into the plane its input does not occupy and transforms it
+in place.  A state passed to ``evolve``'s observer is therefore valid only
+until the observer returns; the returned state owns its psi.
 
-Observables (``GridState.mean``, ``mean_sq``, ``energy_expectation``) use
-the 1D marginals of |psi|^2, which a state computes once and shares.
-``scipy.fft`` is imported by the functions that transform, once per
-call, so importing this module loads numpy only.
+Transforms are numpy's, always in place (``_fft2``, ``_ifft2``): a 2D
+transform is two 1D passes with ``out=``, axis 0 first, the order
+``scipy.fft.fft2`` uses, so the spectra equal scipy's.  Two traps of
+numpy 2.4.6 decide this form.  An out-of-place ``np.fft.fft2`` allocates
+and fills a new plane on every call; at 256^2 it took about twice as
+long as the in-place transform (1.44 against 0.64 ms, 2-vCPU VM).  And
+``np.fft.ifft2(a, out=w)`` returns wrong values: on a random 256^2 plane
+its error is as large as the result itself, and larger still with
+``w is a``.  So the inverse is never one 2D call with ``out=``.  This
+module loads no scipy.
+
+Observables (``GridState.norm``, ``mean``, ``mean_sq`` and
+``energy_expectation``) use the row moments of |psi|^2, the sums over x2
+weighted by 1, x2 and x2^2 for every x1 row, which a state computes once,
+in one gemm on the squared float view of psi, and shares.
+``energy_expectation`` transforms psi into a plane that the caller may
+allocate once per run and pass as ``work``; its kinetic term takes the
+same kind of row moments of |psi_hat|^2, weighted by 1 and k2^2.
 """
 
 from __future__ import annotations
@@ -65,6 +86,12 @@ def _grid_points_ok(n):
     return _is_pow2(n) and n >= MIN_GRID_POINTS
 
 
+def _moment_weights(*columns):
+    """(2 N2, k) weights for ``_row_moments``: each value of each column
+    twice, once for the real and once for the imaginary part."""
+    return np.repeat(np.stack(columns, axis=1), 2, axis=0)
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform periodic grid centered on the origin.
@@ -85,6 +112,10 @@ class Grid2D:
     x2_sq: np.ndarray = field(init=False, repr=False, compare=False)
     k1_sq: np.ndarray = field(init=False, repr=False, compare=False)
     k2_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    #: ``_row_moments`` weights 1, x2, x2^2 (for |psi|^2) and 1, k2^2
+    #: (for |psi_hat|^2)
+    _x2_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _k2_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         L1, L2 = (float(v) for v in self.extent)
@@ -101,6 +132,9 @@ class Grid2D:
                 "k2": 2 * np.pi * np.fft.fftfreq(N2, d=L2 / N2)}
         for name in ("x1", "x2", "k1", "k2"):
             axes[name + "_sq"] = axes[name] ** 2
+        ones = np.ones(N2)
+        axes["_x2_weights"] = _moment_weights(ones, axes["x2"], axes["x2_sq"])
+        axes["_k2_weights"] = _moment_weights(ones, axes["k2_sq"])
         for name, arr in axes.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -131,12 +165,25 @@ def suggest_extent(states, n_sigma=12.0):
     return float(L[0]), float(L[1])
 
 
+def _row_moments(plane, weights, out=None):
+    """sum_j |plane_ij|^2 w_j for every row i and every weight column w.
+
+    One gemm on the squared float view of the complex plane; ``weights``
+    comes from ``_moment_weights``.  The squares go into ``out``, a float
+    array of twice the plane's columns, when given (it may be the plane's
+    own float view, which is then overwritten).
+    """
+    flat = np.ascontiguousarray(plane).view(float)
+    return np.square(flat, out=out) @ weights
+
+
 @dataclass(frozen=True)
 class GridState:
     """Wave function sampled on ``grid`` at ``time``.
 
     ``psi`` must not be modified in place: the observables share one
-    |psi|^2 and its two marginals, computed on first use.
+    set of row moments of |psi|^2 (and ``boundary_density`` one |psi|^2),
+    computed on first use.
     """
 
     psi: np.ndarray
@@ -151,10 +198,19 @@ class GridState:
 
     @cached_property
     def _density(self):
-        return np.abs(self.psi) ** 2
+        re, im = self.psi.real, self.psi.imag
+        return re * re + im * im
+
+    @cached_property
+    def _moments(self):
+        """(rows, total): for every x1 row the x2 sums of |psi|^2,
+        x2 |psi|^2 and x2^2 |psi|^2, an (N1, 3) array, and the sum of
+        |psi|^2 over the plane."""
+        rows = _row_moments(self.psi, self.grid._x2_weights)
+        return rows, np.sum(rows[:, 0])
 
     def norm_sq(self):
-        return float(np.sum(self._density) * self.grid.cell)
+        return float(self._moments[1] * self.grid.cell)
 
     def norm(self):
         return float(np.sqrt(self.norm_sq()))
@@ -169,26 +225,34 @@ class GridState:
         ring = max(d[0, :].max(), d[-1, :].max(), d[:, 0].max(), d[:, -1].max())
         return float(ring) / peak
 
-    @cached_property
-    def _marginals(self):
-        """|psi|^2 summed over x2 (a function of x1) and over x1."""
-        d = self._density
-        return d.sum(axis=1), d.sum(axis=0)
-
     def mean(self, axis):
-        p = self._marginals[axis]
-        x = self.grid.x1 if axis == 0 else self.grid.x2
-        return float(x @ p / np.sum(p))
+        rows, total = self._moments
+        num = self.grid.x1 @ rows[:, 0] if axis == 0 else np.sum(rows[:, 1])
+        return float(num / total)
 
     def mean_sq(self, axis):
-        p = self._marginals[axis]
-        x_sq = self.grid.x1_sq if axis == 0 else self.grid.x2_sq
-        return float(x_sq @ p / np.sum(p))
+        rows, total = self._moments
+        num = self.grid.x1_sq @ rows[:, 0] if axis == 0 else np.sum(rows[:, 2])
+        return float(num / total)
 
 
 def from_gaussian(grid: Grid2D, state: GaussianState2D, time=0.0) -> GridState:
     X1, X2 = grid.mesh()
     return GridState(state(X1, X2), grid, float(time))
+
+
+def _fft2(a, out):
+    """Forward 2D transform of ``a`` into ``out`` (which may be ``a``):
+    two 1D passes with ``out=``, axis 0 first, as ``scipy.fft.fft2`` does."""
+    np.fft.fft(a, axis=0, out=out)
+    return np.fft.fft(out, axis=1, out=out)
+
+
+def _ifft2(x):
+    """Inverse 2D transform of ``x`` in place, axis 0 first.  Not
+    ``np.fft.ifft2(x, out=...)``: in numpy 2.4.6 that returns wrong values."""
+    np.fft.ifft(x, axis=0, out=x)
+    return np.fft.ifft(x, axis=1, out=x)
 
 
 def _unit_phase(phi):
@@ -228,6 +292,49 @@ def _half_kick(spec: SystemSpec, grid: Grid2D, t, dt, out=None):
     return out
 
 
+def _key(*values):
+    """The bytes of ``values`` as float64: equal keys mean equal bits."""
+    return np.array(values, dtype=float).tobytes()
+
+
+class _StepWork:
+    """Planes shared by the steps of one run on one grid and system.
+
+    The kick and kinetic planes are kept with the key they were built
+    from and rebuilt when a step's key differs.  ``psi_planes`` receive
+    the steps' psi: a step writes into the first one that is not its
+    input's psi.
+    """
+
+    def __init__(self, shape, n_psi):
+        self._kick = np.empty(shape, dtype=complex)
+        self._kinetic = np.empty(shape, dtype=complex)
+        self._kick_key = self._kinetic_key = None
+        self.psi_planes = tuple(np.empty(shape, dtype=complex) for _ in range(n_psi))
+
+    def kick(self, spec, grid, t, dt):
+        """The half kick of ``_half_kick`` at checked time t."""
+        key = _key(*_potential_coefficients(spec, t), dt)
+        if key != self._kick_key:
+            _half_kick(spec, grid, t, dt, out=self._kick)
+            self._kick_key = key
+        return self._kick
+
+    def kinetic(self, spec, grid, t, dt):
+        """exp(-i dt hbar (k1^2 / 2 m1 + k2^2 / 2 m2)) at checked time t."""
+        m1, m2 = spec.m1._value(t), spec.m2._value(t)
+        key = _key(m1, m2, dt)
+        if key != self._kinetic_key:
+            kin1 = _unit_phase(-dt * spec.hbar / (2 * m1) * grid.k1_sq)
+            kin2 = _unit_phase(-dt * spec.hbar / (2 * m2) * grid.k2_sq)
+            np.multiply(kin1[:, None], kin2, out=self._kinetic)
+            self._kinetic_key = key
+        return self._kinetic
+
+    def psi_plane(self, psi):
+        return next(p for p in self.psi_planes if p is not psi)
+
+
 def step(spec: SystemSpec, state: GridState, dt, *, work=None) -> GridState:
     """One Strang step from state.time to state.time + dt.
 
@@ -235,26 +342,24 @@ def step(spec: SystemSpec, state: GridState, dt, *, work=None) -> GridState:
     it agrees with exp(-i dt V / 2 hbar) on the mesh to roundoff in the
     phase, a few ulps of |dt V / 2 hbar|, not bit for bit.
 
-    ``work`` is for ``evolve``: a pair (kick, out) of C-contiguous complex
-    planes of the grid's shape, ``out`` not ``state.psi``, which the step
-    writes instead of allocating its own; the returned psi lives in ``out``.
+    ``work`` is for ``evolve``: a ``_StepWork`` of the grid's shape whose
+    planes the step reuses or rebuilds by their keys, and whose psi plane
+    receives the returned psi.  Without it the step builds its planes
+    afresh, by the same code.
     """
-    from scipy.fft import fft2, ifft2
-
     dt = float(dt)
     if dt <= 0:
         raise ValueError("dt must be positive")
     g = state.grid
-    kick, out = work or (None, None)
+    if work is None:
+        work = _StepWork(g.points, n_psi=1)
     t_mid = spec.check_time(state.time + dt / 2)
-    hbar = spec.hbar
-    half_pot = _half_kick(spec, g, t_mid, dt, kick)
-    kin1 = _unit_phase(-dt * hbar / (2 * spec.m1._value(t_mid)) * g.k1_sq)
-    kin2 = _unit_phase(-dt * hbar / (2 * spec.m2._value(t_mid)) * g.k2_sq)
-    psi = fft2(np.multiply(half_pot, state.psi, out=out), overwrite_x=True)
-    psi *= kin1[:, None]
-    psi *= kin2
-    psi = ifft2(psi, overwrite_x=True)
+    half_pot = work.kick(spec, g, t_mid, dt)
+    kinetic = work.kinetic(spec, g, t_mid, dt)
+    psi = np.multiply(half_pot, state.psi, out=work.psi_plane(state.psi))
+    _fft2(psi, out=psi)
+    psi *= kinetic
+    _ifft2(psi)
     psi *= half_pot
     return GridState(psi, g, state.time + dt)
 
@@ -264,12 +369,13 @@ def evolve(spec: SystemSpec, state: GridState, t0, t1, n_steps,
     """Uniform-step evolution from t0 to t1; norm is conserved to roundoff.
 
     ``observer(state)`` is called after every step when given (used for
-    time-series output).  The steps run in three work planes allocated
-    once per call, a kick plane and two psi planes used in turn, so the
-    state passed to ``observer`` is valid only until the observer
-    returns: read what it needs, keep no reference to the state or its
-    ``psi``.  The command line's ``oracle`` is the only observer.  The
-    returned state owns its ``psi``; ``state`` itself is never written.
+    time-series output).  The steps share one ``_StepWork``: a kick and a
+    kinetic plane, each rebuilt only when its key changes, and two psi
+    planes used in turn, so the state passed to ``observer`` is valid only
+    until the observer returns: read what it needs, keep no reference to
+    the state or its ``psi``.  The command line's ``oracle`` is the only
+    observer.  The returned state owns its ``psi``; ``state`` itself is
+    never written.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -282,9 +388,9 @@ def evolve(spec: SystemSpec, state: GridState, t0, t1, n_steps,
         warnings.warn(f"initial boundary density {bd:.2e} above "
                       f"{BOUNDARY_DENSITY_WARN:g}; enlarge the grid extent")
     dt = (float(t1) - float(t0)) / int(n_steps)
-    kick, *planes = (np.empty(state.grid.points, dtype=complex) for _ in range(3))
-    for k in range(int(n_steps)):
-        state = step(spec, state, dt, work=(kick, planes[k % 2]))
+    work = _StepWork(state.grid.points, n_psi=2)
+    for _ in range(int(n_steps)):
+        state = step(spec, state, dt, work=work)
         if observer is not None:
             observer(state)
     bd = state.boundary_density()
@@ -302,23 +408,29 @@ def fidelity(a: GridState, b: GridState) -> float:
     return float(num / (a.norm_sq() * b.norm_sq()))
 
 
-def energy_expectation(spec: SystemSpec, state: GridState) -> float:
-    """<H(t)> at the state's own time stamp."""
-    from scipy.fft import fft2
+def energy_expectation(spec: SystemSpec, state: GridState, *, work=None) -> float:
+    """<H(t)> at the state's own time stamp.
 
+    The spectrum of psi is written into ``work``, a C-contiguous complex
+    plane of the grid's shape whose contents are overwritten; a caller
+    that evaluates many states allocates it once.  Without it a plane is
+    allocated here.
+    """
     t = spec.check_time(state.time)
     g = state.grid
     hbar = spec.hbar
-    dk = np.abs(fft2(state.psi)) ** 2
+    if work is None:
+        work = np.empty(g.points, dtype=complex)
+    _fft2(state.psi, out=work)
+    k_rows = _row_moments(work, g._k2_weights, out=work.view(float))
     # Parseval: grid inner product equals (1/N) spectral inner product
-    kin = hbar**2 * (g.k1_sq @ dk.sum(axis=1) / (2 * spec.m1._value(t))
-                     + g.k2_sq @ dk.sum(axis=0) / (2 * spec.m2._value(t)))
+    kin = hbar**2 * (g.k1_sq @ k_rows[:, 0] / (2 * spec.m1._value(t))
+                     + np.sum(k_rows[:, 1]) / (2 * spec.m2._value(t)))
     kin = kin / state.psi.size * g.cell
     # <V> is linear in the moments <x_j>, <x_j^2> and <x1 x2> of |psi|^2
     a1, b1, a2, b2, lam = _potential_coefficients(spec, t)
-    d = state._density
-    p1, p2 = state._marginals
-    pot = (a1 * (g.x1_sq @ p1) - b1 * (g.x1 @ p1)
-           + a2 * (g.x2_sq @ p2) - b2 * (g.x2 @ p2)
-           + lam * (g.x1 @ d @ g.x2)) * g.cell
+    rows, _ = state._moments
+    pot = (a1 * (g.x1_sq @ rows[:, 0]) - b1 * (g.x1 @ rows[:, 0])
+           + a2 * np.sum(rows[:, 2]) - b2 * np.sum(rows[:, 1])
+           + lam * (g.x1 @ rows[:, 1])) * g.cell
     return float((kin + pot) / state.norm_sq())

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import Coefficient
+from .coefficients import Coefficient, Constant
 from .errors import DomainError
 
 __all__ = [
@@ -34,7 +34,29 @@ __all__ = [
     "potential",
 ]
 
-_MASS_SAMPLES = 10_000
+#: times on [t_min, t_max] at which a system's coefficients are checked
+_SAMPLES = 10_000
+_COEFFICIENT_NAMES = ("m1", "m2", "omega1", "omega2", "f1", "f2", "coupling")
+
+
+def _finite_reads(what, window, read, *args):
+    """``read(*args)``, a tuple of arrays, or ValueError naming ``what`` when
+    the read overflows, divides by zero, is invalid or is not finite.
+
+    numpy's floating-point errors are raised, not warned, so nothing is
+    printed; Python float arithmetic raises its own ``OverflowError``.  An
+    underflow to zero is finite and passes.
+    """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            out = read(*args)
+    except ArithmeticError as exc:
+        reason = str(exc.args[-1])
+    else:
+        if all(np.isfinite(v).all() for v in out):
+            return out
+        reason = "a value is not finite"
+    raise ValueError(f"{what} is not finite on {window} ({reason})")
 
 
 @dataclass(frozen=True)
@@ -64,6 +86,11 @@ class SystemSpec:
     ``coupling`` is the position-position coupling strength (the JSON key
     is "lambda"). hbar is carried explicitly; nothing in the package
     assumes hbar = 1.
+
+    Construction samples [t_min, t_max] at ``_SAMPLES`` times (a Constant
+    at one): every coefficient with its first two derivatives and both
+    w~_j^2 must be finite there, and both masses positive.  ValueError
+    names the first quantity that fails.
     """
 
     m1: Coefficient
@@ -84,22 +111,39 @@ class SystemSpec:
             raise ValueError("t_max must exceed t_min")
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
-        for name in ("m1", "m2", "omega1", "omega2", "f1", "f2", "coupling"):
+        for name in _COEFFICIENT_NAMES:
             lo, hi = getattr(self, name).domain
             if self.t_min < lo or self.t_max > hi:
                 raise ValueError(
                     f"coefficient {name} is only defined on [{lo:g}, {hi:g}], "
                     f"which does not cover [{self.t_min:g}, {self.t_max:g}]"
                 )
-        ts = np.linspace(self.t_min, self.t_max, _MASS_SAMPLES)
-        for name in ("m1", "m2"):
-            vals = np.asarray(getattr(self, name)(ts), dtype=float)
+        ts = np.linspace(self.t_min, self.t_max, _SAMPLES)
+        window = f"[{self.t_min:g}, {self.t_max:g}]"
+
+        def read(name):
+            # a constant is read at one time; one channel at a time keeps
+            # few sample arrays alive at once
+            c = getattr(self, name)
+            return _finite_reads(f"coefficient {name} (value, first or second derivative)",
+                                 window, c._value_derivs,
+                                 ts[:1] if isinstance(c, Constant) else ts)
+
+        for j in (1, 2):
+            mass = read(f"m{j}")
+            vals = np.asarray(mass[0], dtype=float)
             bad = np.nonzero(vals <= 0.0)[0]
             if bad.size:
                 raise ValueError(
-                    f"mass {name} is non-positive at t = {ts[bad[0]]:.6g} "
+                    f"mass m{j} is non-positive at t = {ts[bad[0]]:.6g} "
                     f"(value {vals[bad[0]]:.6g})"
                 )
+            omega = read(f"omega{j}")[0]
+            _finite_reads(f"effective frequency squared w~{j}^2 (from omega{j} and m{j})",
+                          window, lambda w, m: (_effective_frequency_sq(w, *m),),
+                          omega, mass)
+        for name in ("f1", "f2", "coupling"):
+            read(name)
 
     def check_time(self, t):
         """t as a float array, or DomainError if any time leaves [t_min, t_max].

@@ -606,7 +606,8 @@ def test_underflowing_rho0_rejected(rho0):
 
 def test_cli_kernel_with_overflowing_masses_fails_without_hanging(tmp_path):
     """Caldirola-Kanai with all rates 400 on [3, 4]: the masses overflow
-    and Om^2(t0) is NaN in the lw variant."""
+    on [t_min, t_max], so the scenario is rejected when it is parsed (at
+    the solve, Om^2(t0) would be NaN in the lw variant)."""
     sc = json.loads((SRC / "oscpair" / "scenarios" / "caldirola-kanai.json").read_text())
     for key in ("m1", "m2", "lambda"):
         sc[key]["gamma"] = 400.0
@@ -618,5 +619,6 @@ def test_cli_kernel_with_overflowing_masses_fails_without_hanging(tmp_path):
     proc = run_python(["-m", "oscpair.cli", "kernel", "--scenario", str(scenario),
                        "--points", str(points), "--variant", "lw",
                        "--out", str(tmp_path / "out.csv")], timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert "Om^2 at t0 = 3 is not finite" in proc.stderr
+    assert proc.returncode == 1, proc.stderr
+    assert "error: coefficient m1 (value, first or second derivative) is not finite" \
+        in proc.stderr

@@ -57,10 +57,11 @@ def test_kernel_path_commands_load_no_heavy_scipy(command, tmp_path):
         assert _loaded(modules, package) == [], (command, package)
 
 
-def test_oracle_loads_scipy_fft(tmp_path):
+def test_oracle_loads_no_scipy(tmp_path):
+    # the oracle transforms with numpy.fft
     argv = ["oracle", "--scenario", str(SHIPPED_SCENARIO), "--grid", "32",
             "--steps", "2", "--out", str(tmp_path / "out.csv")]
-    assert _loaded(_scipy_modules_after(_cli_code(argv)), "scipy.fft")
+    assert _scipy_modules_after(_cli_code(argv)) == []
 
 
 def test_spline_coefficient_loads_scipy_interpolate():

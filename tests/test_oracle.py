@@ -32,6 +32,15 @@ def driven_spec():
         coupling=Polynomial((0.4, 0.1)), t_min=0.0, t_max=3.0, hbar=0.8)
 
 
+def constant_mass_spec():
+    """Constant masses, time-dependent and driven potential, hbar != 1."""
+    return SystemSpec(
+        m1=Constant(1.3), m2=Constant(0.8),
+        omega1=Sinusoidal(1.1, 0.2, 0.9), omega2=Constant(1.7),
+        f1=Sinusoidal(0.0, 0.3, 1.5), f2=Constant(-0.2),
+        coupling=Polynomial((0.4, 0.1)), t_min=0.0, t_max=3.0, hbar=0.8)
+
+
 def textbook_step(spec, state, dt):
     """Strang step built from the meshes, ``potential`` and a 2D kinetic phase."""
     t_mid = state.time + dt / 2
@@ -347,3 +356,87 @@ def test_evolve_steps_through_module_step(monkeypatch):
     st = from_gaussian(grid, GaussianState2D.coherent()).normalized()
     evolve(const_spec(), st, 0.0, 0.5, 5)
     assert calls == [0.1] * 5
+
+
+@pytest.mark.parametrize("shape", [(64, 32), (32, 256), (256, 256)])
+def test_in_place_transforms_match_scipy(shape):
+    """The transform path of ``step`` and ``energy_expectation``: numpy's
+    1D passes with ``out=``, against scipy's out-of-place 2D transforms.
+    Not ``np.fft.ifft2(a, out=w)``: in numpy 2.4.6 it returns wrong
+    values, with an error as large as the result on a random 256^2 plane."""
+    rng = np.random.default_rng([7002, *shape])
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    a.setflags(write=False)
+    ref = sfft.fft2(a)
+    spectrum = np.empty(shape, dtype=complex)
+    assert oscpair.oracle._fft2(a, out=spectrum) is spectrum
+    assert np.max(np.abs(spectrum - ref)) <= 1e-15 * np.max(np.abs(ref))
+    x = a.copy()
+    oscpair.oracle._fft2(x, out=x)
+    assert np.max(np.abs(x - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert oscpair.oracle._ifft2(x) is x
+    assert np.max(np.abs(x - sfft.ifft2(ref))) <= 1e-15 * np.max(np.abs(a))
+
+
+#: spec, then whether its potential and its masses are constant
+PLANE_REUSE = {
+    "constant": (lambda: const_spec(w1=1.1, w2=1.9, lam=0.7, f1=0.2, m1=1.3,
+                                    m2=0.8, hbar=0.9, t_max=3.0), True, True),
+    "constant-mass": (constant_mass_spec, False, True),
+    "driven": (driven_spec, False, False),
+}
+
+
+@pytest.mark.filterwarnings("ignore:initial boundary density",
+                            "ignore:final boundary density")
+@pytest.mark.parametrize("case", sorted(PLANE_REUSE))
+def test_evolve_rebuilds_a_plane_only_when_its_key_changes(case, monkeypatch):
+    """Constant coefficients build each plane once per ``evolve``; the
+    run still equals ``step`` applied n times, bit for bit, and each
+    standalone step builds both planes."""
+    make_spec, constant_v, constant_m = PLANE_REUSE[case]
+    spec = make_spec()
+    grid = Grid2D(extent=(14.0, 16.0), points=(64, 128))
+    st = from_gaussian(grid, GaussianState2D.coherent(
+        center=(0.5, -0.3), momentum=(0.4, -0.2), sigma=(0.8, 1.1),
+        hbar=spec.hbar), time=0.2).normalized()
+    n = 9
+    built = []
+    half_kick, unit_phase = oscpair.oracle._half_kick, oscpair.oracle._unit_phase
+
+    def counted_kick(*args, **kwargs):
+        built.append("kick")
+        return half_kick(*args, **kwargs)
+
+    def counted_phase(phi):
+        if np.shape(phi) == (grid.points[0],):  # the k1 factor of a kinetic plane
+            built.append("kinetic")
+        return unit_phase(phi)
+
+    monkeypatch.setattr(oscpair.oracle, "_half_kick", counted_kick)
+    monkeypatch.setattr(oscpair.oracle, "_unit_phase", counted_phase)
+    seen = []
+    out = evolve(spec, st, 0.2, 1.4, n, observer=lambda s: seen.append(s.psi.copy()))
+    assert built.count("kick") == (1 if constant_v else n)
+    assert built.count("kinetic") == (1 if constant_m else n)
+    built.clear()
+    ref = st
+    for psi in seen:
+        ref = step(spec, ref, (1.4 - 0.2) / n)
+        assert np.array_equal(psi, ref.psi)
+    assert np.array_equal(out.psi, ref.psi) and out.time == ref.time
+    assert built.count("kick") == built.count("kinetic") == n
+
+
+def test_energy_expectation_work_plane():
+    spec = driven_spec()
+    grid = Grid2D(extent=(12.0, 20.0), points=(64, 128))
+    st = from_gaussian(grid, GaussianState2D.coherent(
+        center=(0.7, -1.2), momentum=(0.5, 0.3), sigma=(0.9, 1.4),
+        hbar=spec.hbar), time=0.4)
+    psi0 = st.psi.copy()
+    work = np.full(grid.points, np.nan, dtype=complex)
+    e = energy_expectation(spec, st, work=work)
+    assert e == energy_expectation(spec, st)
+    assert energy_expectation(spec, st, work=work) == e  # a used plane works too
+    assert np.array_equal(st.psi, psi0)

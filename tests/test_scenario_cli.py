@@ -462,6 +462,33 @@ def test_cli_exit_codes(scenario_file, tmp_path):
                  "--out", "/dev/null"]) == 1
 
 
+@pytest.mark.parametrize("command", ["decouple", "kernel", "evolve", "residual",
+                                     "oracle", "compare"])
+def test_cli_rejects_coefficients_that_overflow_on_the_domain(command, tmp_path, capsys):
+    """Caldirola-Kanai with all three rates at 400: exp(400 t) overflows for
+    t > 1.77, inside [t_min, t_max] = [0, 4].  Every subcommand rejects the
+    file as it is parsed, naming the coefficient, and prints no warning."""
+    doc = json.loads(resources.files("oscpair").joinpath(
+        "scenarios", "caldirola-kanai.json").read_text())
+    for key in ("m1", "m2", "lambda"):
+        doc[key]["gamma"] = 400.0
+    doc["window"] = [3.0, 4.0]
+    scen = tmp_path / "overflow.json"
+    scen.write_text(json.dumps(doc))
+    pts = tmp_path / "p.csv"
+    pts.write_text("0.1,0.2,0.3,0.4\n")
+    argv = [command, "--scenario", str(scen), "--out", str(tmp_path / "out.csv")]
+    if command == "kernel":
+        argv += ["--points", str(pts)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: coefficient m1 (value, first or second derivative) is not finite "
+        "on [0, 4] (overflow encountered in exp)\n")
+
+
 def test_cli_help_lists_subcommands():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

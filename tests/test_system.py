@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,14 @@ from oscpair import (
     kinetic_energy,
     potential,
 )
-from oscpair.coefficients import Constant, Power, Sinusoidal, Spline
+from oscpair.coefficients import (
+    Constant,
+    Exponential,
+    Polynomial,
+    Power,
+    Sinusoidal,
+    Spline,
+)
 
 from conftest import ck_spec, const_spec
 
@@ -88,6 +97,45 @@ def test_effective_frequency_quadratic_power_mass():
 def test_effective_frequency_may_go_negative():
     spec = ck_spec(gamma=1.0, w1=0.3)
     assert effective_frequency_sq(spec, 1, 1.0) < 0.0  # inverted channel is fine
+
+
+def _spec(t_max=1.0, **coefficients):
+    base = dict(m1=Constant(1.0), m2=Constant(1.0), omega1=Constant(1.0),
+                omega2=Constant(1.0), f1=Constant(0.0), f2=Constant(0.0),
+                coupling=Constant(0.0))
+    return SystemSpec(**{**base, **coefficients}, t_min=0.0, t_max=t_max)
+
+
+NON_FINITE = {
+    # exp(800) overflows in the value
+    "value": ({"omega1": Exponential(1.0, 800.0)}, "coefficient omega1"),
+    # a finite value whose second derivative overflows in Python floats
+    "derivative": ({"f2": Exponential(1.0, 1e160)}, "coefficient f2"),
+    "coupling": ({"coupling": Sinusoidal(0.0, 1e308, 1e308)}, "coefficient coupling"),
+    # no floating-point error: the library takes any float, the parser does not
+    "constant": ({"f2": Constant(np.inf)}, "coefficient f2"),
+    "nan mass": ({"m1": Constant(np.nan)}, "coefficient m1"),
+    # m2 and its derivatives are finite, mdot^2 is not
+    "effective frequency": ({"m2": Polynomial((1.0, 1e200))},
+                            r"effective frequency squared w~2\^2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_coefficients_not_finite_on_the_domain_rejected(case):
+    coefficients, name = NON_FINITE[case]
+    t_max = 1e-300 if case == "derivative" else 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{name} .* is not finite on \[0, 1"):
+            _spec(t_max=t_max, **coefficients)
+
+
+def test_underflow_to_zero_is_finite():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = _spec(t_max=2.0, f1=Exponential(1.0, -2000.0))
+    assert spec.f1(2.0) == 0.0
 
 
 def test_mass_positivity_rejected():
