@@ -20,9 +20,19 @@ Exit codes: 0 success; 1 validation failure (bad config, inadmissible
 system, compare thresholds unmet); 2 numerical failure (caustic, solver);
 3 I/O error.  All numbers are printed with 17 significant digits so CSV
 output round-trips bit-exactly; rows are emitted in fixed order.  Every
-table goes through one writer, ``_write_csv``, which takes whole columns,
-formats each row with one ``%.17g`` template and writes the rows in one
-piece; string cells are quoted as the csv module quotes them.
+table goes through one writer, ``_write_csv``, which takes whole columns
+and writes the rows in one piece; string cells are quoted as the csv
+module quotes them.  Its numbers have exactly the bytes of
+``'%.17g' % v``, but numpy formats a whole table at once: the decimal
+exponent from ``log10`` with an exact correction, the 17 digits from
+rint(|v| 10^(16-k)) in ``np.longdouble`` with a power table parsed from
+decimal strings, a lookup table of 4-digit groups, and the ``%g`` layout
+written per layout class and compacted with a byte mask.  A cell whose
+scaled value lies within the longdouble rounding-error bound of a
+midpoint (about 0.011 units of the 17th digit), and every non-finite
+cell, is formatted by Python's ``%`` instead; where longdouble is not the
+x87 80-bit format (it is on x86-64 Linux), every cell is.  ``_write_csv``
+states the bound and its proof.
 
 A points file is CSV (an optional header line, then rows of four
 numbers, with no blank line) or a JSON list of such rows.  Every value must be a finite
@@ -38,6 +48,7 @@ import io
 import json
 import struct
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,27 +108,291 @@ def _write_csv(path, header, columns):
 
     A column is an array, or a list or tuple of numbers or of strings.
     Strings are quoted as ``csv.writer`` quotes them (minimal quoting);
-    numbers are converted to float and printed with ``%.17g``, which
-    round-trips every float64.  The rows are formatted with one template
-    and written in one piece.
+    numbers are converted to float and printed as ``'%.17g' % v`` prints
+    them, which round-trips every float64.  The whole table is formatted
+    at once and written in one piece.
+
+    The numbers are formatted by numpy (:func:`_g17_fields`), not one
+    Python call per cell.  For finite nonzero v, ``%.17g`` prints the
+    17-digit integer D = rint(|v| 10^(16-k)) (ties to even), k = floor(
+    log10 |v|), with k + 1 and D = 10^16 when D rounds up to 10^17; in
+    the fixed layout for -4 <= k < 17 and as d.ddd...e+XX otherwise,
+    with trailing zeros stripped.
+
+    * k is exact: the float64 ``log10`` estimate is corrected by one in
+      either direction by comparing |v| with the least float64 >= 10^k.
+    * s = |v| * P[16 - k] in ``np.longdouble``, where P[q] is 10^q
+      rounded to nearest (parsed from decimal strings; exact when
+      0 <= q and 5^q fits the significand).  With u the longdouble unit
+      roundoff, P[q] = 10^q (1 + d1) and s = |v| P[q] (1 + d2),
+      |d1|, |d2| <= u (d1 = 0 when P[q] is exact), and |v| is exact in
+      longdouble.  The exact scaled value s* = |v| 10^(16-k) lies in
+      [10^16, 10^17), so |s - s*| < B = 10^17 (2u + u^2), or 10^17 u
+      when P[q] is exact.
+    * D is the integer part of s plus one when its fraction f exceeds
+      1/2.  If |f - 1/2| > B, then s* lies on the same side of that
+      midpoint as s, and the other midpoints are over 1/2 > B away, so
+      D = rint(s*).  Cells with |f - 1/2| <= B, and every non-finite
+      cell, are formatted by Python's ``%`` instead (about 1-2% of the
+      cells of a kernel table).  The bounds 1/2 +- B are float64s
+      rounded outward, and f is a multiple of ulp(s) >= 2^-10, so f is
+      exact in float64.
+
+    The numpy path runs where longdouble is the x87 80-bit extended
+    format (x86-64 Linux): u = 2^-64 and B = 0.0108 units of the 17th
+    digit, or 0.0054 where 10^q is exact (0 <= q <= 27).  Anywhere else
+    (a longdouble no wider than double, binary128 or a double-double)
+    Python formats every cell.
     """
-    cells = []
-    formats = []
-    for col in columns:
-        if not isinstance(col, np.ndarray) and col and isinstance(col[0], str):
-            cells.append([_quoted(v) for v in col])
-            formats.append("%s")
-        else:
-            cells.append(np.asarray(col, dtype=float).tolist())
-            formats.append("%.17g")
-    template = ",".join(formats) + "\n"
+    cols = [col if _is_text(col) else np.asarray(col, dtype=float)
+            for col in columns]
+    body = _csv_rows(cols)
     fh, close = _open_out(path)
     try:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.write("".join(template % row for row in zip(*cells)))
+        fh.write(body)
     finally:
         if close:
             fh.close()
+
+
+def _is_text(col):
+    return not isinstance(col, np.ndarray) and col and isinstance(col[0], str)
+
+
+def _csv_rows(columns):
+    """The CSV rows of the equal-length ``columns`` (float arrays, or lists
+    of strings), as one string."""
+    nrows = len(columns[0]) if columns else 0
+    if nrows == 0:
+        return ""
+    numbers = [col for col in columns if isinstance(col, np.ndarray)]
+    if len(numbers) == len(columns):
+        chars, keep = _g17_fields(np.column_stack(columns))
+        chars[:, :, -1] = ord(",")
+        chars[:, -1, -1] = ord("\n")
+        return chars[keep].tobytes().decode()
+    if numbers:
+        chars, keep = _g17_fields(np.column_stack(numbers))
+    fields = []
+    j = 0
+    for col in columns:
+        if isinstance(col, np.ndarray):
+            fields.append((chars[:, j], keep[:, j]))
+            j += 1
+        else:
+            fields.append(_text_fields(col))
+    for c, _ in fields[:-1]:
+        c[:, -1] = ord(",")
+    fields[-1][0][:, -1] = ord("\n")
+    chars = np.concatenate([c for c, _ in fields], axis=1)
+    keep = np.concatenate([k for _, k in fields], axis=1)
+    return chars[keep].tobytes().decode()
+
+
+def _text_fields(col):
+    """(chars, keep) of a string column, as :func:`_g17_fields` lays them out."""
+    cells = [_quoted(v).encode() for v in col]
+    width = max(map(len, cells)) + 1
+    chars = np.array(cells, dtype=f"S{width}").view(np.uint8).reshape(len(cells), width)
+    keep = np.arange(width) < np.array([len(c) for c in cells])[:, None]
+    keep[:, -1] = True
+    return chars, keep
+
+
+# --- %.17g in numpy ------------------------------------------------------------
+#
+# A cell is a field of _FIELD bytes: byte 0 holds a minus sign, bytes 1-23
+# the digits and the decimal point (a cell that Python formats starts at
+# byte 0), bytes 24-28 the exponent and byte 31 the separator, which the
+# caller writes.  A boolean ``keep`` of the same shape marks the bytes of
+# the cell; ``chars[keep]`` is the cell's text.
+
+_FIELD = 32
+_K_MIN, _K_MAX = -325, 310           # decades k of the threshold table
+_Q_MIN, _Q_MAX = 16 - _K_MAX, 16 - _K_MIN  # scale exponents q of the powers
+#: layout classes: 0-16, a decimal point after digit c (fixed, k = c; or
+#: scientific, c = 0); 17-20, "0." and c - 17 zeros before the digits
+#: (fixed, k = 16 - c); _ZERO, the cell is 0; _FALLBACK, Python formats it
+_ZERO, _FALLBACK = 21, 22
+_LEADING = np.frombuffer(b"0.000", np.uint8)
+
+
+class _G17Tables(NamedTuple):
+    decade_start: np.ndarray  # least float64 >= 10^k, k = _K_MIN.._K_MAX
+    pow10: np.ndarray | None  # longdouble 10^q, q = _Q_MIN.._Q_MAX; None: no numpy path
+    half_lo: np.ndarray       # 1/2 - B per q, rounded down
+    half_hi: np.ndarray       # 1/2 + B per q, rounded up
+    quads: np.ndarray         # uint32 bytes of the 4 digits of 0..9999
+    quad_digits: np.ndarray   # digits of 0..9999 left of its trailing zeros
+    klass: np.ndarray         # layout class per decade k
+    exponents: np.ndarray     # uint64 bytes of "e-05" ... per decade k
+    exponent_len: np.ndarray  # 0 for the fixed layout
+    keep: np.ndarray          # keep rows ("V32") per (start, end, exponent length)
+
+
+@functools.cache
+def _g17_tables():
+    """The lookup tables of :func:`_g17_fields`, built once (about 2 ms)."""
+    info = np.finfo(np.longdouble)
+    lo, hi = min(_K_MIN, _Q_MIN), max(_K_MAX, _Q_MAX)
+    # strtold rounds each decimal string correctly; 10.0**q would not
+    powers = np.fromstring(" ".join(f"1e{q}" for q in range(lo, hi + 1)),
+                           dtype=np.longdouble, sep=" ")
+    tens = powers[_K_MIN - lo:_K_MAX - lo + 1]
+    with np.errstate(over="ignore"):
+        start = tens.astype(np.float64)
+    start = np.where(start < tens, np.nextafter(start, np.inf), start)
+    q = np.arange(_Q_MIN, _Q_MAX + 1)
+    u = info.eps / 2
+    exact = (q >= 0) & (q * np.log2(5) < info.nmant + 1)
+    bound = np.where(exact, u, 2 * u + u * u) * np.longdouble(1e17)
+    n = np.arange(10000)
+    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
+    quads = (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    nonzero = digits != 0
+    quad_digits = np.where(nonzero.any(axis=1),
+                           4 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    k = np.arange(_K_MIN, _K_MAX + 1)
+    fixed = (k >= -4) & (k < 17)
+    klass = np.where(fixed, np.where(k < 0, 16 - k, k), 0)
+    mag = np.abs(k)
+    three = mag >= 100
+    exp = np.zeros((k.size, 8), np.uint8)
+    exp[:, 0] = ord("e")
+    exp[:, 1] = np.where(k < 0, ord("-"), ord("+"))
+    exp[:, 2:5] = np.where(three[:, None],
+                           np.stack([mag // 100, mag // 10 % 10, mag % 10], axis=1),
+                           np.stack([mag // 10 % 10, mag % 10, 0 * mag], axis=1))
+    exp[:, 2:5] += ord("0")
+    exponent_len = np.where(fixed, 0, np.where(three, 5, 4))
+    col = np.arange(_FIELD)
+    s, e, x = (v.reshape(-1, 1) for v in np.meshgrid(
+        np.arange(2), np.arange(25), np.arange(6), indexing="ij"))
+    keep = (((col >= s) & (col < e)) | ((col >= 24) & (col < 24 + x))
+            | (col == _FIELD - 1))
+    return _G17Tables(
+        decade_start=start,
+        pow10=powers[_Q_MIN - lo:_Q_MAX - lo + 1] if info.nmant == 63 else None,
+        half_lo=np.nextafter((0.5 - bound).astype(np.float64), 0),
+        half_hi=np.nextafter((0.5 + bound).astype(np.float64), 1),
+        quads=quads, quad_digits=quad_digits, klass=klass.astype(np.int8),
+        exponents=exp.view(np.uint64).ravel(), exponent_len=exponent_len,
+        keep=keep.view(f"V{_FIELD}").ravel())
+
+
+def _decade(a):
+    """floor(log10(a)) for positive finite a, possibly off by one near a
+    power of ten."""
+    return np.floor(np.log10(a)).astype(np.intp)
+
+
+def _fallback_cells(values):
+    """``'%.17g' % v`` of each float64 in ``values``."""
+    return ["%.17g" % v for v in values.tolist()]
+
+
+def _g17_fields(values):
+    """(chars, keep) of shape ``values.shape + (_FIELD,)``: the cells of a
+    float64 array formatted as ``'%.17g' % v`` formats them, laid out as
+    described above.  See :func:`_write_csv` for the method."""
+    x = values.ravel()
+    n = x.size
+    t = _g17_tables()
+    start = 1 - np.signbit(x)
+    if t.pow10 is None:
+        chars = np.empty((n, _FIELD), np.uint8)
+        end = np.empty(n, np.intp)
+        exp_len = np.empty(n, np.intp)
+        fallback = np.arange(n)
+    else:
+        a = np.abs(x)
+        normal = (a > 0) & (a < np.inf)
+        a[~normal] = 1.0
+        k = _decade(a)
+        i = k - _K_MIN
+        k += a >= np.take(t.decade_start, i + 1)
+        k -= a < np.take(t.decade_start, i)
+        qi = 16 - _Q_MIN - k  # index of 10^(16 - k) in the power table
+        s = a.astype(np.longdouble)
+        s *= np.take(t.pow10.view("V16"), qi).view(np.longdouble)
+        frac, whole = np.modf(s)
+        frac = frac.astype(np.float64)
+        D = whole.astype(np.int64)
+        D += frac > 0.5
+        near_half = (frac >= np.take(t.half_lo, qi)) & (frac <= np.take(t.half_hi, qi))
+        carry = D == 10**17
+        D[carry] = 10**16
+        k += carry
+        i = k - _K_MIN
+        klass = np.take(t.klass, i)
+        klass[~normal] = np.where(x[~normal] == 0, _ZERO, _FALLBACK)
+        klass[near_half] = _FALLBACK
+        order = np.argsort(klass, kind="stable")
+        ends = np.cumsum(np.bincount(klass, minlength=_FALLBACK + 1)).tolist()
+
+        # the 17 digits, in class order: a leading digit and four quads
+        D = np.take(D, order)
+        upper = D // 10**8
+        lower = (D - upper * 10**8).astype(np.int32)
+        upper = upper.astype(np.int32)
+        lead = upper // 10**8
+        upper -= lead * 10**8
+        q0, q2 = upper // 10**4, lower // 10**4
+        quads = (q0, upper - q0 * 10**4, q2, lower - q2 * 10**4)
+        words = np.empty((n, 5), np.uint32)
+        for j, v in enumerate(quads):
+            words[:, j + 1] = np.take(t.quads, v)
+        digits = words.view(np.uint8)[:, 3:]
+        digits[:, 0] = lead + ord("0")
+        nd = 13 + np.take(t.quad_digits, quads[3])
+        short = np.flatnonzero(quads[3] == 0)
+        if short.size:
+            q0, q1, q2 = (v[short] for v in quads[:3])
+            nd[short] = np.where(
+                q2 != 0, 9 + t.quad_digits[q2],
+                np.where(q1 != 0, 5 + t.quad_digits[q1], 1 + t.quad_digits[q0]))
+
+        # the sign and mantissa bytes, one slice assignment per class
+        sorted_chars = np.empty((n, _FIELD), np.uint8)
+        sorted_chars[:, 0] = ord("-")
+        length = np.empty(n, np.intp)
+        first = 0
+        for c, last in enumerate(ends[:_FALLBACK]):
+            if last == first:
+                continue
+            rows = slice(first, last)
+            out, d = sorted_chars[rows], digits[rows]
+            if c <= 16:   # c + 1 digits, a point, 16 - c digits
+                out[:, 1:c + 2] = d[:, :c + 1]
+                out[:, c + 2] = ord(".")
+                out[:, c + 3:19] = d[:, c + 1:]
+                length[rows] = np.where(nd[rows] > c + 1, nd[rows] + 1, c + 1)
+            elif c < _ZERO:   # "0." and c - 17 zeros, 17 digits
+                lead_len = c - 15
+                out[:, 1:1 + lead_len] = _LEADING[:lead_len]
+                out[:, 1 + lead_len:18 + lead_len] = d
+                length[rows] = nd[rows] + lead_len
+            else:
+                out[:, 1] = ord("0")
+                length[rows] = 1
+            first = last
+        chars = np.empty((n, _FIELD), np.uint8)
+        np.put(chars.view(f"V{_FIELD}"), order, sorted_chars.view(f"V{_FIELD}"))
+        chars.view(np.uint64)[:, 3] = np.take(t.exponents, i)
+        exp_len = np.take(t.exponent_len, i)
+        end = np.empty(n, np.intp)
+        np.put(end, order, length + 1)
+        fallback = order[ends[_ZERO]:]
+    if fallback.size:
+        cells = [c.encode() for c in _fallback_cells(x[fallback])]
+        chars[fallback, :24] = np.array(cells, dtype="S24").view(np.uint8).reshape(-1, 24)
+        start[fallback] = 0
+        end[fallback] = [len(c) for c in cells]
+        exp_len[fallback] = 0
+    keep = np.take(t.keep, (start * 25 + end) * 6 + exp_len)
+    shape = values.shape + (_FIELD,)
+    return chars.reshape(shape), keep.view(bool).reshape(shape)
 
 
 def _decoupled(sc):

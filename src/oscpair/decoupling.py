@@ -45,6 +45,7 @@ clipped to the solve window.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -224,6 +225,13 @@ class DecoupledSystem:
     def alpha(self) -> float:
         return self.transform.alpha
 
+    @functools.cached_property
+    def undriven(self) -> bool:
+        """True when f_1 and f_2 are both Constant 0, so F_1 = F_2 = 0."""
+        spec = self.system
+        return all(isinstance(f, Constant) and f.value == 0.0
+                   for f in (spec.f1, spec.f2))
+
     def omega_sq(self, j, t, corrected=True):
         q = channel_quantities(self.system, self.alpha, t, corrected=corrected)
         return q[0] if j == 1 else q[1]
@@ -308,12 +316,21 @@ def _nearest_edge(dd, g):
     same edge distances.  Collinear points are dropped: points on one line
     through the origin leave the single edge from the leftmost point to the
     rightmost, at distance 0 up to roundoff.
+
+    Repeated points (equal bits; Constant coefficients give one point per
+    time) are dropped after the sort, before the chain.  The chain itself
+    would pop each repeat through a zero cross product or at the next
+    point, so the edge is the same.
     """
     x = np.concatenate([dd, -dd])
     y = np.concatenate([g, -g])
     order = np.lexsort((y, x))
+    x, y = x[order], y[order]
+    bits = np.stack([x, y]).view(np.int64)
+    first = np.ones(x.size, dtype=bool)
+    first[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
     chain = []
-    for px, py in zip(x[order].tolist(), y[order].tolist()):
+    for px, py in zip(x[first].tolist(), y[first].tolist()):
         while len(chain) >= 2:
             (ox, oy), (ax, ay) = chain[-2], chain[-1]
             if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:

@@ -45,7 +45,9 @@ A kernel reads each channel's dense output once per node set: once at
 each endpoint (``ErmakovSolution.rho_drho_phi``), and for a driven
 channel once at the composite Gauss-Legendre nodes, whose values serve
 I''_j, I'_j and the outer rule of D_j, and once at the partial-panel
-nodes of D_j.  An undriven channel reads only its endpoints.
+nodes of D_j.  An undriven channel reads only its endpoints.  When f_1
+and f_2 are both Constant 0 (``DecoupledSystem.undriven``) the driving
+integrals are 0 without a node set or a read of F_j.
 
 The ``variant="lw"`` kernel reproduces the defective construction for the
 comparison experiments: channel frequencies built from the bare w_j^2
@@ -233,10 +235,13 @@ def build_kernel(decoupled: DecoupledSystem, t_start, t_end, variant="corrected"
             caustics = sol.caustics_in(t_start, min(sol.t_end, t_end))
             nearest = min(caustics, key=lambda tc: abs(tc - t_end), default=None)
             raise CausticError(j, sin_phi, nearest)
-        F_j = lambda t, _j=j: decoupled.driving(_j, t)
-        I_end, I_start, D = _driving_integrals(sol, F_j, t_start, t_end,
-                                               quad_panels, quad_order,
-                                               phis=(phi_p, phi_q))
+        if decoupled.undriven:
+            I_end = I_start = D = 0.0
+        else:
+            F_j = lambda t, _j=j: decoupled.driving(_j, t)
+            I_end, I_start, D = _driving_integrals(sol, F_j, t_start, t_end,
+                                                   quad_panels, quad_order,
+                                                   phis=(phi_p, phi_q))
         data = ChannelKernelData(
             channel=j, solution=sol,
             rho_p=rho_p, drho_p=drho_p, rho_q=rho_q, drho_q=drho_q,

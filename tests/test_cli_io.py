@@ -2,11 +2,13 @@
 
 import csv
 import io
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from oscpair import cli
 from oscpair.cli import _read_points, _write_csv, main
 from oscpair.errors import SchemaError
 
@@ -65,6 +67,174 @@ def test_writer_to_stdout_and_without_rows(tmp_path, capsys):
     _write_csv(None, ["x", "s"], cols)
     assert capsys.readouterr().out == _reference_csv(["x", "s"], zip(*cols))
     assert _written(tmp_path, ["x", "y"], [np.empty(0), []]) == "x,y\n"
+
+
+def _percent_g(values):
+    """The rows of a (rows, cols) float table as ``'%.17g' %`` prints them."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n"
+                   for row in values.tolist())
+
+
+def _numpy_rows(values):
+    return cli._csv_rows(list(np.asarray(values, dtype=float).T))
+
+
+def _assert_same_rows(got, want):
+    """got == want, reporting the first row that differs (pytest's diff of
+    two long strings would take minutes)."""
+    if got != want:
+        pairs = zip(got.splitlines(), want.splitlines())
+        row, (g, w) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+        pytest.fail(f"row {row}: {g!r} != {w!r}")
+
+
+def _exact_decade(x):
+    """floor(log10 |x|) of a finite nonzero float, in exact arithmetic."""
+    f = abs(Fraction(x))
+    k = int(np.floor(np.log10(abs(x))))
+    while f < Fraction(10) ** k:
+        k -= 1
+    while f >= Fraction(10) ** (k + 1):
+        k += 1
+    return k
+
+
+def _midpoint_distance(x):
+    """|frac(s) - 1/2| for s = |x| 10^(16 - k), in units of the 17th digit."""
+    s = abs(Fraction(x)) * Fraction(10) ** (16 - _exact_decade(x))
+    return abs(s - int(s) - Fraction(1, 2))
+
+
+def _near_midpoints(rng, draws, within=Fraction(1, 1000)):
+    """Finite nonzero floats of every binade whose 17-digit scaled value is
+    within ``within`` of a midpoint, checked in exact arithmetic.
+
+    A longdouble scaling preselects candidates; any of them that is not
+    that close is dropped by the exact check.
+    """
+    x = rng.integers(1, 0x7FF0 << 48, size=draws, dtype=np.uint64).view(np.float64)
+    k = np.floor(np.log10(x))
+    s = x.astype(np.longdouble) * np.power(np.longdouble(10), 16 - k)
+    near = np.abs(s - np.floor(s) - 0.5) < 0.004
+    found = [v for v in x[near].tolist() if _midpoint_distance(v) <= within]
+    return np.array(found) * rng.choice([-1.0, 1.0], size=len(found))
+
+
+def _hard_cells(rng):
+    """About 10^6 floats at the edges of the formatter's arithmetic."""
+    bits = rng.integers(0, 2**64, size=400_000, dtype=np.uint64).view(np.float64)
+    decades = np.concatenate([  # 200 values in every decade of float64
+        rng.uniform(1.0, 10.0, size=200) * float(f"1e{k}") for k in range(-307, 308)])
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    ulps = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+                           np.nextafter(np.nextafter(tens, 0), 0),
+                           np.nextafter(np.nextafter(tens, np.inf), np.inf)])
+    ints = np.concatenate([
+        2.0**53 + np.arange(-3000, 3000),
+        rng.integers(10**16, 10**17, size=20_000).astype(float),
+        np.arange(1, 10) * 1e16, np.nextafter(1e17, 0) - np.arange(0, 3200, 16)])
+    subnormal = rng.integers(1, 2**52, size=20_000, dtype=np.uint64).view(np.float64)
+    nans = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0])
+    nans = np.concatenate([nans, np.array([0x7FF8_0000_0000_0001, 0xFFF0_0000_0000_0001],
+                                          dtype=np.uint64).view(np.float64)])
+    cells = np.concatenate([bits, decades, ulps, ints, subnormal, nans,
+                            _near_midpoints(rng, 1_000_000)])
+    cells = np.concatenate([cells, -cells])
+    return np.resize(cells, (len(cells) + 5) // 6 * 6).reshape(-1, 6)
+
+
+def test_writer_matches_percent_g_on_a_million_hard_values():
+    rng = np.random.default_rng(2024)
+    cells = _hard_cells(rng)
+    assert cells.size >= 10**6
+    assert np.signbit(cells[np.isnan(cells)]).any()
+    _assert_same_rows(_numpy_rows(cells), _percent_g(cells))
+
+
+def test_near_midpoint_values_are_close_and_many():
+    rng = np.random.default_rng(7)
+    near = _near_midpoints(rng, 200_000)
+    assert len(near) >= 200
+    assert all(_midpoint_distance(v) <= Fraction(1, 1000) for v in near[:50].tolist())
+    decades = {_exact_decade(v) for v in near.tolist()}
+    assert min(decades) < -250 and max(decades) > 250
+    _assert_same_rows(_numpy_rows(near.reshape(-1, 1)), _percent_g(near.reshape(-1, 1)))
+
+
+def _nearest(table, exact):
+    """Whether each longdouble in ``table`` is the one nearest ``exact``."""
+    for v, e in zip(table, exact):
+        here = Fraction(*v.as_integer_ratio())
+        below = Fraction(*np.nextafter(v, np.longdouble(-np.inf)).as_integer_ratio())
+        above = Fraction(*np.nextafter(v, np.longdouble(np.inf)).as_integer_ratio())
+        if not (here + below) / 2 < e < (here + above) / 2:
+            return False
+    return True
+
+
+def test_power_and_threshold_tables_are_exact():
+    t = cli._g17_tables()
+    if t.pow10 is None:
+        pytest.skip("longdouble is not the x87 80-bit format")
+    q = range(cli._Q_MIN, cli._Q_MAX + 1)
+    assert len(t.pow10) == len(q)
+    assert _nearest(t.pow10, [Fraction(10) ** i for i in q])
+    for k, start in zip(range(cli._K_MIN, cli._K_MAX + 1), t.decade_start.tolist()):
+        ten = Fraction(10) ** k
+        if start == np.inf:
+            assert ten > Fraction(np.finfo(float).max)
+        else:
+            assert Fraction(start) >= ten > Fraction(np.nextafter(start, 0))
+
+
+def test_writer_without_the_numpy_path_writes_the_same_bytes(monkeypatch):
+    rng = np.random.default_rng(3)
+    cells = _hard_cells(rng)[::40]
+    fast = _numpy_rows(cells)
+    tables, fallback = cli._g17_tables(), cli._fallback_cells
+    calls = []
+
+    def counted(values):
+        calls.append(values.size)
+        return fallback(values)
+
+    monkeypatch.setattr(cli, "_g17_tables", lambda: tables._replace(pow10=None))
+    monkeypatch.setattr(cli, "_fallback_cells", counted)
+    want = _percent_g(cells)
+    _assert_same_rows(_numpy_rows(cells), want)
+    _assert_same_rows(fast, want)
+    assert sum(calls) == cells.size
+
+
+def test_exponent_estimate_may_be_off_by_one_either_way(monkeypatch):
+    """The exact decade is recovered from an estimate one too low or one
+    too high.  numpy's float64 log10 errs only high, near powers of ten,
+    so the low case needs a forced estimate."""
+    rng = np.random.default_rng(4)
+    cells = _hard_cells(rng)[::20]
+
+    def exact(a):  # 40 digits never carry into the next decade for a float64
+        return np.array([int(("%.40e" % v).split("e")[1]) for v in a.tolist()])
+
+    for shift in (-1, 1):
+        monkeypatch.setattr(cli, "_decade", lambda a, s=shift: exact(a) + s)
+        _assert_same_rows(_numpy_rows(cells), _percent_g(cells))
+    monkeypatch.setattr(cli, "_decade", lambda a: exact(a) + rng.integers(-1, 2, a.shape))
+    _assert_same_rows(_numpy_rows(cells), _percent_g(cells))
+
+
+def test_kernel_table_sends_few_cells_to_python(monkeypatch):
+    rng = np.random.default_rng(6)
+    pts = rng.normal(size=(1024, 4))
+    K = np.exp(-rng.uniform(0, 30, 1024) + 1j * rng.uniform(0, 2 * np.pi, 1024))
+    cells = np.column_stack([pts, K.real, K.imag])
+    calls = []
+    fallback = cli._fallback_cells
+    monkeypatch.setattr(cli, "_fallback_cells",
+                        lambda values: calls.append(values.size) or fallback(values))
+    _assert_same_rows(_numpy_rows(cells), _percent_g(cells))
+    if cli._g17_tables().pow10 is not None:
+        assert sum(calls) <= 0.03 * cells.size
 
 
 def _kernel(tmp_path, name, text):

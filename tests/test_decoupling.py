@@ -17,7 +17,7 @@ from oscpair import (
     solve_angle,
 )
 from oscpair.coefficients import Constant, Exponential, Sinusoidal
-from oscpair.decoupling import DEFAULT_GAMMA_TOL, _channel_terms, _grid
+from oscpair.decoupling import DEFAULT_GAMMA_TOL, _channel_terms, _grid, _nearest_edge
 from oscpair.errors import DomainError
 
 from conftest import SHIPPED, ck_spec, const_spec, random_admissible_spec
@@ -372,6 +372,52 @@ def test_hull_angle_no_worse_than_scan():
         assert new.admissible == ref.admissible, name
         if ref.admissible:
             assert abs(new.alpha - ref.alpha) <= 1e-13, name
+
+
+def _chain_edge_reference(dd, g):
+    """The nearest hull edge by the monotone chain over every point,
+    repeated points included (the chain before duplicates were dropped)."""
+    x = np.concatenate([dd, -dd])
+    y = np.concatenate([g, -g])
+    order = np.lexsort((y, x))
+    chain = []
+    for px, py in zip(x[order].tolist(), y[order].tolist()):
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
+                break
+            chain.pop()
+        chain.append((px, py))
+    v = np.array(chain)
+    e = np.diff(v, axis=0)
+    dist = np.abs(v[:-1, 0] * e[:, 1] - v[:-1, 1] * e[:, 0]) / np.hypot(e[:, 0], e[:, 1])
+    return e[np.argmin(dist)]
+
+
+def _repeated_end_points(rng):
+    """Point sets whose leftmost and rightmost points repeat, with +-0."""
+    sets = []
+    for n in (3, 8, 50):
+        dd, g = rng.normal(size=n), rng.normal(size=n)
+        lo, hi = np.argmin(dd), np.argmax(dd)
+        reps = np.array([lo, lo, hi, hi, hi, lo])
+        sets.append((np.concatenate([dd, dd[reps]]), np.concatenate([g, g[reps]])))
+    sets.append((np.array([0.0, -0.0, 0.0, 1.0, 1.0]), np.array([1.0, 1.0, -0.0, 0.0, 0.0])))
+    sets.append((np.full(6, 2.0), np.full(6, -1.0)))
+    sets.append((np.array([1.0, 1.0, 2.0, 3.0, 3.0]), np.array([2.0, 2.0, 4.0, 6.0, 6.0])))
+    return sets
+
+
+def test_nearest_edge_without_repeats_matches_the_full_chain():
+    cases = []
+    for spec in _reference_specs().values():
+        wt1, wt2, g = _channel_terms(spec, _grid(spec, 1024), True)
+        if np.max(np.abs(g)) > 1e-300:  # else solve_angle takes alpha = 0
+            cases.append((0.5 * (wt1 - wt2), g))
+    cases += _repeated_end_points(np.random.default_rng(12))
+    for dd, g in cases:
+        got, want = _nearest_edge(dd, g), _chain_edge_reference(dd, g)
+        assert got.tobytes() == want.tobytes()
 
 
 HULL_SCENARIOS = ["static", "driven-static", "caldirola-kanai", "pulsed-coupling"]

@@ -17,6 +17,8 @@ from oscpair import (
     solve_angle,
     solve_channels,
 )
+from oscpair import propagator
+from oscpair.decoupling import DecoupledSystem
 from oscpair.propagator import _driving_integrals
 from oscpair.ermakov import solve_ermakov
 
@@ -331,3 +333,34 @@ def test_kernel_reads_each_solution_once_per_node_set(name, limit):
     driven = name == "driven-static"
     assert all((ch.I_end != 0.0) == driven for ch in kern.channels)
     assert all(0 < n <= limit for n in calls.values()), calls
+
+
+@pytest.mark.parametrize("name", ["static", "driven-static"])
+def test_undriven_kernel_reads_no_drive_and_builds_no_nodes(name, monkeypatch):
+    sc = load_shipped(name)
+    calls = {"nodes": 0, "driving": 0}
+    nodes, driving = propagator.composite_gl_nodes, DecoupledSystem.driving
+
+    def counted_nodes(*args):
+        calls["nodes"] += 1
+        return nodes(*args)
+
+    def counted_driving(self, j, t):
+        calls["driving"] += 1
+        return driving(self, j, t)
+
+    monkeypatch.setattr(propagator, "composite_gl_nodes", counted_nodes)
+    monkeypatch.setattr(DecoupledSystem, "driving", counted_driving)
+    dec = solve_angle(sc.system)
+    sols = solve_channels(dec, *sc.window)
+    kern = build_kernel(dec, *sc.window, solutions=sols)
+    if name == "static":
+        assert dec.undriven
+        assert calls == {"nodes": 0, "driving": 0}
+    else:
+        assert not dec.undriven
+        assert calls["nodes"] == 2 and calls["driving"] >= 4
+    monkeypatch.setattr(DecoupledSystem, "undriven", False)
+    full = build_kernel(solve_angle(sc.system), *sc.window, solutions=sols)
+    for a, b in ((kern.c0, full.c0), (kern.L, full.L), (kern.M, full.M)):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
