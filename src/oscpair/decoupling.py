@@ -33,14 +33,21 @@ time grid: max_t |Gam| is the support function of the centrally symmetric
 polygon conv(+-(D(t), g(t))), D = (w~_1^2 - w~_2^2)/2, and is least along
 the normal of its hull edge nearest the origin (:func:`solve_angle`).
 
+Om_j^2 has one code path, ``_channel_terms``, read by
+:func:`channel_quantities`, :func:`solve_angle` and the callable of
+:meth:`DecoupledSystem.omega_sq_on`.  It reads a Constant coefficient as
+its float, and m_2 once when it equals m_1 by value.  IEEE +, -, *, / and
+sqrt round a float operand as they round each element of an array filled
+with it, so a term of Constant coefficients has the bits of the array it
+used to be, and ``np.full`` broadcasts a result to the shape of the times
+only where an array is needed.
+
 The auxiliary ODE solve reads Om_j^2 once per integration step, tens of
-times per window, so :meth:`DecoupledSystem.omega_sq_on` checks the window
-once and returns an unchecked callable, with the terms that do not depend
-on time (built from Constant coefficients) folded into numbers.  One
-check is enough: SystemSpec guarantees that every coefficient's domain
-covers [t_min, t_max], and the DOP853 integrator only evaluates its
-right-hand side at stage times t + c*h with c in [0, 1] and the step
-clipped to the solve window.
+times per window, so ``omega_sq_on`` checks the window once and returns
+an unchecked callable.  One check is enough: SystemSpec guarantees that
+every coefficient's domain covers [t_min, t_max], and the DOP853
+integrator only evaluates its right-hand side at stage times t + c*h with
+c in [0, 1] and the step clipped to the solve window.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ from .system import (
     PhasePoint,
     SystemSpec,
     TransformedPhasePoint,
-    _effective_frequency_sq,
+    _mass_correction,
 )
 
 __all__ = [
@@ -129,45 +136,51 @@ class CanonicalTransform:
         return np.array([[c * sm1, -s * sm2], [s * sm1, c * sm2]])
 
 
-def _channel_terms(spec: SystemSpec, t, corrected, folded=(None, None, None)):
+def _reads(c, t, derivs=False):
+    """c at unchecked times t, as (value, first, second derivative) when
+    ``derivs``; a Constant is read as its float (and zeros), no array."""
+    if isinstance(c, Constant):
+        v = float(c.value)
+        return (v, 0.0, 0.0) if derivs else v
+    return c._value_derivs(t) if derivs else c._value(t)
+
+
+def _mass_reads(m, t, corrected):
+    """(m, its term of w~^2) at unchecked times t; the term is None unless
+    ``corrected``."""
+    if not corrected:
+        return _reads(m, t), None
+    mv, md, mdd = _reads(m, t, True)
+    return mv, _mass_correction(mv, md, mdd)
+
+
+def _masses(spec: SystemSpec, t, corrected):
+    """``_mass_reads`` of m_1 and m_2; m_2 is not read when it equals m_1 by
+    value."""
+    m1 = _mass_reads(spec.m1, t, corrected)
+    return m1, (m1 if spec.m2 == spec.m1 else _mass_reads(spec.m2, t, corrected))
+
+
+def _channel_terms(spec: SystemSpec, t, corrected):
     """(w~_1^2, w~_2^2, g) at times already inside [t_min, t_max].
 
     Each coefficient is evaluated at most once, through its unchecked
-    formula.  A term given in ``folded`` (the value of a time-independent
-    one) is returned as it is and not evaluated.
+    formula.  A term built from Constant coefficients only is a float;
+    :func:`_filled` shapes a result like t.  w~_j^2 is w_j^2 plus the mass
+    term, as in ``_effective_frequency_sq``, and the bare w_j^2 when not
+    ``corrected``.
     """
-    wt1, wt2, g = folded
-    m1 = m2 = None
-    if wt1 is None:
-        wt1, m1 = _frequency_term(spec.omega1, spec.m1, t, corrected)
-    if wt2 is None:
-        wt2, m2 = _frequency_term(spec.omega2, spec.m2, t, corrected)
-    if g is None:
-        m1 = spec.m1._value(t) if m1 is None else m1
-        m2 = spec.m2._value(t) if m2 is None else m2
-        g = spec.coupling._value(t) / np.sqrt(m1 * m2)
-    return wt1, wt2, g
-
-
-def _frequency_term(w, m, t, corrected):
-    """(w~^2, m) at t, or the bare (w^2, None) when not ``corrected``."""
-    if not corrected:
-        w = w._value(t)
-        return w * w, None
-    mv, md, mdd = m._value_derivs(t)
-    return _effective_frequency_sq(w._value(t), mv, md, mdd), mv
-
-
-def _time_independent_terms(spec: SystemSpec, corrected):
-    """Which of (w~_1^2, w~_2^2, g) are built from Constant coefficients only."""
-    def constant(*cs):
-        return all(isinstance(c, Constant) for c in cs)
-
+    (m1, c1), (m2, c2) = _masses(spec, t, corrected)
+    w1, w2 = _reads(spec.omega1, t), _reads(spec.omega2, t)
+    wt1, wt2 = w1 * w1, w2 * w2
     if corrected:
-        return (constant(spec.omega1, spec.m1), constant(spec.omega2, spec.m2),
-                constant(spec.coupling, spec.m1, spec.m2))
-    return (constant(spec.omega1), constant(spec.omega2),
-            constant(spec.coupling, spec.m1, spec.m2))
+        wt1, wt2 = wt1 + c1, wt2 + c2
+    return wt1, wt2, _reads(spec.coupling, t) / np.sqrt(m1 * m2)
+
+
+def _filled(x, t):
+    """x as an array shaped like t, filled when it is a number."""
+    return x if isinstance(x, np.ndarray) else np.full(np.shape(t), x)
 
 
 def _channel_weights(alpha):
@@ -196,15 +209,16 @@ def channel_quantities(spec: SystemSpec, alpha, t, corrected=True):
     """
     t = spec.check_time(t)
     wt1, wt2, g = _channel_terms(spec, t, corrected)
-    m1, m2 = spec.m1._value(t), spec.m2._value(t)
+    (m1, _), (m2, _) = _masses(spec, t, False)
     w1, w2 = _channel_weights(alpha)
     ca, sa = np.cos(alpha), np.sin(alpha)
     s2, c2 = np.sin(2 * alpha), np.cos(2 * alpha)
     gam = 0.5 * (wt1 - wt2) * s2 + g * c2
-    sf1 = np.sqrt(m1) * spec.f1._value(t)
-    sf2 = np.sqrt(m2) * spec.f2._value(t)
-    return (_omega_sq(wt1, wt2, g, w1), _omega_sq(wt1, wt2, g, w2),
-            sf1 * ca - sf2 * sa, sf1 * sa + sf2 * ca, gam)
+    sf1 = np.sqrt(m1) * _reads(spec.f1, t)
+    sf2 = np.sqrt(m2) * _reads(spec.f2, t)
+    return tuple(_filled(x, t) for x in (
+        _omega_sq(wt1, wt2, g, w1), _omega_sq(wt1, wt2, g, w2),
+        sf1 * ca - sf2 * sa, sf1 * sa + sf2 * ca, gam))
 
 
 @dataclass(frozen=True)
@@ -241,32 +255,15 @@ class DecoupledSystem:
 
         The window is checked here, once (DomainError if it leaves
         [t_min, t_max]); the callable then skips every domain check.  It
-        returns an array shaped like its input.
-
-        Each time-independent term is folded here, once per callable: w~_j^2
-        when w_j and m_j are Constant (w_j alone for the bare variant), and
-        g when lam, m_1 and m_2 are.  A folded term is computed by the array
-        formula on a length-1 array, so it has the bits of the term an array
-        read computes, and the callable equals ``omega_sq(j, t, corrected)``
-        on arrays bit for bit.  Squares are products, so a 0-d read and an
-        array read of the same time agree too, up to numpy's scalar and
-        vector transcendentals (exp, cos, sin), which may round
-        differently; none did on 20,000 pulsed-coupling times.
+        returns an array shaped like its input, and equals ``omega_sq(j, t,
+        corrected)`` bit for bit: both read ``_channel_terms``.
         """
         spec = self.system
         spec.check_time([t_start, t_end])
         weights = _channel_weights(self.alpha)[j - 1]
-        fold = _time_independent_terms(spec, corrected)
-        folded = (None, None, None)
-        if any(fold):
-            at_start = _channel_terms(spec, np.array([float(t_start)]), corrected)
-            folded = tuple(float(x[0]) if f else None for x, f in zip(at_start, fold))
-        if all(fold):
-            value = _omega_sq(*folded, weights)
-            return lambda t: np.full(np.shape(t), value)
 
         def omega_sq(t):
-            return _omega_sq(*_channel_terms(spec, t, corrected, folded), weights)
+            return _filled(_omega_sq(*_channel_terms(spec, t, corrected), weights), t)
 
         return omega_sq
 
@@ -367,7 +364,7 @@ def solve_angle(spec: SystemSpec, n_time=1024,
     Inadmissibility is reported in the result, never raised.
     """
     ts = _grid(spec, n_time)
-    wt1, wt2, g = _channel_terms(spec, ts, True)
+    wt1, wt2, g = (_filled(x, ts) for x in _channel_terms(spec, ts, True))
     dd = 0.5 * (wt1 - wt2)
     scale = float(np.max(np.abs(wt1)) + np.max(np.abs(wt2)) + np.max(np.abs(g)) + 1.0)
 

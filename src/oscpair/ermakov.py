@@ -31,6 +31,20 @@ tests compare bit for bit.  ``brentq`` (caustic polishing) and
 ``solve_ivp`` (the nonlinear cross-check) are imported on first use, so
 importing this module loads numpy and the standard library only.
 
+Between its dot products a step runs on Python floats: the time and
+step size, the states, f, the error scale and error norm, and the first
+three rows F[0..2] of the dense output.  A float +, -, *, / or sqrt is
+the IEEE operation numpy applies to each element, with the same
+rounding, so these keep scipy's bits.  The error scale takes the larger
+magnitude with NaN propagated as ``np.maximum`` does, and the squared
+norm ``np.linalg.norm(e)**2`` is ``math.sqrt(e.dot(e))**2``: numpy's
+norm of a float vector is the square root of its dot with itself, and a
+float's ``**`` calls libm ``pow`` as numpy's float64 power does.  Every
+dot product stays numpy's (``np.dot``, or ``ndarray.dot``, the same
+function without the dispatch): OpenBLAS's gemv kernels may fuse
+multiply-adds and sum in their own order, and Python 3.11 has no
+``math.fma`` to reproduce them.
+
 Om^2 enters the right-hand side only through the time, so once a step
 size is fixed all 15 stage times of the step (11 inner stages, t + h and
 3 dense-output stages) are read with one call.  ``omega_sq`` is therefore called with 1D
@@ -114,9 +128,13 @@ SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 #: c of the stage times t + c*h read per step: the inner stages, t + h and
 #: the dense-output extras
 _C_READ = np.concatenate([_C[1:], [1.0], _C_EXTRA])
+#: (s, a[:s]) of the stages after the first, and of the extra stages
+_STAGE_A = [(s, a[:s]) for s, a in enumerate(_A[1:], start=1)]
+_EXTRA_A = [(s, a[:s]) for s, a in enumerate(_A_EXTRA, start=_N_STAGES + 1)]
 
 
 def solve_ivp(*args, **kwargs):
@@ -298,16 +316,17 @@ class _DenseOutput:
         Counting the inner knots below t is ``OdeSolution``'s
         searchsorted(ts, t) - 1 clipped to [0, n - 1].
         """
-        return np.searchsorted(self._ts[1:self.n], t, side="left")
+        return self._ts[1:self.n].searchsorted(t, side="left")
 
     def at(self, t, step):
         """The state at times t, read from the given steps."""
         x = (t - self._ts[step]) / self._h[step]
-        F = np.take(self._F, step, axis=1)  # C-ordered, unlike self._F[:, step]
-        y_old = self._y_old[step]
-        if np.ndim(t):
+        # C-ordered gathers; a take is faster than fancy indexing of rows
+        F = self._F.take(step, axis=1)
+        y_old = self._y_old.take(step, axis=0)
+        if t.ndim:
             # one flat array per F row: same-shape operands, no broadcasting
-            x = np.repeat(x, F.shape[-1])
+            x = x.repeat(F.shape[-1])
             F = F.reshape(len(F), -1)
             y_old = y_old.reshape(-1)
         x1 = 1 - x
@@ -317,7 +336,7 @@ class _DenseOutput:
             y += f
             y *= x if i % 2 == 0 else x1
         y += y_old
-        return y.reshape(-1, self._F.shape[2]).T if np.ndim(t) else y
+        return y.reshape(-1, self._F.shape[2]).T if t.ndim else y
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -346,39 +365,68 @@ def _rhs(om2, u, du, v, dv):
     return (du, -om2 * u, dv, -om2 * v, 1.0 / (u * u + v * v))
 
 
-def _stage_rhs(om2, y, dy, h):
-    """``_rhs`` at scipy's stage state ``y + np.dot(K[:s].T, a) * h``.
+def _stage_rhs(K, stages, om2, y, h):
+    """``_rhs`` at scipy's stage states ``y + np.dot(K[:s].T, a) * h``.
 
-    ``y`` and ``dy`` (the dot product) are lists and ``h`` a float; each
-    component is y_i + dy_i * h in float arithmetic, numpy's roundings.
+    Fills K[s] for each stage (s, ``K[:s].T.dot``, a), in order, at the
+    Om^2 of the same position in ``om2``.  ``y`` is a tuple and ``h`` a
+    float; each component is y_i + dy_i * h in float arithmetic, numpy's
+    roundings, and ndarray.dot is np.dot without its dispatch.
     """
-    return _rhs(om2, y[0] + dy[0] * h, y[1] + dy[1] * h,
-                y[2] + dy[2] * h, y[3] + dy[3] * h)
+    y0, y1, y2, y3, _ = y
+    for (s, dot, a), w in zip(stages, om2):
+        d0, d1, d2, d3, _ = dot(a).tolist()
+        K[s] = _rhs(w, y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)
 
 
-def _error_norm(K, h, scale):
-    """DOP853's combined E3/E5 error norm (scipy's ``_estimate_error_norm``)."""
-    err5 = np.dot(K.T, _dop.E5) / scale
-    err3 = np.dot(K.T, _dop.E3) / scale
-    err5_norm_2 = np.linalg.norm(err5)**2
-    err3_norm_2 = np.linalg.norm(err3)**2
+def _error_scale(y, y_new, rtol, atol):
+    """scipy's ``atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol`` on
+    sequences of floats, as a list; a NaN in either state propagates, as
+    ``np.maximum``'s does."""
+    return [atol + (a if a > b or a != a else b) * rtol
+            for a, b in zip(map(abs, y), map(abs, y_new))]
+
+
+def _norm_sq(e):
+    """``np.linalg.norm(e)**2`` of a float vector, as a float.
+
+    numpy's norm of a float vector is the square root of ``e.dot(e)``, and
+    a float's ``**`` calls libm ``pow`` as numpy's float64 power does.  The
+    square cannot overflow, where Python would raise: the square root of a
+    finite float is at most sqrt(max float) rounded down, whose square is
+    finite.
+    """
+    return math.sqrt(e.dot(e)) ** 2
+
+
+def _error_norm(KT, h, scale):
+    """DOP853's combined E3/E5 error norm (scipy's ``_estimate_error_norm``).
+
+    ``KT`` is K.T, ``h`` a float and ``scale`` a list of floats; the
+    result is a float with the bits of scipy's float64.
+    """
+    scale = np.array(scale)
+    err5_norm_2 = _norm_sq(KT.dot(_dop.E5) / scale)
+    err3_norm_2 = _norm_sq(KT.dot(_dop.E3) / scale)
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
-    denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    denom = math.sqrt((err5_norm_2 + 0.01 * err3_norm_2) * len(scale))
+    if not denom:  # 0 / 0, where 0.01 * err3_norm_2 underflows: numpy's NaN
+        return float(np.float64(abs(h) * err5_norm_2) / denom)
+    return abs(h) * err5_norm_2 / denom
 
 
 def _validate_tol(rtol, atol):
-    """scipy's ``validate_tol``: an rtol below 100 eps warns and is raised to it."""
-    if np.any(rtol < 100 * _EPS):
+    """scipy's ``validate_tol`` for float tolerances: an rtol below 100 eps
+    warns and is raised to it, and a negative atol is a ValueError."""
+    if rtol < 100 * _EPS:
         warnings.warn("At least one element of `rtol` is too small. "
                       f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.",
                       stacklevel=3)
-        rtol = np.maximum(rtol, 100 * _EPS)
-    atol = np.asarray(atol)
-    if np.any(atol < 0):
+        rtol = max(rtol, 100 * _EPS)
+    if atol < 0:
         raise ValueError("`atol` must be positive.")
-    return rtol, atol
+    return float(rtol), float(atol)
 
 
 def _rms(x):
@@ -439,7 +487,7 @@ def _check_steps(att, grid, tol):
     """
     dense = att.dense
     lo = att.checked_points
-    hi = int(np.searchsorted(grid, dense.ts[-1], side="right"))
+    hi = int(grid.searchsorted(dense._ts[dense.n], side="right"))
     att.checked_points, att.checked_steps = hi, dense.n
     if hi == lo:
         return
@@ -459,7 +507,7 @@ def _check_steps(att, grid, tol):
         if not positive[begin:end].all():
             raise NonPositiveRho("auxiliary amplitude lost positivity")
         att.aborted = True
-    worst = np.max(resid[:end])
+    worst = resid[:end].max()
     if not worst <= att.max_residual:
         att.max_residual = float(worst)
     att.rho_sq.append(rho_sq)
@@ -478,30 +526,33 @@ def _attempt(read, t0, t1, y0, rtol, atol, grid, tol):
     raises NonPositiveRho even if no grid point falls in its step: the
     next step could not be taken.  A right-hand side or an initial step
     that is not finite at t0 raises SolverFailure: no step could be sized.
+
+    Between the numpy dot products a step runs on Python floats and
+    tuples: t, h, the states, f, the error scale and norm and F[0..2].
     """
     rtol, atol = _validate_tol(rtol, atol)
     att = _Attempt(dense=_DenseOutput(t0, len(y0)))
     K_ext = np.empty((_dop.N_STAGES_EXTENDED, len(y0)))
     K = K_ext[:_N_STAGES + 1]
-    # (K[:s].T, a[:s]) of the stages after the first, and of the extra stages
-    stages = [(K[:s].T, a[:s]) for s, a in enumerate(_A[1:], start=1)]
-    extras = [(K_ext[:s].T, a[:s]) for s, a in enumerate(_A_EXTRA, start=_N_STAGES + 1)]
+    KT, dot_B = K.T, K[:-1].T.dot
+    stages = [(s, K[:s].T.dot, a) for s, a in _STAGE_A]
+    extras = [(s, K_ext[:s].T.dot, a) for s, a in _EXTRA_A]
 
     def fun(t, y):
         att.nfev += 1
         return np.array(_rhs(read(np.array([t]))[0], *y.tolist()[:4]))
 
-    t, y = t0, y0
-    f = fun(t, y)
+    f = fun(t0, y0)
     if not np.isfinite(f).all():
         raise SolverFailure(f"linear auxiliary solve failed: Om^2 at t0 = {t0:g} "
                             "is not finite or overflows times rho(t0)")
-    h_abs = _initial_step(fun, t, y, t1, f, rtol, atol)
+    h_abs = float(_initial_step(fun, t0, y0, t1, f, rtol, atol))
     if not math.isfinite(h_abs):
         raise SolverFailure(f"linear auxiliary solve failed: initial step {h_abs} "
                             "is not finite")
+    t, t1, y, f = float(t0), float(t1), tuple(y0.tolist()), tuple(f.tolist())
     while t < t1:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -513,19 +564,15 @@ def _attempt(read, t0, t1, y0, rtol, atol, grid, tol):
             if t_new - t1 > 0:
                 t_new = t1
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             om2 = read(t + _C_READ * h)
-            ys, hf = y.tolist(), float(h)
             K[0] = f
-            for s, (KT, a) in enumerate(stages, start=1):
-                K[s] = _stage_rhs(om2[s - 1], ys, np.dot(KT, a).tolist(), hf)
-            y_new = y + h * np.dot(K[:-1].T, _dop.B)
-            state = y_new.tolist()
-            f_new = np.array(_rhs(om2[_N_STAGES - 1], *state[:4]))
+            _stage_rhs(K, stages, om2, y, h)
+            y_new = tuple([yi + h * di for yi, di in zip(y, dot_B(_dop.B).tolist())])
+            f_new = _rhs(om2[_N_STAGES - 1], *y_new[:4])
             K[-1] = f_new
             att.nfev += _N_STAGES
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(K, h, scale)
+            error_norm = _error_norm(KT, h, _error_scale(y, y_new, rtol, atol))
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -539,24 +586,23 @@ def _attempt(read, t0, t1, y0, rtol, atol, grid, tol):
             rejected = True
             att.rejected_steps += 1
 
-        for s, (KT, a) in enumerate(extras, start=_N_STAGES + 1):
-            K_ext[s] = _stage_rhs(om2[s - 1], ys, np.dot(KT, a).tolist(), hf)
+        _stage_rhs(K_ext, extras, om2[_N_STAGES:], y, h)
         att.nfev += len(_A_EXTRA)
         F = att.dense.push(t_new, y)
-        f_old = K_ext[0]
-        delta_y = y_new - y
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (f_new + f_old)
+        # f_old is K[0] = f; numpy converts a tuple faster than a list
+        delta_y = tuple([b - a for a, b in zip(y, y_new)])
+        F[:3] = (delta_y,
+                 tuple([h * fo - d for fo, d in zip(f, delta_y)]),
+                 tuple([2 * d - h * (fn + fo) for d, fn, fo in zip(delta_y, f_new, f)]))
         F[3:] = h * np.dot(_dop.D, K_ext)
         att.accepted_steps += 1
         t, y, f = t_new, y_new, f_new
 
         # the step end's residual |W^2 - 1| <= tol rho^3 is tested as a
         # product: a rho^3 that underflows to 0 cannot divide
-        u, du, v, dv, _ = state
+        u, du, v, dv, _ = y
         rho_sq, w = u * u + v * v, u * dv - du * v
-        healthy = 0.0 < rho_sq < math.inf and all(map(math.isfinite, state))
+        healthy = 0.0 < rho_sq < math.inf and all(map(math.isfinite, y))
         if (not healthy or not abs(w * w - 1.0) <= tol * rho_sq * math.sqrt(rho_sq)
                 or att.dense.n - att.checked_steps == _CHECK_BATCH):
             _check_steps(att, grid, tol)
@@ -596,7 +642,7 @@ def solve_ermakov(omega_sq, t0, t1, ic=(1.0, 0.0), tol=DEFAULT_TOL,
         raise ValueError("initial condition and window must be finite")
     if rho0 <= 0:
         raise ValueError("initial rho must be positive")
-    if rho0 * rho0 < np.finfo(float).tiny:
+    if rho0 * rho0 < _TINY:
         raise ValueError(f"initial rho {rho0:g} is too small: its square underflows")
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
@@ -615,11 +661,12 @@ def solve_ermakov(omega_sq, t0, t1, ic=(1.0, 0.0), tol=DEFAULT_TOL,
             phi = np.concatenate(att.phi)
             # phi must never decrease, and must strictly increase wherever
             # the expected increment dt/rho^2 is resolvable in float64
-            dphi = np.diff(phi)
-            expected = (grid[1] - grid[0]) / rho_sq[:-1]
-            resolvable = expected > 8.0 * np.finfo(float).eps * (1.0 + np.abs(phi[:-1]))
-            if np.any(dphi < 0.0) or np.any((dphi <= 0.0) & resolvable):
-                raise SolverFailure("accumulated phase is not strictly increasing")
+            dphi = phi[1:] - phi[:-1]
+            if (dphi <= 0.0).any():
+                expected = (grid[1] - grid[0]) / rho_sq[:-1]
+                resolvable = expected > 8.0 * _EPS * (1.0 + np.abs(phi[:-1]))
+                if (dphi < 0.0).any() or ((dphi <= 0.0) & resolvable).any():
+                    raise SolverFailure("accumulated phase is not strictly increasing")
             return ErmakovSolution(
                 channel=channel,
                 t_start=t0,
@@ -627,7 +674,7 @@ def solve_ermakov(omega_sq, t0, t1, ic=(1.0, 0.0), tol=DEFAULT_TOL,
                 rho_start=rho0,
                 drho_start=drho0,
                 tol=float(tol),
-                ill_conditioned=bool(np.sqrt(np.max(rho_sq)) > ILL_CONDITIONED_RHO),
+                ill_conditioned=math.sqrt(rho_sq.max()) > ILL_CONDITIONED_RHO,
                 stats=SolveStats(
                     attempts=attempts,
                     aborted_attempts=attempts - 1,

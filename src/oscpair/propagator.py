@@ -224,6 +224,10 @@ def build_kernel(decoupled: DecoupledSystem, t_start, t_end, variant="corrected"
                                    ode_tol=ode_tol, ic=ermakov_ic)
 
     hbar = spec.hbar
+    # the window is checked above, so the masses are read unchecked, at the
+    # 0-d arrays that their checked reads would pass on
+    masses = (spec.m1, spec.m2)
+    at_start, at_end = np.asarray(t_start), np.asarray(t_end)
     channels = []
     per_channel = []
     for j, sol in zip((1, 2), solutions):
@@ -257,8 +261,8 @@ def build_kernel(decoupled: DecoupledSystem, t_start, t_end, variant="corrected"
         cross = -1j / (hbar * s * rho_q * rho_p)
         lin_end = 1j * I_end / (hbar * s * rho_q)
         lin_start = 1j * I_start / (hbar * s * rho_p)
-        m_q = spec.mass(j, t_end)
-        m_p = spec.mass(j, t_start)
+        m_q = masses[j - 1]._value(at_end)
+        m_p = masses[j - 1]._value(at_start)
         log_pref = (0.25 * math.log(m_q * m_p)
                     - 0.5 * math.log(2.0 * math.pi * hbar * rho_q * rho_p * abs(s))
                     - 0.25j * math.pi - 0.5j * math.pi * data.maslov)
@@ -275,8 +279,8 @@ def build_kernel(decoupled: DecoupledSystem, t_start, t_end, variant="corrected"
     c0 = complex(sum(pc[5] for pc in per_channel))
 
     if corrected:
-        md_end = np.array([spec.mass_deriv(1, t_end), spec.mass_deriv(2, t_end)])
-        md_start = np.array([spec.mass_deriv(1, t_start), spec.mass_deriv(2, t_start)])
+        md_end = np.array([m._deriv1(at_end) for m in masses])
+        md_start = np.array([m._deriv1(at_start) for m in masses])
         bnd_end = np.diag(-0.25j / hbar * md_end)
         bnd_start = np.diag(0.25j / hbar * md_start)
     else:

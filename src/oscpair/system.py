@@ -180,7 +180,12 @@ def _effective_frequency_sq(w, mv, md, mdd):
     ``x ** 2`` goes through libm ``pow``, which is not always correctly
     rounded, so a product keeps 0-d and array reads equal.
     """
-    return w * w + 0.25 * (md * md / (mv * mv) - 2.0 * mdd / mv)
+    return w * w + _mass_correction(mv, md, mdd)
+
+
+def _mass_correction(mv, md, mdd):
+    """(1/4) (mdot^2 / m^2 - 2 mddot / m), the mass term of w~^2."""
+    return 0.25 * (md * md / (mv * mv) - 2.0 * mdd / mv)
 
 
 def potential(spec: SystemSpec, x1, x2, t):

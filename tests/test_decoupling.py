@@ -16,8 +16,11 @@ from oscpair import (
     normalize_angle,
     solve_angle,
 )
-from oscpair.coefficients import Constant, Exponential, Sinusoidal
+from oscpair.coefficients import (
+    Constant, Exponential, Polynomial, Power, Sinusoidal, Spline,
+)
 from oscpair.decoupling import DEFAULT_GAMMA_TOL, _channel_terms, _grid, _nearest_edge
+from oscpair.ermakov import _C_READ
 from oscpair.errors import DomainError
 
 from conftest import SHIPPED, ck_spec, const_spec, random_admissible_spec
@@ -301,6 +304,90 @@ def test_window_omega_sq_checks_window_once():
     dec.omega_sq_on(1, 0.0, 4.0)(2.0)
 
 
+def _filled_reference(spec, alpha, t, corrected):
+    """(Om_1^2, Om_2^2) with every coefficient read as an array shaped like
+    t, Constants filled: the array formula the float reads must reproduce."""
+    t = np.asarray(t, dtype=float)
+
+    def arr(c, read="_value"):
+        if isinstance(c, Constant):
+            return np.full(t.shape, float(c.value) if read == "_value" else 0.0)
+        return np.asarray(getattr(c, read)(t), dtype=float)
+
+    def eff(w, m):
+        w = arr(w)
+        if not corrected:
+            return w * w
+        mv, md, mdd = arr(m), arr(m, "_deriv1"), arr(m, "_deriv2")
+        return w * w + 0.25 * (md * md / (mv * mv) - 2.0 * mdd / mv)
+
+    wt1, wt2 = eff(spec.omega1, spec.m1), eff(spec.omega2, spec.m2)
+    g = arr(spec.coupling) / np.sqrt(arr(spec.m1) * arr(spec.m2))
+    ca, sa, s2 = np.cos(alpha), np.sin(alpha), np.sin(2 * alpha)
+    return (wt1 * ca**2 + wt2 * sa**2 - g * s2,
+            wt1 * sa**2 + wt2 * ca**2 - g * -s2)
+
+
+#: one member of each coefficient family, positive on [0, 4], and the same
+#: member with integer fields spelled as integers (equal by value)
+_FAMILIES = {
+    "constant": (Constant(1.0), Constant(1)),
+    "polynomial": (Polynomial((1.0, 0.3, 0.05)), Polynomial((1, 0.3, 0.05))),
+    "exponential": (Exponential(1.0, 0.35), Exponential(1, 0.35)),
+    "sinusoidal": (Sinusoidal(2.0, 0.4, 1.0, 0.3), Sinusoidal(2, 0.4, 1, 0.3)),
+    "power": (Power(1.0, 0.5, 2.0), Power(1, 0.5, 2)),
+    "power, non-integer n": (Power(1.0, 0.5, 1.5), Power(1, 0.5, 1.5)),
+    "spline": (Spline((0.0, 1.0, 2.5, 4.0), (1.0, 1.4, 0.9, 1.2)),
+               Spline((0, 1, 2.5, 4), (1, 1.4, 0.9, 1.2))),
+}
+
+
+def _family_specs():
+    """Specs with each family as a mass (m_2 equal to m_1, also spelled with
+    integers, and m_2 different), as a frequency and as the coupling."""
+    base = dict(m1=Constant(1.0), m2=Constant(1.0), omega1=Constant(1.1),
+                omega2=Constant(1.9), f1=Constant(0.0), f2=Constant(0.0),
+                coupling=Constant(0.6), t_min=0.0, t_max=4.0)
+    specs = {}
+    for name, (c, same) in _FAMILIES.items():
+        assert c == same, name
+        specs[f"m1=m2 {name}"] = dict(base, m1=c, m2=c)
+        specs[f"m1=m2 {name} spelled 1"] = dict(base, m1=c, m2=same)
+        specs[f"m2 {name}"] = dict(base, m1=Constant(1.2), m2=c)
+        specs[f"m1 {name}, m2 other"] = dict(base, m1=c, m2=Exponential(0.8, -0.1))
+        specs[f"omega {name}"] = dict(base, omega1=c, omega2=c)
+        specs[f"lambda {name}"] = dict(base, coupling=c, f1=c)
+    return {k: SystemSpec(**v) for k, v in specs.items()}
+
+
+def test_one_omega_sq_path_is_bit_identical():
+    """omega_sq_on equals channel_quantities bit for bit, and both equal the
+    array formula with Constants filled, on 15-point stage arrays, 1-point
+    arrays and 0-d times, for both variants."""
+    rng = np.random.default_rng(53)
+    specs = {name: load_shipped(name).system for name in SHIPPED}
+    for k in range(20):
+        specs[f"random-{k}"] = random_admissible_spec(rng, kind=k % 3, drive=k % 2 == 1)
+    specs.update(_family_specs())
+    for name, spec in specs.items():
+        dec = decoupled_at_angle(spec, rng.uniform(-0.7, 0.7))
+        t0, t1 = spec.t_min, spec.t_max
+        h = rng.uniform(0.0, t1 - t0)
+        stage = rng.uniform(t0, t1 - h) + _C_READ * h
+        reads = [stage, stage[5:6], np.float64(stage[3]), float(stage[7]), np.array(t1)]
+        for corrected in (True, False):
+            fns = [dec.omega_sq_on(j, t0, t1, corrected) for j in (1, 2)]
+            for t in reads:
+                q = channel_quantities(spec, dec.alpha, t, corrected=corrected)
+                ref = _filled_reference(spec, dec.alpha, t, corrected)
+                for j in (1, 2):
+                    got = fns[j - 1](t)
+                    label = (name, corrected, j, np.shape(t))
+                    assert isinstance(got, np.ndarray) and got.shape == np.shape(t), label
+                    assert got.tobytes() == np.asarray(q[j - 1]).tobytes(), label
+                    assert got.tobytes() == ref[j - 1].tobytes(), label
+
+
 # --- exact angle against the former scan -------------------------------------
 
 def _scan_reference(spec, n_time=1024, gamma_tol=DEFAULT_GAMMA_TOL):
@@ -311,7 +398,8 @@ def _scan_reference(spec, n_time=1024, gamma_tol=DEFAULT_GAMMA_TOL):
     former blocked scan, so this returns the former angle bit for bit.
     """
     ts = _grid(spec, n_time)
-    wt1, wt2, g = _channel_terms(spec, ts, True)
+    # a term of Constant coefficients is a float
+    wt1, wt2, g = (np.broadcast_to(x, ts.shape) for x in _channel_terms(spec, ts, True))
     dd = 0.5 * (wt1 - wt2)
     scale = float(np.max(np.abs(wt1)) + np.max(np.abs(wt2)) + np.max(np.abs(g)) + 1.0)
     if np.max(np.abs(g)) <= 1e-300:
@@ -411,7 +499,8 @@ def _repeated_end_points(rng):
 def test_nearest_edge_without_repeats_matches_the_full_chain():
     cases = []
     for spec in _reference_specs().values():
-        wt1, wt2, g = _channel_terms(spec, _grid(spec, 1024), True)
+        ts = _grid(spec, 1024)
+        wt1, wt2, g = (np.broadcast_to(x, ts.shape) for x in _channel_terms(spec, ts, True))
         if np.max(np.abs(g)) > 1e-300:  # else solve_angle takes alpha = 0
             cases.append((0.5 * (wt1 - wt2), g))
     cases += _repeated_end_points(np.random.default_rng(12))
@@ -463,30 +552,27 @@ def test_scalar_and_array_omega_sq_reads_agree():
 
 
 def test_omega_sq_on_folds_time_independent_terms(monkeypatch):
-    """Constant terms are evaluated when the callable is made, not per read."""
-    ts = np.linspace(0.0, 2.0, 15)
-    for name in ("static", "pulsed-coupling"):
+    """A Constant coefficient is read as its float: no Constant method
+    evaluates it, neither when the callable is made nor per read."""
+    ts = np.linspace(0.0, 1.0, 15)
+    for name in SHIPPED:
         spec = load_shipped(name).system
         dec = solve_angle(spec)
         for corrected in (True, False):
             want = channel_quantities(spec, dec.alpha, ts, corrected=corrected)
-            fns = [dec.omega_sq_on(j, 0.0, 2.0, corrected) for j in (1, 2)]
             read = set()
             with monkeypatch.context() as m:
-                for attr in ("_value", "_deriv1", "_deriv2", "_value_derivs"):
+                for attr in ("__call__", "deriv1", "deriv2",
+                             "_value", "_deriv1", "_deriv2", "_value_derivs"):
                     def recorded(c, t, attr=attr, f=getattr(Constant, attr)):
-                        read.add((attr, id(c)))
+                        read.add(attr)
                         return f(c, t)
                     m.setattr(Constant, attr, recorded)
+                fns = [dec.omega_sq_on(j, 0.0, 1.0, corrected) for j in (1, 2)]
                 got = [f(ts) for f in fns]
-            if name == "static":
-                # every term folds: nothing is read, and a read keeps its shape
-                assert read == set()
-                assert fns[0](1.0).shape == ()
-            else:
-                # w~_1^2 folds: omega1 is not read, and m1 only for g, which
-                # varies with lambda
-                assert all(i != id(spec.omega1) for _, i in read)
-                assert {a for a, i in read if i == id(spec.m1)} == {"_value"}
+                at_0d = [f(0.5) for f in fns]
+            assert read == set(), (name, corrected)
             for j in (1, 2):
                 assert np.array_equal(got[j - 1], want[j - 1]), (name, corrected, j)
+                # a read keeps its shape, also where every term is a float
+                assert isinstance(at_0d[j - 1], np.ndarray) and at_0d[j - 1].shape == ()

@@ -1,5 +1,8 @@
 import inspect
 import json
+import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -507,6 +510,81 @@ def test_tableau_and_step_control_equal_scipy():
     for name in ("SAFETY", "MIN_FACTOR", "MAX_FACTOR"):
         ours, theirs = getattr(erm, name), getattr(rk, name)
         assert type(ours) is type(theirs) and ours == theirs, name
+
+
+# --- the float step arithmetic against scipy's numpy expressions --------------
+
+#: zeros of both signs, subnormals, the least normal, infinities and NaN
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, -3.3e-320, 1e-310, 2.2250738585072014e-308,
+            np.inf, -np.inf, np.nan]
+
+
+def _components(rng, shape, special_frac, log_range):
+    """Random float64 components of random sign and magnitude e^u, u uniform
+    in +-log_range, a fraction of them replaced by ``_SPECIAL`` values."""
+    x = rng.normal(size=shape) * np.exp(rng.uniform(-log_range, log_range, size=shape))
+    special = rng.uniform(size=shape) < special_frac
+    x[special] = rng.choice(_SPECIAL, size=int(special.sum()))
+    return x
+
+
+def test_float_error_scale_and_norm_equal_scipy():
+    """``_error_scale`` and ``_error_norm`` on floats give the bits of scipy's
+    numpy expressions, NaN, infinities, zeros and subnormals included."""
+    import types
+
+    from scipy.integrate._ivp.rk import DOP853
+
+    erm = oscpair.ermakov
+    scipy_self = types.SimpleNamespace(E3=DOP853.E3, E5=DOP853.E5)
+    rng = np.random.default_rng(61)
+    seen = set()
+    with np.errstate(all="ignore"):
+        cases = [(0.0, 30.0), (0.02, 30.0), (0.2, 30.0), (0.05, 700.0), (0.0, 700.0)]
+        for i in range(4000):
+            frac, spread = cases[i % len(cases)]
+            y, y_new = (_components(rng, 5, frac, spread) for _ in range(2))
+            rtol = float(rng.choice([1e-10, 1e-12, 1e-13, 100 * np.finfo(float).eps]))
+            atol = rtol * 1e-2 if i % 7 else 0.0
+            scale = erm._error_scale(tuple(y.tolist()), tuple(y_new.tolist()), rtol, atol)
+            want = np.asarray(atol) + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            assert _bits(scale).tobytes() == _bits(want).tobytes(), (y, y_new)
+
+            K = _components(rng, (13, 5), frac / 4, spread / 4)
+            if i % 50 == 0:
+                K[:] = 0.0
+            h = float(rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(-20.0, 2.0)))
+            got = erm._error_norm(K.T, h, scale)
+            ref = DOP853._estimate_error_norm(scipy_self, K, h, want)
+            assert type(got) is float
+            assert _bits(got) == _bits(ref), (K, h, scale)
+            seen.add("nan" if math.isnan(got) else "zero" if got == 0.0
+                     else "finite" if math.isfinite(got) else "inf")
+        # err5's squared norm underflows to 0 while err3's is a subnormal
+        # that 0.01 * underflows: 0 / 0
+        K = np.zeros((13, 5))
+        K[0, 0] = 1e-161 / -DOP853.E3[0]
+        got = erm._error_norm(K.T, 0.5, [1.0] * 5)
+        ref = DOP853._estimate_error_norm(scipy_self, K, 0.5, np.ones(5))
+        assert math.isnan(got) and _bits(got) == _bits(ref)
+    assert {"nan", "zero", "finite"} <= seen
+
+
+def test_float_norm_square_near_overflow_equals_numpy():
+    """Where e.dot(e) overflows, and where it is at most the largest float,
+    the float square has the bits and the warnings of numpy's."""
+    big = math.sqrt(sys.float_info.max)
+    for e in ([1e160, 0.0, 0.0, 0.0, 0.0], [big, 0.0, 0.0, 0.0, 0.0],
+              [big / 2] * 4 + [0.0], [big, 1e-300, 0.0, -0.0, 1.0], [1e154] * 5):
+        e = np.array(e)
+        with warnings.catch_warnings(record=True) as want_warned:
+            warnings.simplefilter("always")
+            want = np.linalg.norm(e)**2
+        with warnings.catch_warnings(record=True) as got_warned:
+            warnings.simplefilter("always")
+            got = oscpair.ermakov._norm_sq(e)
+        assert type(got) is float and _bits(got) == _bits(want), e
+        assert [str(w.message) for w in got_warned] == [str(w.message) for w in want_warned]
 
 
 def _rtol_ladder(tol):

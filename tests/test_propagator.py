@@ -364,3 +364,17 @@ def test_undriven_kernel_reads_no_drive_and_builds_no_nodes(name, monkeypatch):
     full = build_kernel(solve_angle(sc.system), *sc.window, solutions=sols)
     for a, b in ((kern.c0, full.c0), (kern.L, full.L), (kern.M, full.M)):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("name", ["caldirola-kanai", "driven-static"])
+def test_build_kernel_reads_masses_unchecked(name, monkeypatch):
+    """build_kernel checks its window once; m_j and mdot_j at the endpoints
+    are then read without the checked ``SystemSpec.mass`` and ``mass_deriv``."""
+    sc = load_shipped(name)
+    dec = solve_angle(sc.system)
+    for attr in ("mass", "mass_deriv"):
+        monkeypatch.setattr(type(sc.system), attr,
+                            lambda *args: pytest.fail("checked mass read"))
+    for variant in ("corrected", "lw"):
+        sols = solve_channels(dec, *sc.window, variant=variant)
+        build_kernel(dec, *sc.window, variant=variant, solutions=sols)
