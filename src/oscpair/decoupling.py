@@ -42,12 +42,16 @@ with it, so a term of Constant coefficients has the bits of the array it
 used to be, and ``np.full`` broadcasts a result to the shape of the times
 only where an array is needed.
 
-The auxiliary ODE solve reads Om_j^2 once per integration step, tens of
-times per window, so ``omega_sq_on`` checks the window once and returns
-an unchecked callable.  One check is enough: SystemSpec guarantees that
-every coefficient's domain covers [t_min, t_max], and the DOP853
-integrator only evaluates its right-hand side at stage times t + c*h with
-c in [0, 1] and the step clipped to the solve window.
+When Om_j^2 is constant by construction (constant w_j, and masses and
+coupling of the Caldirola-Kanai class),
+:meth:`DecoupledSystem.constant_omega_sq` returns it as a float, and the
+auxiliary solve takes its closed form.  Otherwise the auxiliary ODE solve
+reads Om_j^2 once per integration step, tens of times per window, so
+``omega_sq_on`` checks the window once and returns an unchecked callable.
+One check is enough: SystemSpec guarantees that every coefficient's
+domain covers [t_min, t_max], and the DOP853 integrator only evaluates
+its right-hand side at stage times t + c*h with c in [0, 1] and the step
+clipped to the solve window.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import Constant
+from .coefficients import Constant, Exponential
 from .system import (
     PhasePoint,
     SystemSpec,
@@ -102,10 +106,12 @@ class CanonicalTransform:
 
     def _parts(self, t):
         s = self.system
+        # the window check covers every coefficient's domain, so the masses
+        # are read unchecked, at the float array their checked reads would pass on
         t = s.check_time(t)
-        sm1, sm2 = np.sqrt(s.m1(t)), np.sqrt(s.m2(t))
-        b1 = -s.m1.deriv1(t) / (2.0 * sm1)
-        b2 = -s.m2.deriv1(t) / (2.0 * sm2)
+        sm1, sm2 = np.sqrt(s.m1._value(t)), np.sqrt(s.m2._value(t))
+        b1 = -s.m1._deriv1(t) / (2.0 * sm1)
+        b2 = -s.m2._deriv1(t) / (2.0 * sm2)
         return sm1, sm2, b1, b2, np.cos(self.alpha), np.sin(self.alpha)
 
     def to_rotated(self, pt: PhasePoint, t) -> TransformedPhasePoint:
@@ -176,6 +182,13 @@ def _channel_terms(spec: SystemSpec, t, corrected):
     if corrected:
         wt1, wt2 = wt1 + c1, wt2 + c2
     return wt1, wt2, _reads(spec.coupling, t) / np.sqrt(m1 * m2)
+
+
+def _rate(c):
+    """g of c(t) = a exp(g t): 0.0 for a Constant, None for other families."""
+    if isinstance(c, Constant):
+        return 0.0
+    return float(c.gamma) if isinstance(c, Exponential) else None
 
 
 def _filled(x, t):
@@ -266,6 +279,30 @@ class DecoupledSystem:
             return _filled(_omega_sq(*_channel_terms(spec, t, corrected), weights), t)
 
         return omega_sq
+
+    def constant_omega_sq(self, j, corrected=True):
+        """Om_j^2 as a float when it is constant by construction, else None.
+
+        It is constant when w_1 and w_2 are Constant, each mass is Constant
+        or Exponential (needed for ``corrected`` and for a coupling other
+        than Constant 0), and the coupling is Constant 0 or has the rate
+        (g_1 + g_2)/2 of the masses' rates g_j, compared exactly, a
+        Constant counting as rate 0.  Then w~_j^2 = w_j^2 - g_j^2/4 and
+        g = lam / sqrt(m_1 m_2) are constant (the Caldirola-Kanai class).
+        The value is read once through ``_channel_terms``, at t_min.
+        """
+        spec = self.system
+        if not (isinstance(spec.omega1, Constant) and isinstance(spec.omega2, Constant)):
+            return None
+        rates = (_rate(spec.m1), _rate(spec.m2))
+        if corrected and None in rates:
+            return None
+        lam = spec.coupling
+        if not (isinstance(lam, Constant) and lam.value == 0.0):
+            if None in rates or _rate(lam) != (rates[0] + rates[1]) / 2:
+                return None
+        t = np.array([spec.t_min])
+        return float(self.omega_sq_on(j, spec.t_min, spec.t_min, corrected)(t)[0])
 
     def driving(self, j, t):
         q = channel_quantities(self.system, self.alpha, t)

@@ -47,13 +47,13 @@ multiply-adds and sum in their own order, and Python 3.11 has no
 
 Om^2 enters the right-hand side only through the time, so once a step
 size is fixed all 15 stage times of the step (11 inner stages, t + h and
-3 dense-output stages) are read with one call.  ``omega_sq`` is therefore called with 1D
-float arrays of times and must return an array of the same shape, or a
-scalar, which stands for a constant Om^2; any other shape is a
-ValueError.  An array read can differ from a 0-d read of the same
-formula in the last bit (numpy's vector and scalar math paths), so the
-solution equals scipy's when scipy's right-hand side reads Om^2 through
-length-1 arrays.
+3 dense-output stages) are read with one call.  A callable ``omega_sq``
+is therefore called with 1D float arrays of times and must return an
+array of the same shape, or a scalar, which stands for a constant Om^2
+and is still stepped; any other shape is a ValueError.  An array read
+can differ from a 0-d read of the same formula in the last bit (numpy's
+vector and scalar math paths), so the solution equals scipy's when
+scipy's right-hand side reads Om^2 through length-1 arrays.
 
 The accepted steps keep their dense output in stacked arrays (step
 times, step sizes, start states and the 7 rows of each step's
@@ -72,6 +72,20 @@ step lost positivity, otherwise the next tolerance is tried without
 integrating to the end.  An aborted attempt may run up to
 ``_CHECK_BATCH - 1`` steps past its first failing step.
 
+A constant Om^2, passed as a number instead of a callable, needs no
+stepping: with tau = t - t0 the linear solutions are
+
+    u = rho0 C + drho0 S,   u' = -Om^2 rho0 S + drho0 C,
+    v = S / rho0,           v' = C / rho0,
+
+where C = cos(w tau), cosh(k tau) or 1 and S = sin(w tau)/w,
+sinh(k tau)/k or tau for Om^2 = w^2 > 0, -k^2 < 0 or 0, so that
+W = C^2 + Om^2 S^2 = 1 (Pinney, *Proc. AMS* 1, 681 (1950)).  phi is the
+polar angle of (u, v), lifted by the multiple of 2 pi that puts it
+nearest w tau.  The closed form keeps the check grid, the
+phase-monotonicity check and the ill-conditioned flag of the stepped
+solve (:class:`_ClosedForm`).
+
 Direct integration of the nonlinear equation is kept as an independent
 cross-check oracle (`solve_ermakov_nonlinear`, on ``solve_ivp``), not used
 by the kernel.
@@ -81,6 +95,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -147,19 +162,23 @@ def solve_ivp(*args, **kwargs):
 class SolveStats:
     """What :func:`solve_ermakov` did for one channel.
 
-    ``attempts`` counts the tolerance attempts made, of which
-    ``aborted_attempts`` stopped at their first step whose check-grid
-    points failed the residual tolerance.  ``final_rtol`` is the rtol of
-    the accepted attempt, and ``accepted_steps`` and ``rejected_steps``
-    are its step counts.  ``nfev`` counts right-hand-side evaluations
-    the way scipy does, over every attempt, aborted ones included.
+    ``method`` is ``"dop853"`` for a stepped solve of a callable Om^2 and
+    ``"closed-form"`` for a constant one.  ``attempts`` counts the
+    tolerance attempts made, of which ``aborted_attempts`` stopped at
+    their first step whose check-grid points failed the residual
+    tolerance.  ``final_rtol`` is the rtol of the accepted attempt, and
+    ``accepted_steps`` and ``rejected_steps`` are its step counts.
+    ``nfev`` counts right-hand-side evaluations the way scipy does, over
+    every attempt, aborted ones included.  A closed-form solve makes no
+    attempt: its counts are 0 and its ``final_rtol`` is None.
     ``max_residual`` is the largest Wronskian residual of the accepted
     solution on the check grid.
     """
 
+    method: str
     attempts: int
     aborted_attempts: int
-    final_rtol: float
+    final_rtol: float | None
     accepted_steps: int
     rejected_steps: int
     nfev: int
@@ -341,6 +360,69 @@ class _DenseOutput:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         return self.at(t, self.steps(t))
+
+
+class _ClosedForm:
+    """u, u', v, v' and phi of a constant Om^2 in closed form.
+
+    Read like :class:`_DenseOutput`: 0-d times give shape (5,), 1-D
+    times (5, n).  A 0-d time is read as a length-1 array, so a value
+    does not depend on the shape of the read.
+
+    phi is the polar angle of (u, v), atan2(v, u) in (-pi, pi], lifted by
+    a multiple of 2 pi.  For Om^2 <= 0, v >= 0 for tau >= 0 and no lift is
+    needed.  For Om^2 = w^2 > 0, v has the sign of sin(theta), theta =
+    w tau, so phi and theta cross each k pi at the same times: both lie
+    in [k pi, (k + 1) pi) with k = floor(theta / pi), less than pi apart,
+    and the lift is the multiple of 2 pi that puts phi nearest theta
+    (:func:`_lift`).  Near theta = k pi, phi is near theta itself, so a
+    rounding of theta or of the sign of v cannot move phi by pi or 2 pi.
+    """
+
+    def __init__(self, omega_sq, t0, rho0, drho0):
+        self.omega_sq, self.t0, self.rho0, self.drho0 = omega_sq, t0, rho0, drho0
+        self.rate = math.sqrt(abs(omega_sq))
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        y = self._at(t.reshape(-1))
+        return y if t.ndim else y[:, 0]
+
+    def _at(self, t):
+        if self.omega_sq < 0.0:
+            # cosh overflows on long windows: the solve reports the state
+            with np.errstate(over="ignore", invalid="ignore"):
+                return self._states(t - self.t0)
+        return self._states(t - self.t0)
+
+    def _states(self, tau):
+        om2, rho0, drho0, w = self.omega_sq, self.rho0, self.drho0, self.rate
+        y = np.empty((5, len(tau)))
+        u, du, v, dv, phi = y
+        if om2 > 0.0:
+            theta = w * tau
+            C, S = np.cos(theta), np.sin(theta)
+        elif om2 < 0.0:
+            C, S = np.cosh(w * tau), np.sinh(w * tau)
+        else:
+            C, S = np.ones_like(tau), tau
+        if om2:
+            S /= w
+        np.multiply(C, rho0, out=u)
+        u += drho0 * S
+        np.multiply(S, -om2 * rho0, out=du)
+        du += drho0 * C
+        np.divide(S, rho0, out=v)
+        np.divide(C, rho0, out=dv)
+        np.arctan2(v, u, out=phi)
+        if om2 > 0.0:
+            phi += _lift(theta, phi)
+        return y
+
+
+def _lift(theta, angle):
+    """The multiple of 2 pi that puts ``angle`` nearest ``theta``."""
+    return 2.0 * math.pi * np.rint((theta - angle) / (2.0 * math.pi))
 
 
 def _omega_sq_reader(omega_sq):
@@ -614,27 +696,85 @@ def _attempt(read, t0, t1, y0, rtol, atol, grid, tol):
     return att
 
 
+def _check_phase(grid, rho_sq, phi, roundoff):
+    """SolverFailure unless phi increases along the check grid.
+
+    phi must strictly increase wherever the expected increment dt/rho^2 is
+    resolvable in float64 (above 8 eps (1 + |phi|)).  Elsewhere it must
+    not decrease; with ``roundoff``, for values that are not accumulated,
+    it may fall by no more than that resolution.
+    """
+    dphi = phi[1:] - phi[:-1]
+    if (dphi <= 0.0).any():
+        ulps = 8.0 * _EPS * (1.0 + np.abs(phi[:-1]))
+        resolvable = (grid[1] - grid[0]) / rho_sq[:-1] > ulps
+        fall = ulps if roundoff else 0.0
+        if (dphi < -fall).any() or ((dphi <= 0.0) & resolvable).any():
+            raise SolverFailure("accumulated phase is not strictly increasing")
+
+
+def _closed_form(omega_sq, t0, rho0, drho0, grid, tol):
+    """(evaluator, rho^2 and phi on the grid, max residual) of a constant Om^2.
+
+    The ODE path's errors for the same states: SolverFailure when Om^2
+    times rho(t0) is not finite.  Along the grid the first failing point
+    decides, as the first failing step does in a stepped attempt:
+    NonPositiveRho when its state is not finite or its rho^2 is not
+    positive (cosh overflows for Om^2 < 0), SolverFailure when its
+    Wronskian residual |W^2 - 1| / rho^3 exceeds ``tol``.  The rounding
+    of W = u v' - u' v grows like eps |Om| rho^2, and so the residual's
+    like eps^2 |Om^2| rho: a growing solution usually fails the residual
+    long before it overflows, in either path.
+    """
+    if not math.isfinite(omega_sq * rho0):
+        raise SolverFailure(f"linear auxiliary solve failed: Om^2 at t0 = {t0:g} "
+                            "is not finite or overflows times rho(t0)")
+    sol = _ClosedForm(omega_sq, t0, rho0, drho0)
+    y = sol(grid)
+    u, du, v, dv, phi = y
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rho_sq = u * u + v * v
+        w = u * dv - du * v
+        resid = np.abs(w * w - 1.0) / rho_sq**1.5
+    positive = np.isfinite(y).all(axis=0) & np.isfinite(rho_sq) & (rho_sq > 0.0)
+    ok = positive & (resid <= tol)
+    if not ok.all():
+        first = int(np.argmin(ok))
+        if not positive[first]:
+            raise NonPositiveRho("auxiliary amplitude lost positivity")
+        raise SolverFailure(f"auxiliary residual {resid[first]:.3e} above tolerance "
+                            f"{tol:.1e} in closed form")
+    return sol, rho_sq, phi, float(resid.max())
+
+
 def solve_ermakov(omega_sq, t0, t1, ic=(1.0, 0.0), tol=DEFAULT_TOL,
                   channel=0) -> ErmakovSolution:
     """Solve the auxiliary equation on [t0, t1] with rho(t0), rho'(t0) = ic.
 
     The default initial condition (1, 0) is arbitrary -- the propagator is
     provably independent of it -- but fixing one makes runs reproducible.
-    ``omega_sq`` is called with 1D float arrays of times and returns Om^2
-    at each, as an array of the same shape or as a scalar (a constant
-    Om^2); any other shape raises ValueError.
+
+    A real number ``omega_sq`` is a constant Om^2, solved in closed form
+    (Pinney's construction with cos and sin, cosh and sinh, or 1 and
+    t - t0).  A callable
+    ``omega_sq`` selects the DOP853 step loop, also when it returns a
+    scalar: it is called with 1D float arrays of times and returns Om^2
+    at each, as an array of the same shape or as a scalar; any other
+    shape raises ValueError.
 
     The solution is accepted only if the pointwise residual stays below
-    ``tol`` on a dense check grid; an attempt stops at the check of the
-    batch holding its first step that fails there, and the integration is
-    retried with tighter tolerances before giving up.  The residual in
-    that SolverFailure's message is the largest one the last attempt
-    reached up to that step.
+    ``tol`` on a dense check grid.  A stepped attempt stops at the check
+    of the batch holding its first step that fails there, and the
+    integration is retried with tighter tolerances before giving up.  The
+    residual in that SolverFailure's message is the largest one the last
+    attempt reached up to that step.  The closed form is checked on the
+    same grid and raises SolverFailure at once.
     ``stats`` on the result records what the solve did.
 
     A non-finite initial condition or window, or a rho(t0) whose square
     underflows, raises ValueError; an Om^2(t0) that is not finite (or
-    overflows times rho(t0)) raises SolverFailure.
+    overflows times rho(t0)) raises SolverFailure; a state that overflows
+    raises NonPositiveRho.
     """
     rho0, drho0 = float(ic[0]), float(ic[1])
     t0, t1 = float(t0), float(t1)
@@ -647,8 +787,30 @@ def solve_ermakov(omega_sq, t0, t1, ic=(1.0, 0.0), tol=DEFAULT_TOL,
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
 
-    read = _omega_sq_reader(omega_sq)
     grid = np.linspace(t0, t1, _RESIDUAL_GRID)
+
+    def solution(sol, rho_sq, phi, stats):
+        _check_phase(grid, rho_sq, phi, roundoff=stats.method == "closed-form")
+        return ErmakovSolution(
+            channel=channel,
+            t_start=t0,
+            t_end=t1,
+            rho_start=rho0,
+            drho_start=drho0,
+            tol=float(tol),
+            ill_conditioned=math.sqrt(rho_sq.max()) > ILL_CONDITIONED_RHO,
+            stats=stats,
+            _sol=sol,
+        )
+
+    if isinstance(omega_sq, numbers.Real):
+        sol, rho_sq, phi, max_residual = _closed_form(float(omega_sq), t0, rho0, drho0,
+                                                      grid, tol)
+        return solution(sol, rho_sq, phi, SolveStats(
+            method="closed-form", attempts=0, aborted_attempts=0, final_rtol=None,
+            accepted_steps=0, rejected_steps=0, nfev=0, max_residual=max_residual))
+
+    read = _omega_sq_reader(omega_sq)
     y0 = np.array([rho0, drho0, 0.0, 1.0 / rho0, 0.0])
     nfev = 0
     rtol = tol
@@ -657,35 +819,17 @@ def solve_ermakov(omega_sq, t0, t1, ic=(1.0, 0.0), tol=DEFAULT_TOL,
         nfev += att.nfev
         if not att.aborted:
             att.dense.trim()
-            rho_sq = np.concatenate(att.rho_sq)
-            phi = np.concatenate(att.phi)
-            # phi must never decrease, and must strictly increase wherever
-            # the expected increment dt/rho^2 is resolvable in float64
-            dphi = phi[1:] - phi[:-1]
-            if (dphi <= 0.0).any():
-                expected = (grid[1] - grid[0]) / rho_sq[:-1]
-                resolvable = expected > 8.0 * _EPS * (1.0 + np.abs(phi[:-1]))
-                if (dphi < 0.0).any() or ((dphi <= 0.0) & resolvable).any():
-                    raise SolverFailure("accumulated phase is not strictly increasing")
-            return ErmakovSolution(
-                channel=channel,
-                t_start=t0,
-                t_end=t1,
-                rho_start=rho0,
-                drho_start=drho0,
-                tol=float(tol),
-                ill_conditioned=math.sqrt(rho_sq.max()) > ILL_CONDITIONED_RHO,
-                stats=SolveStats(
-                    attempts=attempts,
-                    aborted_attempts=attempts - 1,
-                    final_rtol=float(rtol),
-                    accepted_steps=att.accepted_steps,
-                    rejected_steps=att.rejected_steps,
-                    nfev=nfev,
-                    max_residual=att.max_residual,
-                ),
-                _sol=att.dense,
-            )
+            return solution(att.dense, np.concatenate(att.rho_sq), np.concatenate(att.phi),
+                            SolveStats(
+                                method="dop853",
+                                attempts=attempts,
+                                aborted_attempts=attempts - 1,
+                                final_rtol=float(rtol),
+                                accepted_steps=att.accepted_steps,
+                                rejected_steps=att.rejected_steps,
+                                nfev=nfev,
+                                max_residual=att.max_residual,
+                            ))
         if rtol <= 1.1e-13:
             break
         rtol = max(rtol * 1e-2, 1e-13)

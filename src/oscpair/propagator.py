@@ -154,13 +154,20 @@ def solve_channels(decoupled: DecoupledSystem, t_start, t_end, variant="correcte
     Every kernel of ``variant`` whose window lies inside [t_start, t_end]
     can be built from the returned pair with ``build_kernel(...,
     solutions=...)``.  ``ic`` is (rho, rho') at t_start for both channels;
-    the window is checked once per channel.
+    the window is checked once per channel.  A channel whose Om_j^2 is
+    constant (``DecoupledSystem.constant_omega_sq``) is passed to
+    ``solve_ermakov`` as that number and solved in closed form; any other
+    as the callable of ``omega_sq_on``, stepped by DOP853.
     """
     corrected = _is_corrected(decoupled, variant)
-    return tuple(
-        solve_ermakov(decoupled.omega_sq_on(j, t_start, t_end, corrected=corrected),
-                      t_start, t_end, ic=ic, tol=ode_tol, channel=j)
-        for j in (1, 2))
+
+    def omega_sq(j):
+        om2 = decoupled.omega_sq_on(j, t_start, t_end, corrected=corrected)
+        constant = decoupled.constant_omega_sq(j, corrected)
+        return om2 if constant is None else constant
+
+    return tuple(solve_ermakov(omega_sq(j), t_start, t_end, ic=ic, tol=ode_tol, channel=j)
+                 for j in (1, 2))
 
 
 def _driving_integrals(sol, F_of_t, t_start, t_end, panels, order, phis=None):

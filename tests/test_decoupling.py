@@ -17,11 +17,12 @@ from oscpair import (
     solve_angle,
 )
 from oscpair.coefficients import (
-    Constant, Exponential, Polynomial, Power, Sinusoidal, Spline,
+    Coefficient, Constant, Exponential, Polynomial, Power, Sinusoidal, Spline,
 )
 from oscpair.decoupling import DEFAULT_GAMMA_TOL, _channel_terms, _grid, _nearest_edge
 from oscpair.ermakov import _C_READ
 from oscpair.errors import DomainError
+from oscpair.propagator import build_kernel, solve_channels
 
 from conftest import SHIPPED, ck_spec, const_spec, random_admissible_spec
 
@@ -576,3 +577,117 @@ def test_omega_sq_on_folds_time_independent_terms(monkeypatch):
                 assert np.array_equal(got[j - 1], want[j - 1]), (name, corrected, j)
                 # a read keeps its shape, also where every term is a float
                 assert isinstance(at_0d[j - 1], np.ndarray) and at_0d[j - 1].shape == ()
+
+
+# --- constant Om_j^2: which channels the closed-form solve takes -------------
+
+def test_shipped_channels_take_the_expected_solve():
+    """Every shipped channel has a constant Om_j^2 but pulsed-coupling's
+    (a Sinusoidal w_2 and coupling): 24 of the 28 kernel solves."""
+    closed = 0
+    for name in SHIPPED:
+        sc = load_shipped(name)
+        dec = solve_angle(sc.system, gamma_tol=sc.gamma_tol)
+        for variant in ("corrected", "lw"):
+            corrected = variant == "corrected"
+            sols = solve_channels(dec, *sc.window, variant=variant)
+            for j, sol in zip((1, 2), sols):
+                om2 = dec.constant_omega_sq(j, corrected)
+                if name == "pulsed-coupling":
+                    assert om2 is None and sol.stats.method == "dop853"
+                    continue
+                closed += 1
+                assert sol.stats.method == "closed-form", (name, variant, j)
+                assert (sol.stats.attempts, sol.stats.nfev) == (0, 0)
+                # the value is Om_j^2 read through the one Om^2 path
+                ts = np.linspace(sc.system.t_min, sc.system.t_max, 101)
+                assert np.allclose(dec.omega_sq(j, ts, corrected), om2, rtol=1e-14, atol=1e-14)
+    assert closed == 24
+
+
+def test_constant_omega_sq_of_the_caldirola_kanai_class():
+    """w~_j^2 = w_j^2 - g^2/4 and g = lam / sqrt(m1 m2) are constant when
+    the coupling's rate is the mean of the masses' rates."""
+    spec = SystemSpec(m1=Exponential(1.0, 0.2), m2=Exponential(2.0, 0.6),
+                      omega1=Constant(1.0), omega2=Constant(2.0),
+                      f1=Constant(0.0), f2=Constant(0.0),
+                      coupling=Exponential(0.3, 0.4), t_min=0.0, t_max=4.0)
+    dec = decoupled_at_angle(spec, 0.3)
+    for corrected in (True, False):
+        for j in (1, 2):
+            om2 = dec.constant_omega_sq(j, corrected)
+            assert isinstance(om2, float)
+            ts = np.linspace(0.0, 4.0, 101)
+            assert np.allclose(dec.omega_sq(j, ts, corrected), om2, rtol=1e-13, atol=1e-14)
+    # a Constant mass has rate 0, so an Exponential coupling needs the other's half
+    mixed = SystemSpec(m1=Constant(1.0), m2=Exponential(2.0, 0.6),
+                       omega1=Constant(1.0), omega2=Constant(2.0),
+                       f1=Constant(0.0), f2=Constant(0.0),
+                       coupling=Exponential(0.3, 0.3), t_min=0.0, t_max=4.0)
+    assert decoupled_at_angle(mixed, 0.3).constant_omega_sq(1) is not None
+
+
+def test_coupling_rate_one_ulp_off_takes_the_stepped_solve():
+    for rate in (math.nextafter(0.4, 1.0), math.nextafter(0.4, 0.0)):
+        spec = ck_spec()
+        spec = SystemSpec(**{**vars(spec), "coupling": Exponential(1.5, rate)})
+        dec = solve_angle(spec)
+        assert dec.admissible
+        for variant in ("corrected", "lw"):
+            assert [dec.constant_omega_sq(j, variant == "corrected") for j in (1, 2)] \
+                == [None, None]
+            sols = solve_channels(dec, 0.0, 2.0, variant=variant)
+            assert [s.stats.method for s in sols] == ["dop853", "dop853"]
+
+
+_SPLINE = Spline((0.0, 1.0, 2.0, 4.0), (1.0, 1.2, 1.1, 1.3))
+
+
+@pytest.mark.parametrize("field, coefficient, lw_constant", [
+    ("omega1", Sinusoidal(1.0, 0.2, 1.3), False),
+    ("omega2", Power(1.0, 0.1, 2), False),
+    ("omega2", Polynomial((2.0, 0.1)), False),
+    ("omega1", _SPLINE, False),
+    # masses matter to corrected always, and to lw only through the coupling
+    ("m1", Sinusoidal(1.0, 0.2, 1.3), True),
+    ("m1", Power(1.0, 0.1, 2), True),
+    ("m2", Polynomial((1.0, 0.1)), True),
+    ("m2", _SPLINE, True),
+    ("coupling", Sinusoidal(0.0, 0.2, 1.3), False),
+    ("coupling", Power(0.5, 0.1, 2), False),
+    ("coupling", Polynomial((0.0, 0.1)), False),
+    ("coupling", _SPLINE, False),
+])
+def test_other_families_take_the_stepped_solve(field, coefficient, lw_constant):
+    spec = SystemSpec(**{**vars(const_spec(w1=1.0, w2=2.0, t_max=4.0)), field: coefficient})
+    dec = decoupled_at_angle(spec, 0.0)
+    for j in (1, 2):
+        assert dec.constant_omega_sq(j, True) is None
+        assert (dec.constant_omega_sq(j, False) is not None) == lw_constant
+
+
+@pytest.mark.parametrize("name", ["caldirola-kanai", "driven-static"])
+def test_canonical_transform_reads_coefficients_unchecked(name, monkeypatch):
+    """The transform checks its times once; m_j and mdot_j are then read
+    without the checked ``Coefficient.__call__`` and ``deriv1``, with the
+    same bytes."""
+    sc = load_shipped(name)
+    dec = solve_angle(sc.system)
+    ct = dec.transform
+    ts = np.linspace(*sc.window, 7)
+    pt = PhasePoint(0.3, -1.1, 0.8, 0.2)
+    tpt = TransformedPhasePoint(0.4, 0.1, -0.7, 0.5)
+
+    def outputs():
+        out = [ct.position_matrix(t) for t in (sc.window[0], ts)]
+        for t in (sc.window[1], ts):
+            out += list(vars(ct.to_rotated(pt, t)).values())
+            out += list(vars(ct.from_rotated(tpt, t)).values())
+        kern = build_kernel(dec, *sc.window, solutions=solve_channels(dec, *sc.window))
+        return [np.asarray(x).tobytes() for x in out + [kern.c0, kern.L, kern.M]]
+
+    want = outputs()
+    for attr in ("__call__", "deriv1"):
+        monkeypatch.setattr(Coefficient, attr,
+                            lambda *args: pytest.fail("checked coefficient read"))
+    assert outputs() == want

@@ -85,6 +85,46 @@ def test_static_kernel_hbar_not_one():
         assert abs(kern.evaluate(x1q, x2q, x1p, x2p) - ref) <= 1e-9 * abs(ref)
 
 
+def _static_normal_modes(spec):
+    """(w_j, R) with W = R diag(w_j^2) R^T for unit masses, from numpy's
+    eigh of the potential matrix, independent of the decoupling angle."""
+    assert spec.m1.value == spec.m2.value == 1.0
+    W = np.array([[spec.omega1.value**2, spec.coupling.value],
+                  [spec.coupling.value, spec.omega2.value**2]])
+    w_sq, R = np.linalg.eigh(W)
+    return np.sqrt(w_sq), R
+
+
+def test_shipped_static_kernel_is_the_mehler_product():
+    """Constant coefficients give constant Om_j^2, solved in closed form:
+    the coupled static kernel equals the product of the normal modes'
+    Mehler kernels to roundoff, and rho and phi their exact Ermakov curves
+    (rho^2 = cos^2 + sin^2 / w^2 and phi = atan2(sin / w, cos) of w t
+    from rho = 1, rho' = 0)."""
+    sc = load_shipped("static")
+    w, R = _static_normal_modes(sc.system)
+    t0, t1 = sc.window
+    T = t1 - t0
+    assert np.all(w * T < np.pi)  # no caustic: phi stays on atan2's branch
+    dec = solve_angle(sc.system, gamma_tol=sc.gamma_tol)
+    kern = build_kernel(dec, t0, t1)
+    pts = np.random.default_rng(11).normal(size=(256, 4))
+    yq, yp = pts[:, :2] @ R, pts[:, 2:] @ R
+    ref = feynman_ho(yq[:, 0], yp[:, 0], w[0], T) * feynman_ho(yq[:, 1], yp[:, 1], w[1], T)
+    K = kern.evaluate(*pts.T)
+    assert np.max(np.abs(K - ref) / np.abs(ref)) <= 1e-12
+
+    ts = np.linspace(t0, t1, 301)
+    for ch in kern.channels:
+        om2 = dec.constant_omega_sq(ch.channel)
+        wj = w[np.argmin(np.abs(w**2 - om2))]
+        theta = wj * (ts - t0)
+        rho, _, phi = ch.solution.rho_drho_phi(ts)
+        exact_rho = np.sqrt(np.cos(theta) ** 2 + np.sin(theta) ** 2 / wj**2)
+        assert np.max(np.abs(rho / exact_rho - 1.0)) <= 1e-14
+        assert np.max(np.abs(phi - np.arctan2(np.sin(theta) / wj, np.cos(theta)))) <= 1e-14
+
+
 def test_free_kernel():
     dec = solve_angle(const_spec(w1=0.0, w2=0.0))
     kern = build_kernel(dec, 0.0, 1.0)

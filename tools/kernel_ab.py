@@ -2,7 +2,7 @@
 
 Usage (from anywhere)::
 
-    python3 tools/kernel_ab.py A B [--seed N] [--rounds R]
+    python3 tools/kernel_ab.py A B [--seed N] [--rounds R] [--tol X]
 
 A and B are the roots of two checkouts.  The ``oscpair`` of each
 (``A/src/oscpair``, ``B/src/oscpair``) is imported under its own name
@@ -11,7 +11,11 @@ thread.  The tool writes one seeded variant set of the seven shipped
 scenarios of A (``perfbench/workloads.py``), runs the 14 ``kernel`` ops
 of the benchmark (``--variant corrected|lw``, 1,024 points) once with
 each checkout and checks that every op's exit code, stderr and CSV bytes
-are identical; a difference exits 1 before any timing.
+are identical; a difference exits 1 before any timing.  With ``--tol X``
+the exit codes and stderr must still be identical, while each op's CSV
+need only agree to a scaled error |b - a| / max(1, |a|) of at most X per
+cell (``cli_snapshot.py --compare``'s measure); the largest scaled error
+of each op is printed.
 
 Then it runs R rounds.  In each round every op runs with A and with B,
 in alternating order, so that both see the same load; the round prints
@@ -55,6 +59,14 @@ def load_package(root, name):
     for sub in ("cli", "propagator"):
         importlib.import_module(f"{name}.{sub}")
     return pkg
+
+
+def load_tool(name):
+    """``tools/<name>.py`` of this checkout, as a module."""
+    spec = importlib.util.spec_from_file_location(f"_{name}", ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_workloads():
@@ -107,9 +119,14 @@ def main(argv=None):
     parser.add_argument("b", help="root of checkout B (the change)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=8)
+    parser.add_argument("--tol", type=float, default=None,
+                        help="largest scaled error of a CSV cell (default: byte identity)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if args.tol is not None and not args.tol >= 0:
+        parser.error("--tol must be a non-negative number")
+    compare_csv = load_tool("cli_snapshot").compare_csv if args.tol is not None else None
 
     wl = load_workloads()
     with tempfile.TemporaryDirectory(prefix="kernel_ab-") as tmp:
@@ -119,13 +136,36 @@ def main(argv=None):
         ops = wl.cycle("kernel", wl.write_variants(args.a, tmp / "variants", args.seed))
         labels = [f"{v.base}/{kind}" for v, kind in ops]
 
+        worst = 0.0
         for label, (variant, kind) in zip(labels, ops):
-            got = [side.run(wl, variant, kind)[:2] + (side.out.read_bytes(),)
+            for side in sides:
+                side.out.unlink(missing_ok=True)
+            got = [side.run(wl, variant, kind)[:2] + (side.out.read_bytes()
+                                                      if side.out.exists() else b"",)
                    for side in sides]
-            if got[0] != got[1]:
-                print(f"DIFFERENT: {label}: exit code, stderr or CSV bytes differ")
+            if compare_csv is None:
+                if got[0] != got[1]:
+                    print(f"DIFFERENT: {label}: exit code, stderr or CSV bytes differ")
+                    return 1
+                continue
+            if got[0][:2] != got[1][:2]:
+                print(f"DIFFERENT: {label}: exit code or stderr differ")
                 return 1
-        print(f"outputs: all {len(ops)} kernel ops byte-identical (seed {args.seed})")
+            try:
+                err = compare_csv(got[0][2].decode(), got[1][2].decode())
+            except ValueError as exc:
+                print(f"DIFFERENT: {label}: CSV {exc}")
+                return 1
+            print(f"{label:36s} largest scaled CSV difference {err:.3e}")
+            if not err <= args.tol:
+                print(f"DIFFERENT: {label}: scaled difference {err:.3e} above {args.tol:g}")
+                return 1
+            worst = max(worst, err)
+        if compare_csv is None:
+            print(f"outputs: all {len(ops)} kernel ops byte-identical (seed {args.seed})")
+        else:
+            print(f"outputs: all {len(ops)} kernel ops agree to {worst:.3e} scaled, "
+                  f"within {args.tol:g} (seed {args.seed})")
 
         best = [[[float("inf")] * len(ops) for _ in sides] for _ in range(2)]
         ratios = []
