@@ -304,10 +304,6 @@ class DecoupledSystem:
         t = np.array([spec.t_min])
         return float(self.omega_sq_on(j, spec.t_min, spec.t_min, corrected)(t)[0])
 
-    def driving(self, j, t):
-        q = channel_quantities(self.system, self.alpha, t)
-        return q[2] if j == 1 else q[3]
-
     def gamma(self, t):
         return channel_quantities(self.system, self.alpha, t)[4]
 

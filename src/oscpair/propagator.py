@@ -41,13 +41,15 @@ once and builds every stencil kernel from that pair, and the command
 line's ``evolve`` solves once for the scenario window and builds each
 interval's kernel from it (2 solves per run, not 2 per interval).
 
-A kernel reads each channel's dense output once per node set: once at
-each endpoint (``ErmakovSolution.rho_drho_phi``), and for a driven
-channel once at the composite Gauss-Legendre nodes, whose values serve
-I''_j, I'_j and the outer rule of D_j, and once at the partial-panel
-nodes of D_j.  An undriven channel reads only its endpoints.  When f_1
-and f_2 are both Constant 0 (``DecoupledSystem.undriven``) the driving
-integrals are 0 without a node set or a read of F_j.
+A kernel reads each channel's dense output once
+(``ErmakovSolution.rho_drho_phi``): at its two endpoints and, for a
+driven channel, at the composite Gauss-Legendre nodes of the window.
+Those nodes are built once per kernel, and F_1 and F_2 are read there
+together.  The node values serve I''_j, I'_j and both integrals of D_j:
+the inner one at every node is the panel-wise spectral running integral
+of ``quadrature.running_integral``.  When f_1 and f_2 are both
+Constant 0 (``DecoupledSystem.undriven``) the driving integrals are 0
+without a node set or a read of F_j.
 
 The ``variant="lw"`` kernel reproduces the defective construction for the
 comparison experiments: channel frequencies built from the bare w_j^2
@@ -62,11 +64,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decoupling import DecoupledSystem
+from .decoupling import DecoupledSystem, channel_quantities
 from .ermakov import ErmakovSolution, solve_ermakov
 from .errors import CausticError, InadmissibleSystem, NonConvergentGaussian
 from .gaussian import GaussianState2D, log_sqrt_det, _require_posdef_real
-from .quadrature import composite_gl_nodes, triangle_double_integral
+from .quadrature import composite_gl_nodes, running_integral
 from .system import potential
 
 __all__ = [
@@ -101,7 +103,7 @@ class ChannelKernelData:
     maslov: int
     I_end: float      # int G sin phi(t, t') dt   (couples to Q'')
     I_start: float    # int G sin phi(t'', t) dt  (couples to Q')
-    D: float          # triangle double integral
+    D: float          # double integral over tau <= t
 
 
 @dataclass(frozen=True)
@@ -170,39 +172,21 @@ def solve_channels(decoupled: DecoupledSystem, t_start, t_end, variant="correcte
                  for j in (1, 2))
 
 
-def _driving_integrals(sol, F_of_t, t_start, t_end, panels, order, phis=None):
+def _driving_integrals(F, rho, phase, phi, w, order):
     """(I_end, I_start, D) of one channel on [t_start, t_end].
 
-    ``phis`` is (phi(t_start), phi(t_end)) of ``sol`` when the caller has
-    read them already.  A driven channel reads ``sol`` once at the
-    composite nodes and once at the partial-panel nodes of the double
-    integral; an undriven one does not read it.
+    F, rho and phase = phi_j(t) - phi_j(t_start) are read at the nodes of
+    ``composite_gl_nodes(t_start, t_end, panels, order)``, whose weights
+    are ``w``; phi is phi_j(t_end) - phi_j(t_start).  The inner integral
+    of D at each node is the ``running_integral`` of G sin phase from the
+    same values, so no further node set or read is needed.
     """
-    t_nodes, w = composite_gl_nodes(t_start, t_end, panels, order)
-    F_nodes = np.asarray(F_of_t(t_nodes), dtype=float)
-    if np.max(np.abs(F_nodes)) == 0.0:
-        return 0.0, 0.0, 0.0
-    if phis is None:
-        phis = (float(sol.phi(t_start)), float(sol.phi(t_end)))
-    # phases are measured from t_start, wherever the solve itself started
-    phi_start = phis[0]
-    phi_end = phis[1] - phi_start
-
-    def G_and_phase(t, F):
-        rho, _, phi = sol.rho_drho_phi(t)
-        return F * rho, phi - phi_start
-
-    def G_sin_from_start(t):
-        G, phase = G_and_phase(t, F_of_t(t))
-        return G * np.sin(phase)
-
-    G, phase = G_and_phase(t_nodes, F_nodes)
+    G = F * rho
     from_start = G * np.sin(phase)
-    to_end = G * np.sin(phi_end - phase)
+    to_end = G * np.sin(phi - phase)
     I_end = float(np.dot(w, from_start))
     I_start = float(np.dot(w, to_end))
-    D = triangle_double_integral(to_end, from_start, G_sin_from_start,
-                                 t_start, t_end, panels, order)
+    D = float(np.sum(w * to_end * running_integral(w * from_start, order)))
     return I_end, I_start, D
 
 
@@ -235,24 +219,31 @@ def build_kernel(decoupled: DecoupledSystem, t_start, t_end, variant="corrected"
     # 0-d arrays that their checked reads would pass on
     masses = (spec.m1, spec.m2)
     at_start, at_end = np.asarray(t_start), np.asarray(t_end)
+    forces = (None, None)
+    if not decoupled.undriven:
+        t_nodes, w = composite_gl_nodes(t_start, t_end, quad_panels, quad_order)
+        _, _, F1, F2, _ = channel_quantities(spec, decoupled.alpha, t_nodes)
+        # a channel whose F_j is 0 at every node has no driving terms
+        forces = tuple(F if np.max(np.abs(F)) != 0.0 else None for F in (F1, F2))
     channels = []
     per_channel = []
-    for j, sol in zip((1, 2), solutions):
-        rho_p, drho_p, phi_p = map(float, sol.rho_drho_phi(t_start))
-        rho_q, drho_q, phi_q = map(float, sol.rho_drho_phi(t_end))
+    for j, sol, F in zip((1, 2), solutions, forces):
+        t_read = [t_start, t_end] if F is None else np.concatenate(([t_start, t_end], t_nodes))
+        rho, drho, phis = sol.rho_drho_phi(t_read)
+        (rho_p, rho_q), (drho_p, drho_q), (phi_p, phi_q) = (
+            x[:2].tolist() for x in (rho, drho, phis))
         phi = phi_q - phi_p
         sin_phi = math.sin(phi)
         if abs(sin_phi) <= caustic_tol:
             caustics = sol.caustics_in(t_start, min(sol.t_end, t_end))
             nearest = min(caustics, key=lambda tc: abs(tc - t_end), default=None)
             raise CausticError(j, sin_phi, nearest)
-        if decoupled.undriven:
+        if F is None:
             I_end = I_start = D = 0.0
         else:
-            F_j = lambda t, _j=j: decoupled.driving(_j, t)
-            I_end, I_start, D = _driving_integrals(sol, F_j, t_start, t_end,
-                                                   quad_panels, quad_order,
-                                                   phis=(phi_p, phi_q))
+            # phases are measured from t_start, wherever the solve started
+            I_end, I_start, D = _driving_integrals(
+                F, rho[2:], phis[2:] - phi_p, phi, w, quad_order)
         data = ChannelKernelData(
             channel=j, solution=sol,
             rho_p=rho_p, drho_p=drho_p, rho_q=rho_q, drho_q=drho_q,
@@ -350,8 +341,8 @@ def residual_sample_points(decoupled, t_start, t_end, n_points=20, seed=0,
     T = t_end - t_start
     candidates = np.linspace(t_start + margin_frac * T,
                              t_end - margin_frac * T, 8 * n_points)
-    ok = [t for t in candidates
-          if all(abs(math.sin(float(s.phi(t)))) > sin_phi_min for s in sols)]
+    margins = [np.abs(np.sin(s.phi(candidates))) > sin_phi_min for s in sols]
+    ok = list(candidates[margins[0] & margins[1]])
     if not ok:
         raise CausticError(0, 0.0, None)
     idx = np.linspace(0, len(ok) - 1, min(n_points, len(ok))).astype(int)

@@ -1,4 +1,11 @@
-"""Composite Gauss-Legendre rules used for the driving-phase integrals."""
+"""Composite Gauss-Legendre rules used for the driving-phase integrals.
+
+``running_integral`` gives int_a^t f at every node t of a composite rule
+from the weighted values w f at its nodes: the whole panels before t, plus
+t's own panel up to t through the spectral integration matrix of the order
+(Dutt, Greengard & Rokhlin, BIT 40, 241 (2000)), exact for polynomials of
+lower degree.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +13,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["composite_gl_nodes", "triangle_double_integral"]
+__all__ = ["composite_gl_nodes", "integration_matrix", "running_integral"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -18,15 +25,26 @@ def _gauss_legendre(order):
     return xi, wi
 
 
-def _panel_rule(a, b, panels, order):
-    """Panel edges, and composite nodes and weights shaped (panels, order)."""
-    xi, wi = _gauss_legendre(int(order))
-    edges = np.linspace(a, b, int(panels) + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    t = mid[:, None] + half[:, None] * xi[None, :]
-    w = half[:, None] * wi[None, :]
-    return edges, t, w
+@functools.lru_cache(maxsize=None)
+def integration_matrix(order):
+    """Q with Q[k, m] = int_{-1}^{xi_k} l_m(x) dx, built once (read-only).
+
+    xi are the order-point Gauss-Legendre nodes and l_m their Lagrange
+    basis, so Q @ f(xi) is int_{-1}^{xi_k} of the interpolant of f.  The
+    rule integrates l_m P_n exactly for n < order, which gives
+    l_m = sum_n (n + 1/2) w_m P_n(xi_m) P_n, and
+    int_{-1}^x P_n = (P_{n+1} - P_{n-1})(x) / (2n + 1), with P_{-1} = -1
+    for n = 0; the two factors of n cancel to 1/2.  No Vandermonde matrix
+    is inverted.
+    """
+    xi, wi = _gauss_legendre(order)
+    P = np.empty((order + 2, order))  # P[n + 1] = P_n(xi), n = -1 ... order
+    P[0], P[1] = -1.0, 1.0
+    for n in range(order):
+        P[n + 2] = ((2 * n + 1) * xi * P[n + 1] - n * P[n]) / (n + 1)
+    Q = (P[2:] - P[:-2]).T @ (0.5 * wi * P[1:-1])
+    Q.flags.writeable = False
+    return Q
 
 
 def composite_gl_nodes(a, b, panels, order):
@@ -35,35 +53,25 @@ def composite_gl_nodes(a, b, panels, order):
     Returns flat arrays of length panels*order; nodes are ordered panel by
     panel, ascending.
     """
-    _, t, w = _panel_rule(a, b, panels, order)
+    xi, wi = _gauss_legendre(int(order))
+    edges = np.linspace(a, b, int(panels) + 1)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    t = mid[:, None] + half[:, None] * xi[None, :]
+    w = half[:, None] * wi[None, :]
     return t.ravel(), w.ravel()
 
 
-def triangle_double_integral(g_outer, g_inner, f_inner, a, b, panels=64, order=8):
-    """int_a^b g(t) [ int_a^t f(tau) dtau ] dt.
+def running_integral(wf, order):
+    """int_a^t f(s) ds at every node t of a ``composite_gl_nodes`` rule of
+    ``order`` points per panel, from wf = w f, its weights times f at its
+    nodes, both in its order.
 
-    ``g_outer`` and ``g_inner`` are g and f at the nodes of
-    ``composite_gl_nodes(a, b, panels, order)``, in its order; the caller
-    has them already.  The inner cumulative antiderivative is built panel
-    by panel and shared across outer nodes: full panels contribute cached
-    prefix sums, and the partial stretch from a panel edge to each outer
-    node gets its own scaled Gauss rule.  ``f_inner`` is the vectorized f,
-    called once on all of those partial nodes.
+    Q[k, m] w_m^(-1) turns w_m f(xi_m) into the panel's share up to xi_k,
+    so the panel widths are not needed.
     """
-    xi, wi = _gauss_legendre(int(order))
-    edges, t_outer, w_outer = _panel_rule(a, b, panels, order)   # (P, O)
-
-    # inner nodes for the partial integrals [edge_p, t_outer[p, k]]
-    h_part = 0.5 * (t_outer - edges[:-1, None])               # (P, O)
-    m_part = 0.5 * (t_outer + edges[:-1, None])
-    t_part = m_part[:, :, None] + h_part[:, :, None] * xi[None, None, :]  # (P, O, O)
-    w_part = h_part[:, :, None] * wi[None, None, :]
-
-    g_outer = np.asarray(g_outer).reshape(t_outer.shape)
-    g_full = np.asarray(g_inner).reshape(t_outer.shape)
-    g_part = np.asarray(f_inner(t_part.ravel())).reshape(t_part.shape)
-
-    per_panel = np.sum(w_outer * g_full, axis=1)
-    prefix = np.concatenate(([0.0], np.cumsum(per_panel)[:-1]))  # F at panel edges
-    inner_vals = prefix[:, None] + np.sum(w_part * g_part, axis=2)
-    return float(np.sum(w_outer * g_outer * inner_vals))
+    order = int(order)
+    _, wi = _gauss_legendre(order)
+    wf = np.reshape(wf, (-1, order))
+    before = np.concatenate(([0.0], np.cumsum(np.sum(wf, axis=1)[:-1])))
+    return (before[:, None] + wf @ (integration_matrix(order) / wi).T).ravel()

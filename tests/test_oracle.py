@@ -223,13 +223,15 @@ def test_static_coherent_center_oscillates():
         center=(x0, 0.0), sigma=(np.sqrt(0.5),) * 2)).normalized()
     T = 2 * np.pi
     n = 2048
-    centers = []
-    state = st
-    dt = T / n
-    for k in range(n):
-        state = step(spec, state, dt)
-        if (k + 1) % 256 == 0:
+    steps, centers = [], []
+
+    def observer(state):
+        steps.append(state.time)
+        if len(steps) % 256 == 0:
             centers.append((state.time, state.mean(0)))
+
+    evolve(spec, st, 0.0, T, n, observer=observer)
+    assert len(centers) == 8
     for t, c in centers:
         assert c == pytest.approx(x0 * np.cos(t), abs=1e-6)
 

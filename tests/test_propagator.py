@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from oscpair import (
 from oscpair import propagator
 from oscpair.decoupling import DecoupledSystem
 from oscpair.propagator import _driving_integrals
+from oscpair.quadrature import composite_gl_nodes
 from oscpair.ermakov import solve_ermakov
 
 from conftest import ck_spec, const_spec, random_admissible_spec
@@ -162,8 +164,10 @@ def test_driving_integrals_constant_force():
     #   I'' = I' = F0 (1 - cos T),  D = F0^2 (1 - cos T - (T/2) sin T)
     F0, T = 0.7, 1.3
     sol = solve_ermakov(lambda t: 1.0, 0.0, T, ic=(1.0, 0.0), tol=1e-12)
-    I_end, I_start, D = _driving_integrals(sol, lambda t: F0 * np.ones_like(t),
-                                           0.0, T, panels=64, order=8)
+    t, w = composite_gl_nodes(0.0, T, 64, 8)
+    rho, _, phase = sol.rho_drho_phi(t)
+    I_end, I_start, D = _driving_integrals(F0 * np.ones_like(t), rho, phase,
+                                           float(sol.phi(T)), w, 8)
     assert I_end == pytest.approx(F0 * (1 - np.cos(T)), abs=1e-10)
     assert I_start == pytest.approx(F0 * (1 - np.cos(T)), abs=1e-10)
     assert D == pytest.approx(F0**2 * (1 - np.cos(T) - T / 2 * np.sin(T)), abs=1e-10)
@@ -377,33 +381,61 @@ def test_kernel_reads_each_solution_once_per_node_set(name, limit):
 
 @pytest.mark.parametrize("name", ["static", "driven-static"])
 def test_undriven_kernel_reads_no_drive_and_builds_no_nodes(name, monkeypatch):
+    """A driven kernel builds one composite node set and reads F_1 and F_2
+    there in one ``channel_quantities`` call; an undriven one does neither.
+    Both read each channel's dense output once."""
     sc = load_shipped(name)
-    calls = {"nodes": 0, "driving": 0}
-    nodes, driving = propagator.composite_gl_nodes, DecoupledSystem.driving
-
-    def counted_nodes(*args):
-        calls["nodes"] += 1
-        return nodes(*args)
-
-    def counted_driving(self, j, t):
-        calls["driving"] += 1
-        return driving(self, j, t)
-
-    monkeypatch.setattr(propagator, "composite_gl_nodes", counted_nodes)
-    monkeypatch.setattr(DecoupledSystem, "driving", counted_driving)
     dec = solve_angle(sc.system)
-    sols = solve_channels(dec, *sc.window)
+    calls = {"nodes": 0, "forces": 0, 1: 0, 2: 0}
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    sols = tuple(dataclasses.replace(s, _sol=counted(s.channel, s._sol))
+                 for s in solve_channels(dec, *sc.window))
+    monkeypatch.setattr(propagator, "composite_gl_nodes",
+                        counted("nodes", propagator.composite_gl_nodes))
+    monkeypatch.setattr(propagator, "channel_quantities",
+                        counted("forces", propagator.channel_quantities))
     kern = build_kernel(dec, *sc.window, solutions=sols)
-    if name == "static":
-        assert dec.undriven
-        assert calls == {"nodes": 0, "driving": 0}
-    else:
-        assert not dec.undriven
-        assert calls["nodes"] == 2 and calls["driving"] >= 4
+    driven = name == "driven-static"
+    assert dec.undriven != driven
+    assert all((ch.I_end != 0.0) == driven for ch in kern.channels)
+    assert calls == {"nodes": int(driven), "forces": int(driven), 1: 1, 2: 1}
     monkeypatch.setattr(DecoupledSystem, "undriven", False)
     full = build_kernel(solve_angle(sc.system), *sc.window, solutions=sols)
     for a, b in ((kern.c0, full.c0), (kern.L, full.L), (kern.M, full.M)):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_residual_sample_points_read_phi_once_per_channel(monkeypatch):
+    """The 8 n_points candidate times are screened for caustics by one phi
+    read per channel, and the times kept are those that a screen of scalar
+    reads keeps."""
+    sc = load_shipped("caldirola-kanai")
+    dec = solve_angle(sc.system)
+    calls = {1: 0, 2: 0}
+    solve = propagator.solve_channels
+
+    def counted(sol):
+        def read(t):
+            calls[sol.channel] += 1
+            return sol._sol(t)
+        return dataclasses.replace(sol, _sol=read)
+
+    monkeypatch.setattr(propagator, "solve_channels",
+                        lambda *args, **kwargs: tuple(map(counted, solve(*args, **kwargs))))
+    times, _, sols = propagator.residual_sample_points(dec, *sc.window, n_points=20)
+    assert calls == {1: 1, 2: 1}
+    t0, t1 = sc.window
+    candidates = np.linspace(t0 + 0.1 * (t1 - t0), t1 - 0.1 * (t1 - t0), 160)
+    ok = [t for t in candidates
+          if all(abs(math.sin(float(s.phi(t)))) > 0.15 for s in sols)]
+    assert 20 < len(ok) < 160
+    assert times == [ok[i] for i in np.linspace(0, len(ok) - 1, 20).astype(int)]
 
 
 @pytest.mark.parametrize("name", ["caldirola-kanai", "driven-static"])
