@@ -45,13 +45,12 @@ only where an array is needed.
 When Om_j^2 is constant by construction (constant w_j, and masses and
 coupling of the Caldirola-Kanai class),
 :meth:`DecoupledSystem.constant_omega_sq` returns it as a float, and the
-auxiliary solve takes its closed form.  Otherwise the auxiliary ODE solve
-reads Om_j^2 once per integration step, tens of times per window, so
-``omega_sq_on`` checks the window once and returns an unchecked callable.
-One check is enough: SystemSpec guarantees that every coefficient's
-domain covers [t_min, t_max], and the DOP853 integrator only evaluates
-its right-hand side at stage times t + c*h with c in [0, 1] and the step
-clipped to the solve window.
+auxiliary solve takes its closed form.  Otherwise the auxiliary panel
+solve reads Om_j^2 once per refinement pass, at the Gauss-Legendre nodes
+of the panels it solves, so ``omega_sq_on`` checks the window once and
+returns an unchecked callable.  One check is enough: SystemSpec
+guarantees that every coefficient's domain covers [t_min, t_max], and
+the nodes of a panel lie inside the panel, inside the solve window.
 """
 
 from __future__ import annotations
@@ -74,6 +73,7 @@ __all__ = [
     "CanonicalTransform",
     "DecoupledSystem",
     "normalize_angle",
+    "channel_forces",
     "channel_quantities",
     "decoupled_at_angle",
     "solve_angle",
@@ -222,16 +222,26 @@ def channel_quantities(spec: SystemSpec, alpha, t, corrected=True):
     """
     t = spec.check_time(t)
     wt1, wt2, g = _channel_terms(spec, t, corrected)
-    (m1, _), (m2, _) = _masses(spec, t, False)
     w1, w2 = _channel_weights(alpha)
-    ca, sa = np.cos(alpha), np.sin(alpha)
     s2, c2 = np.sin(2 * alpha), np.cos(2 * alpha)
     gam = 0.5 * (wt1 - wt2) * s2 + g * c2
+    return (_filled(_omega_sq(wt1, wt2, g, w1), t), _filled(_omega_sq(wt1, wt2, g, w2), t),
+            *_forces(spec, alpha, t), _filled(gam, t))
+
+
+def channel_forces(spec: SystemSpec, alpha, t):
+    """(F1, F2) at time(s) t for a given angle, equal to those of
+    :func:`channel_quantities` without forming Om_j^2 and Gam."""
+    return _forces(spec, alpha, spec.check_time(t))
+
+
+def _forces(spec: SystemSpec, alpha, t):
+    """(F1, F2) at times already inside [t_min, t_max]."""
+    (m1, _), (m2, _) = _masses(spec, t, False)
+    ca, sa = np.cos(alpha), np.sin(alpha)
     sf1 = np.sqrt(m1) * _reads(spec.f1, t)
     sf2 = np.sqrt(m2) * _reads(spec.f2, t)
-    return tuple(_filled(x, t) for x in (
-        _omega_sq(wt1, wt2, g, w1), _omega_sq(wt1, wt2, g, w2),
-        sf1 * ca - sf2 * sa, sf1 * sa + sf2 * ca, gam))
+    return _filled(sf1 * ca - sf2 * sa, t), _filled(sf1 * sa + sf2 * ca, t)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Auxiliary amplitude equation rho'' + Om^2(t) rho = 1 / rho^3.
 
-Solved per channel through the Pinney construction: integrate the *linear*
+Solved per channel through the Pinney construction: solve the *linear*
 equation u'' + Om^2 u = 0 for two solutions
 
     u(t0) = rho0,  u'(t0) = drho0        v(t0) = 0,  v'(t0) = 1/rho0
@@ -8,148 +8,106 @@ equation u'' + Om^2 u = 0 for two solutions
 whose Wronskian u v' - u' v equals 1, and assemble
 
     rho  = sqrt(u^2 + v^2)
-    phi  = unwrapped polar angle of (u, v),  so  phi' = 1/rho^2.
+    phi  = unwrapped polar angle of (u, v),  so  phi' = 1/rho^2
 
-This is robust near the minima of rho where the nonlinear equation
-stiffens (the 1/rho^3 term).  The accumulated phase phi is nevertheless
-integrated as an augmented ODE component so it inherits the integrator's
-error control; the polar-angle identity then provides a free cross-check.
-Zeros of sin(phi) -- the focal (caustic) times -- are exactly the zeros
-of v, bracketed on the phi grid and polished by root bisection.
+(Pinney, *Proc. AMS* 1, 681 (1950)).  This is robust near the minima of
+rho where the nonlinear equation stiffens (the 1/rho^3 term).  Zeros of
+sin(phi) -- the focal (caustic) times -- are exactly the zeros of v,
+bracketed on the phi grid and polished by root bisection.
 
-The linear system is integrated by a DOP853 step loop that is scipy's
-``solve_ivp(method="DOP853", dense_output=True)`` operation for operation
-(same tableau, initial step, step control, error norm and dense output),
-so its steps and interpolants are bit-identical to scipy's.  The tableau
-(Hairer, Norsett & Wanner, *Solving ODEs I*, II.4-II.6) is read from
-scipy's own ``integrate/_ivp/dop853_coefficients.py``, loaded by file
-path: that file imports numpy only, while importing it as a submodule
-would run the ``scipy.integrate`` package, which loads scipy.special,
-optimize, linalg and sparse.  The step-control constants, the initial
-step rule and the tolerance check are local copies of scipy's, which the
-tests compare bit for bit.  ``brentq`` (caustic polishing) and
-``solve_ivp`` (the nonlinear cross-check) are imported on first use, so
-importing this module loads numpy and the standard library only.
+A callable Om^2 is solved by spectral integration (Greengard, *SIAM J.
+Numer. Anal.* 28, 1071 (1991)) on panels of the window, ``ORDER``
+Gauss-Legendre nodes xi each.  On a panel [a, b] of half-width h the
+node values of u solve
 
-Between its dot products a step runs on Python floats: the time and
-step size, the states, f, the error scale and error norm, and the first
-three rows F[0..2] of the dense output.  A float +, -, *, / or sqrt is
-the IEEE operation numpy applies to each element, with the same
-rounding, so these keep scipy's bits.  The error scale takes the larger
-magnitude with NaN propagated as ``np.maximum`` does, and the squared
-norm ``np.linalg.norm(e)**2`` is ``math.sqrt(e.dot(e))**2``: numpy's
-norm of a float vector is the square root of its dot with itself, and a
-float's ``**`` calls libm ``pow`` as numpy's float64 power does.  Every
-dot product stays numpy's (``np.dot``, or ``ndarray.dot``, the same
-function without the dispatch): OpenBLAS's gemv kernels may fuse
-multiply-adds and sum in their own order, and Python 3.11 has no
-``math.fma`` to reproduce them.
+    (I + h^2 Q^2 diag(Om^2)) u = u(a) + h (xi + 1) u'(a),
+    u' = u'(a) - h Q (Om^2 u),
 
-Om^2 enters the right-hand side only through the time, so once a step
-size is fixed all 15 stage times of the step (11 inner stages, t + h and
-3 dense-output stages) are read with one call.  A callable ``omega_sq``
-is therefore called with 1D float arrays of times and must return an
-array of the same shape, or a scalar, which stands for a constant Om^2
-and is still stepped; any other shape is a ValueError.  An array read
-can differ from a 0-d read of the same formula in the last bit (numpy's
-vector and scalar math paths), so the solution equals scipy's when
-scipy's right-hand side reads Om^2 through length-1 arrays.
+with Q the spectral integration matrix of the nodes
+(``quadrature.integration_matrix``), and u and u' at b follow from the
+Gauss weights.  Each panel is solved once, for the two unit starts
+(u, u') = (1, 0) and (0, 1): its basis, and the 2 x 2 map from its start
+to its end.  The maps carry (u, u'; v, v') from t0 across the panels,
+and a panel's node values are its basis times its start.  A read
+interpolates barycentrically on its panel's nodes.
 
-The accepted steps keep their dense output in stacked arrays (step
-times, step sizes, start states and the 7 rows of each step's
-interpolant), read by one evaluator: a gather of each time's step, then
-the Horner steps of scipy's ``Dop853DenseOutput`` elementwise, with steps
-assigned as ``OdeSolution`` assigns them.  Every value therefore equals
-scipy's ``OdeSolution`` bit for bit, and the solution's reads, the
-residual checks and the final checks all go through this one evaluator.
+phi at the nodes is atan2(v, u) unwrapped along the nodes from
+phi(t0) = 0, and a read lifts atan2(v, u) by the multiple of 2 pi
+nearest phi at the nearest node, as the closed form lifts to w tau.  The
+running integral of 1/rho^2 is no reference for the lift: where rho
+dips, 1/rho^2 peaks far more sharply than u and v vary, and the panels
+that resolve u and v miss whole turns of it (Om^2 = 100 from rho = 0.03
+on [0, 20]: 12 rad).
 
-The Wronskian residual is checked at the points of the check grid that
-the interpolants serve, for batches of ``_CHECK_BATCH`` accepted steps at
-once, and at once when a step ends on a non-finite state, a non-positive
-rho^2 or a residual above tolerance.  A failing batch ends the attempt as
-its first failing step would have, checked alone: NonPositiveRho if that
-step lost positivity, otherwise the next tolerance is tried without
-integrating to the end.  An aborted attempt may run up to
-``_CHECK_BATCH - 1`` steps past its first failing step.
+A callable ``omega_sq`` is called once per refinement pass, with the 1D
+float array of the node times of the panels solved in that pass, and
+must return an array of the same shape, or a scalar, which stands for a
+constant Om^2 and is still solved on panels; any other shape is a
+ValueError.  The window starts as one panel.  Each pass splits in two
+every panel that is not resolved -- the two trailing Legendre
+coefficients of its basis, or of the basis's u'' = -Om^2 u, above
+``_TAIL_TOL`` of their largest node value -- up to the first panel whose
+node values are not finite (beyond it the state has overflowed, and
+splitting cannot help).  The u'' test splits the panels around a kink
+of Om^2, which u smooths out but u' integrates.  Once every panel is
+resolved, the Wronskian residual is checked on the check grid, and the
+panels that hold failing points are split.  (Gauss collocation keeps W
+at the panel ends to roundoff even on a panel that is not resolved, so
+the residual sees the error inside a panel, not the error carried
+across panels: the tails are the accuracy test.)  A panel is split only
+while it is wider than ``_MIN_WIDTH`` of the window and the solve holds
+at most ``_MAX_PANELS`` panels; past that the solve fails.
 
 A constant Om^2, passed as a number instead of a callable, needs no
-stepping: with tau = t - t0 the linear solutions are
+panels: with tau = t - t0 the linear solutions are
 
     u = rho0 C + drho0 S,   u' = -Om^2 rho0 S + drho0 C,
     v = S / rho0,           v' = C / rho0,
 
 where C = cos(w tau), cosh(k tau) or 1 and S = sin(w tau)/w,
 sinh(k tau)/k or tau for Om^2 = w^2 > 0, -k^2 < 0 or 0, so that
-W = C^2 + Om^2 S^2 = 1 (Pinney, *Proc. AMS* 1, 681 (1950)).  phi is the
-polar angle of (u, v), lifted by the multiple of 2 pi that puts it
-nearest w tau.  The closed form keeps the check grid, the
-phase-monotonicity check and the ill-conditioned flag of the stepped
-solve (:class:`_ClosedForm`).
+W = C^2 + Om^2 S^2 = 1.  phi is the polar angle of (u, v), lifted by the
+multiple of 2 pi that puts it nearest w tau (:class:`_ClosedForm`).
 
-Direct integration of the nonlinear equation is kept as an independent
-cross-check oracle (`solve_ermakov_nonlinear`, on ``solve_ivp``), not used
-by the kernel.
+Both solves keep the same checks: the Wronskian residual on the check
+grid against ``tol``, the phase-monotonicity check and the
+ill-conditioned flag.  ``brentq`` (caustic polishing) and ``solve_ivp``
+(the nonlinear cross-check) are imported on first use, so importing this
+module loads numpy and the standard library only.  Direct integration
+of the nonlinear equation is kept as an independent cross-check oracle
+(`solve_ermakov_nonlinear`, on ``solve_ivp``), not used by the kernel.
 """
 
 from __future__ import annotations
 
-import importlib.util
+import functools
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, NonPositiveRho, SolverFailure
+from .quadrature import _gauss_legendre, integration_matrix
 
 __all__ = ["ErmakovSolution", "SolveStats", "solve_ermakov", "solve_ermakov_nonlinear"]
 
 DEFAULT_TOL = 1e-10
 ILL_CONDITIONED_RHO = 1e8
 _RESIDUAL_GRID = 1024
-#: accepted steps whose check-grid points are read and checked together;
-#: 8 was the fastest of 1-64 over the shipped channels (4 and 16 within 5%)
-_CHECK_BATCH = 8
-
-
-def _load_dop853_coefficients():
-    """scipy's ``integrate/_ivp/dop853_coefficients.py``, loaded by path.
-
-    That file imports numpy only; importing it as a submodule would run
-    ``scipy.integrate``'s ``__init__``, which loads scipy.special,
-    optimize, linalg and sparse.
-    """
-    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    path = Path(scipy_dir, "integrate", "_ivp", "dop853_coefficients.py")
-    spec = importlib.util.spec_from_file_location("_dop853_coefficients", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_dop = _load_dop853_coefficients()
-
-# scipy's DOP853 class: the tableau slices it takes and its step control
-_N_STAGES = _dop.N_STAGES
-_A = _dop.A[:_N_STAGES, :_N_STAGES]
-_C = _dop.C[:_N_STAGES]
-_A_EXTRA = _dop.A[_N_STAGES + 1:]
-_C_EXTRA = _dop.C[_N_STAGES + 1:]
-_ERROR_ESTIMATOR_ORDER = 7
-_ERROR_EXPONENT = -1 / (_ERROR_ESTIMATOR_ORDER + 1)
-SAFETY = 0.9
-MIN_FACTOR = 0.2
-MAX_FACTOR = 10
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-#: c of the stage times t + c*h read per step: the inner stages, t + h and
-#: the dense-output extras
-_C_READ = np.concatenate([_C[1:], [1.0], _C_EXTRA])
-#: (s, a[:s]) of the stages after the first, and of the extra stages
-_STAGE_A = [(s, a[:s]) for s, a in enumerate(_A[1:], start=1)]
-_EXTRA_A = [(s, a[:s]) for s, a in enumerate(_A_EXTRA, start=_N_STAGES + 1)]
+#: Gauss-Legendre nodes per panel of a callable Om^2
+ORDER = 16
+#: a panel's basis is resolved when its two trailing Legendre coefficients
+#: are at most this fraction of its largest node value
+_TAIL_TOL = 1e-13
+#: a solve holds at most this many panels, none narrower than _MIN_WIDTH
+#: of the window
+_MAX_PANELS = 4096
+_MIN_WIDTH = 2.0**-30
+#: times per barycentric read of a panel solution
+_READ_CHUNK = 4096
 
 
 def solve_ivp(*args, **kwargs):
@@ -162,23 +120,18 @@ def solve_ivp(*args, **kwargs):
 class SolveStats:
     """What :func:`solve_ermakov` did for one channel.
 
-    ``method`` is ``"dop853"`` for a stepped solve of a callable Om^2 and
-    ``"closed-form"`` for a constant one.  ``attempts`` counts the
-    tolerance attempts made, of which ``aborted_attempts`` stopped at
-    their first step whose check-grid points failed the residual
-    tolerance.  ``final_rtol`` is the rtol of the accepted attempt, and
-    ``accepted_steps`` and ``rejected_steps`` are its step counts.
-    ``nfev`` counts right-hand-side evaluations the way scipy does, over
-    every attempt, aborted ones included.  A closed-form solve makes no
-    attempt: its counts are 0 and its ``final_rtol`` is None.
-    ``max_residual`` is the largest Wronskian residual of the accepted
-    solution on the check grid.
+    ``method`` is ``"gauss-legendre"`` for the panel solve of a callable
+    Om^2 and ``"closed-form"`` for a constant one.  ``attempts`` counts the
+    refinement passes of a panel solve, ``accepted_steps`` the panels of
+    its solution and ``rejected_steps`` the panels it split on the way.
+    ``nfev`` counts the times at which Om^2 was read, over every pass.  A
+    closed-form solve makes no pass: its counts are 0.  ``max_residual``
+    is the largest Wronskian residual of the accepted solution on the
+    check grid.
     """
 
     method: str
     attempts: int
-    aborted_attempts: int
-    final_rtol: float | None
     accepted_steps: int
     rejected_steps: int
     nfev: int
@@ -243,8 +196,9 @@ class ErmakovSolution:
 
         Evaluated through the Pinney identity: with u, v exact solutions of
         the linear equation the residual reduces to (W^2 - 1)/rho^3, where
-        W is the numerical Wronskian.  Its drift from 1 measures the true
-        integration error of the dense output.
+        W is the numerical Wronskian.  Its drift from 1 measures the error
+        of the dense output between the points where W is kept (the panel
+        ends of a panel solve) and the rounding of W itself.
         """
         w = self.wronskian(t)
         return np.abs(w * w - 1.0) / self.rho(t) ** 3
@@ -278,95 +232,11 @@ class ErmakovSolution:
         return int(math.floor(float(self.phase(ta, tb)) / math.pi))
 
 
-class _DenseOutput:
-    """DOP853 dense output of a step sequence, stacked in arrays.
-
-    Step i holds t_old = ``ts[i]``, h = ``ts[i + 1] - ts[i]``, y_old and
-    the 7 rows F of scipy's ``Dop853DenseOutput``.  A read gathers each
-    time's step and runs that class's Horner scheme elementwise, and
-    assigns steps as ``OdeSolution`` does (``searchsorted``,
-    ``side="left"``, clipped to the first and last step), so every value
-    equals ``OdeSolution`` over scipy's interpolants bit for bit.  Times
-    are 0-d, giving shape (5,), or 1-D, giving (5, n), in any order.
-    """
-
-    def __init__(self, t0, n_states, capacity=64):
-        self._ts = np.empty(capacity + 1)
-        self._ts[0] = t0
-        self._h = np.empty(capacity)
-        self._y_old = np.empty((capacity, n_states))
-        # indexed (F row, step, component): a gather of steps leaves each F
-        # row one flat (time, component) array
-        self._F = np.empty((_dop.INTERPOLATOR_POWER, capacity, n_states))
-        self.n = 0
-
-    @property
-    def ts(self):
-        return self._ts[:self.n + 1]
-
-    def push(self, t_new, y_old):
-        """Append the step (ts[-1], t_new] from y_old; return its F rows to fill."""
-        i = self.n
-        if i == len(self._h):
-            self._ts = np.resize(self._ts, 2 * i + 1)
-            self._h = np.resize(self._h, 2 * i)
-            self._y_old = np.resize(self._y_old, (2 * i, self._y_old.shape[1]))
-            F = np.empty((len(self._F), 2 * i, self._F.shape[2]))
-            F[:, :i] = self._F
-            self._F = F
-        self._ts[i + 1] = t_new
-        self._h[i] = t_new - self._ts[i]
-        self._y_old[i] = y_old
-        self.n = i + 1
-        return self._F[:, i]
-
-    def trim(self):
-        """Drop the spare capacity: a finished solution keeps its arrays
-        for as long as it lives, and unused capacity can be most of them."""
-        n = self.n
-        self._ts = self._ts[:n + 1].copy()
-        self._h = self._h[:n].copy()
-        self._y_old = self._y_old[:n].copy()
-        self._F = self._F[:, :n].copy()
-
-    def steps(self, t):
-        """Index of the step whose interpolant serves each time.
-
-        Counting the inner knots below t is ``OdeSolution``'s
-        searchsorted(ts, t) - 1 clipped to [0, n - 1].
-        """
-        return self._ts[1:self.n].searchsorted(t, side="left")
-
-    def at(self, t, step):
-        """The state at times t, read from the given steps."""
-        x = (t - self._ts[step]) / self._h[step]
-        # C-ordered gathers; a take is faster than fancy indexing of rows
-        F = self._F.take(step, axis=1)
-        y_old = self._y_old.take(step, axis=0)
-        if t.ndim:
-            # one flat array per F row: same-shape operands, no broadcasting
-            x = x.repeat(F.shape[-1])
-            F = F.reshape(len(F), -1)
-            y_old = y_old.reshape(-1)
-        x1 = 1 - x
-        y = F[-1] + 0.0  # scipy adds the last row to zeros: -0.0 becomes 0.0
-        y *= x
-        for i, f in enumerate(F[-2::-1], start=1):
-            y += f
-            y *= x if i % 2 == 0 else x1
-        y += y_old
-        return y.reshape(-1, self._F.shape[2]).T if t.ndim else y
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.at(t, self.steps(t))
-
-
 class _ClosedForm:
     """u, u', v, v' and phi of a constant Om^2 in closed form.
 
-    Read like :class:`_DenseOutput`: 0-d times give shape (5,), 1-D
-    times (5, n).  A 0-d time is read as a length-1 array, so a value
+    Read like :class:`_Panels`: 0-d times give shape (5,), 1-D times
+    (5, n).  A 0-d time is read as a length-1 array, so a value
     does not depend on the shape of the read.
 
     phi is the polar angle of (u, v), atan2(v, u) in (-pi, pi], lifted by
@@ -425,8 +295,86 @@ def _lift(theta, angle):
     return 2.0 * math.pi * np.rint((theta - angle) / (2.0 * math.pi))
 
 
+class _Panels:
+    """u, u', v, v' and phi of a callable Om^2 on Gauss-Legendre panels.
+
+    ``edges`` holds the panel ends, and ``uv`` and ``duv`` (panels, ORDER,
+    2) the values (u, v) and (u', v') at each panel's nodes.  A time is
+    read on the panel that holds it (the left
+    one at an inner edge; times a little outside the window on the first
+    or last panel) by the barycentric formula of its nodes, and phi is
+    atan2(v, u) lifted by the multiple of 2 pi nearest phi at the nearest
+    node.  0-d times give shape (5,), 1-D times (5, n).  A 0-d time is
+    read as a length-1 array, and u, u', v and v' at a time do not depend
+    on the other times of the read; phi can, by an ulp, where numpy's
+    vectorized arctan2 rounds a value with its neighbours.
+    """
+
+    def __init__(self, edges, uv, duv):
+        self.edges = edges
+        self._inner = edges[1:-1]
+        self._mid = 0.5 * (edges[:-1] + edges[1:])
+        self._half = 0.5 * (edges[1:] - edges[:-1])
+        # (panel, row, node): u, u', v, v' and a row of ones, whose weighted
+        # sum is the barycentric denominator
+        self._states = np.ones((len(uv), 5, ORDER))
+        self._states[:, 0:4:2] = uv.transpose(0, 2, 1)
+        self._states[:, 1:4:2] = duv.transpose(0, 2, 1)
+        self._phi = _node_phases(uv)
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        x = t.reshape(-1)
+        # a read holds about 100 floats per time: read long arrays in chunks
+        y = np.concatenate([self._at(x[i:i + _READ_CHUNK])
+                            for i in range(0, max(len(x), 1), _READ_CHUNK)], axis=1)
+        return y if t.ndim else y[:, 0]
+
+    def _at(self, t):
+        xi, _, _, _, _, lam = _tables(ORDER)
+        p = self._inner.searchsorted(t)
+        s = (t - self._mid[p]) / self._half[p]
+        d = s[:, None] - xi
+        hit = d == 0.0
+        with np.errstate(divide="ignore"):
+            c = lam / d
+        if hit.any():
+            # a time on a node reads that node's values
+            rows = hit.any(axis=1)
+            c[rows] = hit[rows]
+        # one sum of products over the contiguous node axis per value, the
+        # same whatever the other times of the read
+        y = np.einsum("nm,nkm->kn", c, self._states[p])
+        y[:4] /= y[4]
+        u, _, v, _, phi = y
+        np.arctan2(v, u, out=phi)
+        nearest = (0.5 * (xi[1:] + xi[:-1])).searchsorted(s)
+        phi += _lift(self._phi[p, nearest], phi)
+        return y
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(order):
+    """Per-order tables of the panel solve, built once (read-only).
+
+    The nodes xi and weights w on [-1, 1]; Q and Q^2; the two rows of the
+    discrete Legendre transform c_n = (n + 1/2) sum_m w_m P_n(xi_m) f_m
+    for n = order - 2 and order - 1 (exact for the interpolant); and the
+    barycentric weights (-1)^m sqrt((1 - xi_m^2) w_m) of the nodes.
+    """
+    xi, wi = _gauss_legendre(order)
+    Q = integration_matrix(order)
+    P = np.polynomial.legendre.legvander(xi, order - 1)[:, -2:]
+    tail = (np.arange(order - 2, order) + 0.5)[:, None] * (wi[:, None] * P).T
+    lam = (-1.0) ** np.arange(order) * np.sqrt((1.0 - xi * xi) * wi)
+    tables = xi, wi, Q, Q @ Q, tail, lam
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
 def _omega_sq_reader(omega_sq):
-    """Om^2 at a 1D array of times, as a list of floats."""
+    """Om^2 at a 1D array of times, as an array of the same shape."""
 
     def read(ts):
         om2 = np.asarray(omega_sq(ts), dtype=float)
@@ -437,314 +385,214 @@ def _omega_sq_reader(omega_sq):
                     f"same shape or to a scalar; got shape {om2.shape} for "
                     f"{ts.shape[0]} times")
             om2 = np.broadcast_to(om2, ts.shape)
-        return om2.tolist()
+        return om2
 
     return read
 
 
-def _rhs(om2, u, du, v, dv):
-    """(u', u'', v', v'', phi') of the linear system at (u, u', v, v', phi)."""
-    return (du, -om2 * u, dv, -om2 * v, 1.0 / (u * u + v * v))
+def _panel_bases(read, a, b, rho0):
+    """Bases, end maps and resolution of the panels [a, b] (1D arrays).
 
-
-def _stage_rhs(K, stages, om2, y, h):
-    """``_rhs`` at scipy's stage states ``y + np.dot(K[:s].T, a) * h``.
-
-    Fills K[s] for each stage (s, ``K[:s].T.dot``, a), in order, at the
-    Om^2 of the same position in ``om2``.  ``y`` is a tuple and ``h`` a
-    float; each component is y_i + dy_i * h in float arithmetic, numpy's
-    roundings, and ndarray.dot is np.dot without its dispatch.
+    Returns (basis, maps, resolved).  ``basis`` (panels, ORDER, 4) holds
+    u and then u' at the nodes for the starts (u, u') = (1, 0) and
+    (0, 1); ``maps`` (panels, 2, 2) takes (u, u') at a to (u, u') at b;
+    ``resolved`` is True where the two trailing Legendre coefficients of
+    both u, and of both u'' = -Om^2 u, are at most ``_TAIL_TOL`` of their
+    largest node value: u'' carries a kink of Om^2 that u smooths out,
+    and its integral is u'.  An Om^2
+    that is not finite, or overflows times rho(t0), raises SolverFailure.
     """
-    y0, y1, y2, y3, _ = y
-    for (s, dot, a), w in zip(stages, om2):
-        d0, d1, d2, d3, _ = dot(a).tolist()
-        K[s] = _rhs(w, y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h)
-
-
-def _error_scale(y, y_new, rtol, atol):
-    """scipy's ``atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol`` on
-    sequences of floats, as a list; a NaN in either state propagates, as
-    ``np.maximum``'s does."""
-    return [atol + (a if a > b or a != a else b) * rtol
-            for a, b in zip(map(abs, y), map(abs, y_new))]
-
-
-def _norm_sq(e):
-    """``np.linalg.norm(e)**2`` of a float vector, as a float.
-
-    numpy's norm of a float vector is the square root of ``e.dot(e)``, and
-    a float's ``**`` calls libm ``pow`` as numpy's float64 power does.  The
-    square cannot overflow, where Python would raise: the square root of a
-    finite float is at most sqrt(max float) rounded down, whose square is
-    finite.
-    """
-    return math.sqrt(e.dot(e)) ** 2
-
-
-def _error_norm(KT, h, scale):
-    """DOP853's combined E3/E5 error norm (scipy's ``_estimate_error_norm``).
-
-    ``KT`` is K.T, ``h`` a float and ``scale`` a list of floats; the
-    result is a float with the bits of scipy's float64.
-    """
-    scale = np.array(scale)
-    err5_norm_2 = _norm_sq(KT.dot(_dop.E5) / scale)
-    err3_norm_2 = _norm_sq(KT.dot(_dop.E3) / scale)
-    if err5_norm_2 == 0 and err3_norm_2 == 0:
-        return 0.0
-    denom = math.sqrt((err5_norm_2 + 0.01 * err3_norm_2) * len(scale))
-    if not denom:  # 0 / 0, where 0.01 * err3_norm_2 underflows: numpy's NaN
-        return float(np.float64(abs(h) * err5_norm_2) / denom)
-    return abs(h) * err5_norm_2 / denom
-
-
-def _validate_tol(rtol, atol):
-    """scipy's ``validate_tol`` for float tolerances: an rtol below 100 eps
-    warns and is raised to it, and a negative atol is a ValueError."""
-    if rtol < 100 * _EPS:
-        warnings.warn("At least one element of `rtol` is too small. "
-                      f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.",
-                      stacklevel=3)
-        rtol = max(rtol, 100 * _EPS)
-    if atol < 0:
-        raise ValueError("`atol` must be positive.")
-    return float(rtol), float(atol)
-
-
-def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
-
-
-def _initial_step(fun, t0, y0, t1, f0, rtol, atol):
-    """scipy's ``select_initial_step`` for a forward solve with no step limit.
-
-    The rule of Hairer, Norsett & Wanner, *Solving ODEs I*, II.4: one
-    explicit Euler probe step sizes the first step from the first and
-    second derivative norms.
-    """
-    interval_length = abs(t1 - t0)
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
-    h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0, y0 + h0 * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (_ERROR_ESTIMATOR_ORDER + 1))
-    return min(100 * h0, h1, interval_length)
-
-
-@dataclass
-class _Attempt:
-    """One DOP853 pass over the window at a fixed rtol."""
-
-    dense: _DenseOutput
-    rho_sq: list = field(default_factory=list)
-    phi: list = field(default_factory=list)
-    nfev: int = 0
-    accepted_steps: int = 0
-    rejected_steps: int = 0
-    max_residual: float = 0.0
-    aborted: bool = False
-    #: grid points and steps checked so far
-    checked_points: int = 0
-    checked_steps: int = 0
-
-
-def _check_steps(att, grid, tol):
-    """Check the grid points of the steps taken since the last check.
-
-    The points are those ``OdeSolution`` assigns to these steps, (t_old,
-    t_new] (the first step also owns t0).  At the first step with a failing
-    point, NonPositiveRho is raised if one of its points has a non-finite or
-    non-positive rho^2; otherwise a residual |W^2 - 1| / rho^3 above ``tol``
-    (or NaN) stops the attempt, with the largest residual up to that step
-    recorded.  These are the outcomes of checking step by step.
-    """
-    dense = att.dense
-    lo = att.checked_points
-    hi = int(grid.searchsorted(dense._ts[dense.n], side="right"))
-    att.checked_points, att.checked_steps = hi, dense.n
-    if hi == lo:
-        return
-    ts = grid[lo:hi]
-    step = dense.steps(ts)
-    u, du, v, dv, phi = dense.at(ts, step)
-    rho_sq = u * u + v * v
-    w = u * dv - du * v
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        resid = np.abs(w * w - 1.0) / rho_sq**1.5
-    positive = np.isfinite(rho_sq) & (rho_sq > 0.0)
-    ok = positive & (resid <= tol)
-    end = len(ts)
-    if not ok.all():
-        first = step[np.argmin(ok)]
-        begin, end = np.searchsorted(step, [first, first + 1])
-        if not positive[begin:end].all():
-            raise NonPositiveRho("auxiliary amplitude lost positivity")
-        att.aborted = True
-    worst = resid[:end].max()
-    if not worst <= att.max_residual:
-        att.max_residual = float(worst)
-    att.rho_sq.append(rho_sq)
-    att.phi.append(phi)
-
-
-def _attempt(read, t0, t1, y0, rtol, atol, grid, tol):
-    """Integrate the linear system on [t0, t1] as scipy's DOP853 would.
-
-    The accepted steps are checked by :func:`_check_steps` in batches of
-    ``_CHECK_BATCH``, at once when a step ends on a non-finite or
-    non-positive rho^2 or a residual above ``tol``, and at the end.  A
-    failing batch stops the pass as its first failing step would have; a
-    pass may so run up to ``_CHECK_BATCH - 1`` steps past that step.  A
-    step end whose state is not finite, or whose rho^2 is not positive,
-    raises NonPositiveRho even if no grid point falls in its step: the
-    next step could not be taken.  A right-hand side or an initial step
-    that is not finite at t0 raises SolverFailure: no step could be sized.
-
-    Between the numpy dot products a step runs on Python floats and
-    tuples: t, h, the states, f, the error scale and norm and F[0..2].
-    """
-    rtol, atol = _validate_tol(rtol, atol)
-    att = _Attempt(dense=_DenseOutput(t0, len(y0)))
-    K_ext = np.empty((_dop.N_STAGES_EXTENDED, len(y0)))
-    K = K_ext[:_N_STAGES + 1]
-    KT, dot_B = K.T, K[:-1].T.dot
-    stages = [(s, K[:s].T.dot, a) for s, a in _STAGE_A]
-    extras = [(s, K_ext[:s].T.dot, a) for s, a in _EXTRA_A]
-
-    def fun(t, y):
-        att.nfev += 1
-        return np.array(_rhs(read(np.array([t]))[0], *y.tolist()[:4]))
-
-    f = fun(t0, y0)
-    if not np.isfinite(f).all():
-        raise SolverFailure(f"linear auxiliary solve failed: Om^2 at t0 = {t0:g} "
+    xi, wi, Q, QQ, tail, _ = _tables(ORDER)
+    h = 0.5 * (b - a)
+    t = (0.5 * (a + b))[:, None] + h[:, None] * xi
+    om2 = read(t.ravel()).reshape(t.shape)
+    bad = ~np.isfinite(om2 * rho0)
+    if bad.any():
+        raise SolverFailure(f"linear auxiliary solve failed: Om^2 at t = {t[bad][0]:g} "
                             "is not finite or overflows times rho(t0)")
-    h_abs = float(_initial_step(fun, t0, y0, t1, f, rtol, atol))
-    if not math.isfinite(h_abs):
-        raise SolverFailure(f"linear auxiliary solve failed: initial step {h_abs} "
-                            "is not finite")
-    t, t1, y, f = float(t0), float(t1), tuple(y0.tolist()), tuple(f.tolist())
-    while t < t1:
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
-        rejected = False
+    A = np.eye(ORDER) + (h * h)[:, None, None] * QQ * om2[:, None, :]
+    starts = np.empty(t.shape + (2,))
+    starts[..., 0] = 1.0
+    starts[..., 1] = h[:, None] * (xi + 1.0)
+    try:
+        u = np.linalg.solve(A, starts)
+    except np.linalg.LinAlgError:
+        u = np.full(starts.shape, np.nan)
+    f = om2[..., None] * u  # -u''
+    du = -h[:, None, None] * (Q @ f)
+    du[..., 1] += 1.0
+    maps = np.empty((len(h), 2, 2))
+    maps[:, 0] = h[:, None] * (wi @ du)
+    maps[:, 1] = -h[:, None] * (wi @ f)
+    maps[:, 0, 0] += 1.0
+    maps[:, 1, 1] += 1.0
+    resolved = np.ones(len(h), dtype=bool)
+    for x in (u, f):
+        resolved &= (np.abs(tail @ x).max(axis=1)
+                     <= _TAIL_TOL * np.abs(x).max(axis=1)).all(axis=1)
+    return np.concatenate([u, du], axis=2), maps, resolved
+
+
+def _chain(maps, rho0, drho0):
+    """(u, v; u', v') at the start of each panel, carried from t0 by ``maps``.
+
+    Runs on Python floats; a state that overflows becomes inf or NaN.
+    """
+    s = (rho0, 0.0, drho0, 1.0 / rho0)
+    out = []
+    for (a, b), (c, d) in maps.tolist():
+        out.append(s)
+        u, v, du, dv = s
+        s = (a * u + b * du, a * v + b * dv, c * u + d * du, c * v + d * dv)
+    return np.array(out).reshape(-1, 2, 2)
+
+
+def _split(edges, split):
+    """Edges with the panels marked in ``split`` halved, and the mask of
+    the new panels among them."""
+    mids = 0.5 * (edges[:-1] + edges[1:])[split]
+    return np.sort(np.concatenate([edges, mids])), np.repeat(split, 1 + split)
+
+
+def _spread(old, kept, n):
+    """An array of n panels holding the rows of ``old`` at ``kept``."""
+    out = np.empty((n,) + old.shape[1:], dtype=old.dtype)
+    out[kept] = old
+    return out
+
+
+def _panel_solve(read, t0, t1, rho0, drho0, grid, tol):
+    """(evaluator, check-grid states, residual, stats) of a callable Om^2.
+
+    Refines the panels in passes (see the module docstring): the panels
+    marked new are solved, the maps are chained from t0, and either the
+    unresolved panels up to the first non-finite one are split, or, when
+    none is left, the check grid is read.  There the first failing point
+    decides, as in the closed form: NonPositiveRho when its state is not
+    finite or its rho^2 is not positive, otherwise the panels holding
+    the points whose residual fails are split.  When no panel may be
+    split, SolverFailure "... after refinement".
+    """
+    width = t1 - t0
+    edges = np.array([t0, t1])
+    new = np.array([True])
+    basis = np.empty((1, ORDER, 4))
+    maps = np.empty((1, 2, 2))
+    resolved = np.empty(1, dtype=bool)
+    attempts = nfev = rejected = 0
+    with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            if h_abs < min_step:
-                raise SolverFailure("linear auxiliary solve failed: Required step "
-                                    "size is less than spacing between numbers.")
-            t_new = t + h_abs
-            if t_new - t1 > 0:
-                t_new = t1
-            h = t_new - t
-            h_abs = abs(h)
-            om2 = read(t + _C_READ * h)
-            K[0] = f
-            _stage_rhs(K, stages, om2, y, h)
-            y_new = tuple([yi + h * di for yi, di in zip(y, dot_B(_dop.B).tolist())])
-            f_new = _rhs(om2[_N_STAGES - 1], *y_new[:4])
-            K[-1] = f_new
-            att.nfev += _N_STAGES
-            error_norm = _error_norm(KT, h, _error_scale(y, y_new, rtol, atol))
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = MAX_FACTOR
-                else:
-                    factor = min(MAX_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
-            rejected = True
-            att.rejected_steps += 1
-
-        _stage_rhs(K_ext, extras, om2[_N_STAGES:], y, h)
-        att.nfev += len(_A_EXTRA)
-        F = att.dense.push(t_new, y)
-        # f_old is K[0] = f; numpy converts a tuple faster than a list
-        delta_y = tuple([b - a for a, b in zip(y, y_new)])
-        F[:3] = (delta_y,
-                 tuple([h * fo - d for fo, d in zip(f, delta_y)]),
-                 tuple([2 * d - h * (fn + fo) for d, fn, fo in zip(delta_y, f_new, f)]))
-        F[3:] = h * np.dot(_dop.D, K_ext)
-        att.accepted_steps += 1
-        t, y, f = t_new, y_new, f_new
-
-        # the step end's residual |W^2 - 1| <= tol rho^3 is tested as a
-        # product: a rho^3 that underflows to 0 cannot divide
-        u, du, v, dv, _ = y
-        rho_sq, w = u * u + v * v, u * dv - du * v
-        healthy = 0.0 < rho_sq < math.inf and all(map(math.isfinite, y))
-        if (not healthy or not abs(w * w - 1.0) <= tol * rho_sq * math.sqrt(rho_sq)
-                or att.dense.n - att.checked_steps == _CHECK_BATCH):
-            _check_steps(att, grid, tol)
-            if att.aborted:
-                return att
-            if not healthy:
-                raise NonPositiveRho("auxiliary amplitude lost positivity")
-    _check_steps(att, grid, tol)
-    return att
+            attempts += 1
+            a, b = edges[:-1][new], edges[1:][new]
+            basis[new], maps[new], resolved[new] = _panel_bases(read, a, b, rho0)
+            nfev += a.size * ORDER
+            start = _chain(maps, rho0, drho0)
+            # (u, v) and (u', v') at the nodes: (panels, ORDER, 2) each
+            uv = basis[..., :2] @ start
+            duv = basis[..., 2:] @ start
+            finite = np.isfinite(uv).all(axis=(1, 2)) & np.isfinite(duv).all(axis=(1, 2))
+            split = ~resolved
+            split[int(np.argmin(finite)) + 1 if not finite.all() else len(split):] = False
+            if not split.any() or not _splittable(edges, split, width):
+                sol = _Panels(edges, uv, duv)
+                y = sol(grid)
+                rho_sq, resid, failing = _check_grid(y, tol)
+                if not failing.any():
+                    return sol, y, rho_sq, resid, SolveStats(
+                        method="gauss-legendre", attempts=attempts,
+                        accepted_steps=len(maps), rejected_steps=rejected, nfev=nfev,
+                        max_residual=float(resid.max()))
+                split = np.zeros(len(maps), dtype=bool)
+                split[sol._inner.searchsorted(grid[failing])] = True
+                if not _splittable(edges, split, width):
+                    raise SolverFailure(
+                        f"auxiliary residual {resid[failing].max():.3e} above tolerance "
+                        f"{tol:.1e} after refinement")
+            rejected += int(split.sum())
+            edges, new = _split(edges, split)
+            kept = ~new
+            basis, maps, resolved = (_spread(x[~split], kept, len(new))
+                                     for x in (basis, maps, resolved))
 
 
-def _check_phase(grid, rho_sq, phi, roundoff):
+def _splittable(edges, split, width):
+    """True when every panel marked in ``split`` may be halved: wider than
+    ``_MIN_WIDTH`` of the window, with a midpoint between its ends, and
+    with room for the halves."""
+    a, b = edges[:-1][split], edges[1:][split]
+    mid = 0.5 * (a + b)
+    wide = (b - a > _MIN_WIDTH * width) & (a < mid) & (mid < b)
+    return bool(wide.all()) and len(edges) - 1 + int(split.sum()) <= _MAX_PANELS
+
+
+def _node_phases(uv):
+    """phi at every node: atan2(v, u), unwrapped along the nodes from
+    phi(t0) = 0.  Resolved panels put consecutive nodes less than pi of
+    phase apart."""
+    angle = np.arctan2(uv[..., 1], uv[..., 0])
+    return np.unwrap(np.concatenate(([0.0], angle.ravel())))[1:].reshape(angle.shape)
+
+
+def _check_phase(grid, rho_sq, phi):
     """SolverFailure unless phi increases along the check grid.
 
     phi must strictly increase wherever the expected increment dt/rho^2 is
-    resolvable in float64 (above 8 eps (1 + |phi|)).  Elsewhere it must
-    not decrease; with ``roundoff``, for values that are not accumulated,
-    it may fall by no more than that resolution.
+    resolvable in float64 (above 8 eps (1 + |phi|)).  Elsewhere it may
+    fall by no more than that resolution: phi is a polar angle, not an
+    accumulated sum, and where rho is huge atan2 may fall by an ulp
+    between grid points.
     """
     dphi = phi[1:] - phi[:-1]
     if (dphi <= 0.0).any():
         ulps = 8.0 * _EPS * (1.0 + np.abs(phi[:-1]))
         resolvable = (grid[1] - grid[0]) / rho_sq[:-1] > ulps
-        fall = ulps if roundoff else 0.0
-        if (dphi < -fall).any() or ((dphi <= 0.0) & resolvable).any():
+        if (dphi < -ulps).any() or ((dphi <= 0.0) & resolvable).any():
             raise SolverFailure("accumulated phase is not strictly increasing")
 
 
-def _closed_form(omega_sq, t0, rho0, drho0, grid, tol):
-    """(evaluator, rho^2 and phi on the grid, max residual) of a constant Om^2.
+def _check_grid(y, tol):
+    """rho^2 and the residual |W^2 - 1| / rho^3 of the states y on the
+    check grid, and the mask of the points that fail ``tol``.
 
-    The ODE path's errors for the same states: SolverFailure when Om^2
-    times rho(t0) is not finite.  Along the grid the first failing point
-    decides, as the first failing step does in a stepped attempt:
-    NonPositiveRho when its state is not finite or its rho^2 is not
-    positive (cosh overflows for Om^2 < 0), SolverFailure when its
-    Wronskian residual |W^2 - 1| / rho^3 exceeds ``tol``.  The rounding
-    of W = u v' - u' v grows like eps |Om| rho^2, and so the residual's
-    like eps^2 |Om^2| rho: a growing solution usually fails the residual
-    long before it overflows, in either path.
+    The first failing point decides: NonPositiveRho when its state is not
+    finite or its rho^2 is not positive.  Otherwise the points whose
+    residual is above ``tol`` (or NaN) before the first such state fail.
+    The rounding of W = u v' - u' v grows like eps |Om| rho^2, and so the
+    residual's like eps^2 |Om^2| rho: a growing solution usually fails the
+    residual long before it overflows.
+    """
+    u, du, v, dv, _ = y
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rho_sq = u * u + v * v
+        w = u * dv - du * v
+        resid = np.abs(w * w - 1.0) / rho_sq**1.5
+    positive = np.isfinite(y).all(axis=0) & np.isfinite(rho_sq) & (rho_sq > 0.0)
+    failing = ~(positive & (resid <= tol))
+    if failing.any():
+        if not positive[np.argmax(failing)]:
+            raise NonPositiveRho("auxiliary amplitude lost positivity")
+        failing[np.argmin(positive) if not positive.all() else len(failing):] = False
+    return rho_sq, resid, failing
+
+
+def _closed_form(omega_sq, t0, rho0, drho0, grid, tol):
+    """(evaluator, check-grid states, rho^2, residual) of a constant Om^2.
+
+    The panel solve's errors for the same states: SolverFailure when Om^2
+    times rho(t0) is not finite; along the grid the first failing point
+    decides (:func:`_check_grid`), and a residual above ``tol`` raises
+    SolverFailure at once: no refinement can change a closed form.
     """
     if not math.isfinite(omega_sq * rho0):
         raise SolverFailure(f"linear auxiliary solve failed: Om^2 at t0 = {t0:g} "
                             "is not finite or overflows times rho(t0)")
     sol = _ClosedForm(omega_sq, t0, rho0, drho0)
     y = sol(grid)
-    u, du, v, dv, phi = y
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rho_sq = u * u + v * v
-        w = u * dv - du * v
-        resid = np.abs(w * w - 1.0) / rho_sq**1.5
-    positive = np.isfinite(y).all(axis=0) & np.isfinite(rho_sq) & (rho_sq > 0.0)
-    ok = positive & (resid <= tol)
-    if not ok.all():
-        first = int(np.argmin(ok))
-        if not positive[first]:
-            raise NonPositiveRho("auxiliary amplitude lost positivity")
-        raise SolverFailure(f"auxiliary residual {resid[first]:.3e} above tolerance "
-                            f"{tol:.1e} in closed form")
-    return sol, rho_sq, phi, float(resid.max())
+    rho_sq, resid, failing = _check_grid(y, tol)
+    if failing.any():
+        raise SolverFailure(f"auxiliary residual {resid[np.argmax(failing)]:.3e} above "
+                            f"tolerance {tol:.1e} in closed form")
+    return sol, y, rho_sq, resid
 
 
 def solve_ermakov(omega_sq, t0, t1, ic=(1.0, 0.0), tol=DEFAULT_TOL,
@@ -756,25 +604,23 @@ def solve_ermakov(omega_sq, t0, t1, ic=(1.0, 0.0), tol=DEFAULT_TOL,
 
     A real number ``omega_sq`` is a constant Om^2, solved in closed form
     (Pinney's construction with cos and sin, cosh and sinh, or 1 and
-    t - t0).  A callable
-    ``omega_sq`` selects the DOP853 step loop, also when it returns a
-    scalar: it is called with 1D float arrays of times and returns Om^2
-    at each, as an array of the same shape or as a scalar; any other
-    shape raises ValueError.
+    t - t0).  A callable ``omega_sq`` selects the Gauss-Legendre panel
+    solve, also when it returns a scalar: it is called with 1D float
+    arrays of times and returns Om^2 at each, as an array of the same
+    shape or as a scalar; any other shape raises ValueError.
 
     The solution is accepted only if the pointwise residual stays below
-    ``tol`` on a dense check grid.  A stepped attempt stops at the check
-    of the batch holding its first step that fails there, and the
-    integration is retried with tighter tolerances before giving up.  The
-    residual in that SolverFailure's message is the largest one the last
-    attempt reached up to that step.  The closed form is checked on the
-    same grid and raises SolverFailure at once.
-    ``stats`` on the result records what the solve did.
+    ``tol`` on a dense check grid.  The panel solve splits the panels
+    that hold failing points and tries again, up to its limits; its
+    SolverFailure then names the largest failing residual of the last
+    pass.  The closed form is checked on the same grid and raises
+    SolverFailure at once.  ``stats`` on the result records what the
+    solve did.
 
     A non-finite initial condition or window, or a rho(t0) whose square
-    underflows, raises ValueError; an Om^2(t0) that is not finite (or
-    overflows times rho(t0)) raises SolverFailure; a state that overflows
-    raises NonPositiveRho.
+    underflows, raises ValueError; an Om^2 that is not finite (or
+    overflows times rho(t0)) at a time read raises SolverFailure; a state
+    that overflows raises NonPositiveRho.
     """
     rho0, drho0 = float(ic[0]), float(ic[1])
     t0, t1 = float(t0), float(t1)
@@ -788,54 +634,24 @@ def solve_ermakov(omega_sq, t0, t1, ic=(1.0, 0.0), tol=DEFAULT_TOL,
         raise ValueError("t1 must exceed t0")
 
     grid = np.linspace(t0, t1, _RESIDUAL_GRID)
-
-    def solution(sol, rho_sq, phi, stats):
-        _check_phase(grid, rho_sq, phi, roundoff=stats.method == "closed-form")
-        return ErmakovSolution(
-            channel=channel,
-            t_start=t0,
-            t_end=t1,
-            rho_start=rho0,
-            drho_start=drho0,
-            tol=float(tol),
-            ill_conditioned=math.sqrt(rho_sq.max()) > ILL_CONDITIONED_RHO,
-            stats=stats,
-            _sol=sol,
-        )
-
     if isinstance(omega_sq, numbers.Real):
-        sol, rho_sq, phi, max_residual = _closed_form(float(omega_sq), t0, rho0, drho0,
-                                                      grid, tol)
-        return solution(sol, rho_sq, phi, SolveStats(
-            method="closed-form", attempts=0, aborted_attempts=0, final_rtol=None,
-            accepted_steps=0, rejected_steps=0, nfev=0, max_residual=max_residual))
-
-    read = _omega_sq_reader(omega_sq)
-    y0 = np.array([rho0, drho0, 0.0, 1.0 / rho0, 0.0])
-    nfev = 0
-    rtol = tol
-    for attempts in range(1, 5):
-        att = _attempt(read, t0, t1, y0, rtol, rtol * 1e-2, grid, tol)
-        nfev += att.nfev
-        if not att.aborted:
-            att.dense.trim()
-            return solution(att.dense, np.concatenate(att.rho_sq), np.concatenate(att.phi),
-                            SolveStats(
-                                method="dop853",
-                                attempts=attempts,
-                                aborted_attempts=attempts - 1,
-                                final_rtol=float(rtol),
-                                accepted_steps=att.accepted_steps,
-                                rejected_steps=att.rejected_steps,
-                                nfev=nfev,
-                                max_residual=att.max_residual,
-                            ))
-        if rtol <= 1.1e-13:
-            break
-        rtol = max(rtol * 1e-2, 1e-13)
-    raise SolverFailure(
-        f"auxiliary residual {att.max_residual:.3e} above tolerance {tol:.1e} "
-        "after refinement"
+        sol, y, rho_sq, resid = _closed_form(float(omega_sq), t0, rho0, drho0, grid, tol)
+        stats = SolveStats(method="closed-form", attempts=0, accepted_steps=0,
+                           rejected_steps=0, nfev=0, max_residual=float(resid.max()))
+    else:
+        sol, y, rho_sq, resid, stats = _panel_solve(
+            _omega_sq_reader(omega_sq), t0, t1, rho0, drho0, grid, tol)
+    _check_phase(grid, rho_sq, y[4])
+    return ErmakovSolution(
+        channel=channel,
+        t_start=t0,
+        t_end=t1,
+        rho_start=rho0,
+        drho_start=drho0,
+        tol=float(tol),
+        ill_conditioned=math.sqrt(rho_sq.max()) > ILL_CONDITIONED_RHO,
+        stats=stats,
+        _sol=sol,
     )
 
 

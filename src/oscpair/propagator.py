@@ -44,10 +44,10 @@ interval's kernel from it (2 solves per run, not 2 per interval).
 A kernel reads each channel's dense output once
 (``ErmakovSolution.rho_drho_phi``): at its two endpoints and, for a
 driven channel, at the composite Gauss-Legendre nodes of the window.
-Those nodes are built once per kernel, and F_1 and F_2 are read there
-together.  The node values serve I''_j, I'_j and both integrals of D_j:
-the inner one at every node is the panel-wise spectral running integral
-of ``quadrature.running_integral``.  When f_1 and f_2 are both
+Those nodes are built once per kernel, and F_1 and F_2 alone are read
+there together (``channel_forces``).  The node values serve I''_j, I'_j
+and both integrals of D_j: the inner one at every node is the panel-wise
+spectral running integral of ``quadrature.running_integral``.  When f_1 and f_2 are both
 Constant 0 (``DecoupledSystem.undriven``) the driving integrals are 0
 without a node set or a read of F_j.
 
@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decoupling import DecoupledSystem, channel_quantities
+from .decoupling import DecoupledSystem, channel_forces
 from .ermakov import ErmakovSolution, solve_ermakov
 from .errors import CausticError, InadmissibleSystem, NonConvergentGaussian
 from .gaussian import GaussianState2D, log_sqrt_det, _require_posdef_real
@@ -85,6 +85,8 @@ DEFAULT_CAUSTIC_TOL = 1e-8
 DEFAULT_QUAD_ORDER = 8
 DEFAULT_QUAD_PANELS = 64
 DEFAULT_ODE_TOL = 1e-10
+#: share of the window at each end where residual samples are not drawn
+_MARGIN_FRAC = 0.1
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,7 @@ def solve_channels(decoupled: DecoupledSystem, t_start, t_end, variant="correcte
     the window is checked once per channel.  A channel whose Om_j^2 is
     constant (``DecoupledSystem.constant_omega_sq``) is passed to
     ``solve_ermakov`` as that number and solved in closed form; any other
-    as the callable of ``omega_sq_on``, stepped by DOP853.
+    as the callable of ``omega_sq_on``, solved on Gauss-Legendre panels.
     """
     corrected = _is_corrected(decoupled, variant)
 
@@ -222,9 +224,9 @@ def build_kernel(decoupled: DecoupledSystem, t_start, t_end, variant="corrected"
     forces = (None, None)
     if not decoupled.undriven:
         t_nodes, w = composite_gl_nodes(t_start, t_end, quad_panels, quad_order)
-        _, _, F1, F2, _ = channel_quantities(spec, decoupled.alpha, t_nodes)
         # a channel whose F_j is 0 at every node has no driving terms
-        forces = tuple(F if np.max(np.abs(F)) != 0.0 else None for F in (F1, F2))
+        forces = tuple(F if np.max(np.abs(F)) != 0.0 else None
+                       for F in channel_forces(spec, decoupled.alpha, t_nodes))
     channels = []
     per_channel = []
     for j, sol, F in zip((1, 2), solutions, forces):
@@ -326,7 +328,7 @@ def propagate_gaussian(kernel: Kernel, state: GaussianState2D) -> GaussianState2
 
 def residual_sample_points(decoupled, t_start, t_end, n_points=20, seed=0,
                            sin_phi_min=0.15, variant="corrected",
-                           ode_tol=DEFAULT_ODE_TOL, margin_frac=0.1):
+                           ode_tol=DEFAULT_ODE_TOL, margin_frac=_MARGIN_FRAC):
     """Interior (t, x'', x') samples away from caustics of both channels.
 
     Positions are drawn from a seeded normal with the system's natural
@@ -336,21 +338,31 @@ def residual_sample_points(decoupled, t_start, t_end, n_points=20, seed=0,
     Returns (times, points, solutions), the last from ``solve_channels``
     on the window.
     """
+    return _sample_points(decoupled, t_start, t_end, n_points, seed, sin_phi_min,
+                          variant, ode_tol, margin_frac)[:3]
+
+
+def _sample_points(decoupled, t_start, t_end, n_points, seed, sin_phi_min, variant,
+                   ode_tol, margin_frac):
+    """``residual_sample_points``, and min_j |sin phi_j| at each time from
+    the same read of phi."""
     spec = decoupled.system
     sols = solve_channels(decoupled, t_start, t_end, variant=variant, ode_tol=ode_tol)
     T = t_end - t_start
     candidates = np.linspace(t_start + margin_frac * T,
                              t_end - margin_frac * T, 8 * n_points)
-    margins = [np.abs(np.sin(s.phi(candidates))) > sin_phi_min for s in sols]
-    ok = list(candidates[margins[0] & margins[1]])
-    if not ok:
+    phis = [s.phi(candidates) for s in sols]
+    ok = np.flatnonzero((np.abs(np.sin(phis[0])) > sin_phi_min)
+                        & (np.abs(np.sin(phis[1])) > sin_phi_min))
+    if not ok.size:
         raise CausticError(0, 0.0, None)
-    idx = np.linspace(0, len(ok) - 1, min(n_points, len(ok))).astype(int)
-    times = [ok[i] for i in idx]
+    kept = ok[np.linspace(0, len(ok) - 1, min(n_points, len(ok))).astype(int)]
+    times = [candidates[i] for i in kept]
+    s_min = [min(abs(math.sin(float(phi[i]))) for phi in phis) for i in kept]
     rng = np.random.default_rng(seed)
     ell = math.sqrt(spec.hbar)
     points = rng.normal(scale=ell, size=(len(times), 4))
-    return times, points, sols
+    return times, points, sols, s_min
 
 
 def schrodinger_residual(decoupled, t_start, t_end, variant="corrected",
@@ -368,15 +380,14 @@ def schrodinger_residual(decoupled, t_start, t_end, variant="corrected",
     """
     spec = decoupled.system
     hbar = spec.hbar
-    times, points, sols = residual_sample_points(
-        decoupled, t_start, t_end, n_points=n_points, seed=seed,
-        sin_phi_min=sin_phi_min, variant=variant, ode_tol=ode_tol)
+    times, points, sols, s_mins = _sample_points(
+        decoupled, t_start, t_end, n_points, seed, sin_phi_min, variant, ode_tol,
+        _MARGIN_FRAC)
 
     T = t_end - t_start
     residuals = np.empty(len(times))
-    for i, (tc, pt) in enumerate(zip(times, points)):
+    for i, (tc, pt, s_min) in enumerate(zip(times, points, s_mins)):
         x1q, x2q, x1p, x2p = pt
-        s_min = min(abs(math.sin(float(s.phi(tc)))) for s in sols)
         h_t = min(1e-3 * T, 0.2 * (t_end - tc), 0.2 * (tc - t_start))
         h_t *= min(1.0, max(s_min**2, 0.02))
         h_x = 2.5e-3 * math.sqrt(hbar)

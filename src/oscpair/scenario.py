@@ -45,6 +45,12 @@ from .system import SystemSpec
 __all__ = ["Scenario", "parse_scenario", "load_scenario", "shipped_scenarios",
            "load_shipped"]
 
+#: a driven kernel reads quad_panels * quad_order nodes, and its node
+#: tables are quad_order x quad_order: at most 65,536 nodes and a 64 x 64
+#: integration matrix
+MAX_QUAD_ORDER = 64
+MAX_QUAD_PANELS = 1024
+
 _COEFF_FIELDS = ("m1", "m2", "omega1", "omega2", "f1", "f2", "lambda")
 _TOP_FIELDS = set(_COEFF_FIELDS) | {
     "name", "hbar", "t_min", "t_max", "window", "alpha",
@@ -117,11 +123,15 @@ def _pair(doc, key, problems, where="", default=None, required=False):
     return (float(v[0]), float(v[1]))
 
 
-def _count(doc, key, problems, where="", default=None):
-    """A whole number >= 1 (JSON 8 or 8.0); fractions are rejected, not cut."""
+def _count(doc, key, problems, where="", default=None, most=None):
+    """A whole number >= 1 (JSON 8 or 8.0), and at most ``most`` when given;
+    fractions are rejected, not cut."""
     v = _num(doc, key, problems, where=where, default=default)
     if v is not None and (not float(v).is_integer() or v < 1):
         problems.append(f"field {where + key!r} must be a positive integer")
+        return default
+    if v is not None and most is not None and v > most:
+        problems.append(f"field {where + key!r} must be at most {most}")
         return default
     return v
 
@@ -183,8 +193,8 @@ def parse_scenario(text) -> Scenario:
     if caustic_tol is not None and not 0 <= caustic_tol < 1:
         problems.append("field 'tolerances.caustic_tol' must lie in [0, 1)")
 
-    quad_order = _count(doc, "quad_order", problems, default=8.0)
-    quad_panels = _count(doc, "quad_panels", problems, default=64.0)
+    quad_order = _count(doc, "quad_order", problems, default=8.0, most=MAX_QUAD_ORDER)
+    quad_panels = _count(doc, "quad_panels", problems, default=64.0, most=MAX_QUAD_PANELS)
 
     grid_doc = doc.get("grid", {})
     if not isinstance(grid_doc, dict):

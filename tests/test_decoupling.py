@@ -20,9 +20,10 @@ from oscpair.coefficients import (
     Coefficient, Constant, Exponential, Polynomial, Power, Sinusoidal, Spline,
 )
 from oscpair.decoupling import DEFAULT_GAMMA_TOL, _channel_terms, _grid, _nearest_edge
-from oscpair.ermakov import _C_READ
+from oscpair.ermakov import ORDER
 from oscpair.errors import DomainError
 from oscpair.propagator import build_kernel, solve_channels
+from oscpair.quadrature import _gauss_legendre
 
 from conftest import SHIPPED, ck_spec, const_spec, random_admissible_spec
 
@@ -363,8 +364,8 @@ def _family_specs():
 
 def test_one_omega_sq_path_is_bit_identical():
     """omega_sq_on equals channel_quantities bit for bit, and both equal the
-    array formula with Constants filled, on 15-point stage arrays, 1-point
-    arrays and 0-d times, for both variants."""
+    array formula with Constants filled, on the node times of a panel of
+    the auxiliary solve, 1-point arrays and 0-d times, for both variants."""
     rng = np.random.default_rng(53)
     specs = {name: load_shipped(name).system for name in SHIPPED}
     for k in range(20):
@@ -374,7 +375,7 @@ def test_one_omega_sq_path_is_bit_identical():
         dec = decoupled_at_angle(spec, rng.uniform(-0.7, 0.7))
         t0, t1 = spec.t_min, spec.t_max
         h = rng.uniform(0.0, t1 - t0)
-        stage = rng.uniform(t0, t1 - h) + _C_READ * h
+        stage = rng.uniform(t0, t1 - h) + 0.5 * (1.0 + _gauss_legendre(ORDER)[0]) * h
         reads = [stage, stage[5:6], np.float64(stage[3]), float(stage[7]), np.array(t1)]
         for corrected in (True, False):
             fns = [dec.omega_sq_on(j, t0, t1, corrected) for j in (1, 2)]
@@ -594,7 +595,7 @@ def test_shipped_channels_take_the_expected_solve():
             for j, sol in zip((1, 2), sols):
                 om2 = dec.constant_omega_sq(j, corrected)
                 if name == "pulsed-coupling":
-                    assert om2 is None and sol.stats.method == "dop853"
+                    assert om2 is None and sol.stats.method == "gauss-legendre"
                     continue
                 closed += 1
                 assert sol.stats.method == "closed-form", (name, variant, j)
@@ -637,7 +638,7 @@ def test_coupling_rate_one_ulp_off_takes_the_stepped_solve():
             assert [dec.constant_omega_sq(j, variant == "corrected") for j in (1, 2)] \
                 == [None, None]
             sols = solve_channels(dec, 0.0, 2.0, variant=variant)
-            assert [s.stats.method for s in sols] == ["dop853", "dop853"]
+            assert [s.stats.method for s in sols] == ["gauss-legendre", "gauss-legendre"]
 
 
 _SPLINE = Spline((0.0, 1.0, 2.0, 4.0), (1.0, 1.2, 1.1, 1.3))

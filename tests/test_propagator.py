@@ -18,11 +18,12 @@ from oscpair import (
     solve_angle,
     solve_channels,
 )
+import oscpair.decoupling
 from oscpair import propagator
 from oscpair.decoupling import DecoupledSystem
 from oscpair.propagator import _driving_integrals
 from oscpair.quadrature import composite_gl_nodes
-from oscpair.ermakov import solve_ermakov
+from oscpair.ermakov import ErmakovSolution, solve_ermakov
 
 from conftest import ck_spec, const_spec, random_admissible_spec
 
@@ -382,11 +383,12 @@ def test_kernel_reads_each_solution_once_per_node_set(name, limit):
 @pytest.mark.parametrize("name", ["static", "driven-static"])
 def test_undriven_kernel_reads_no_drive_and_builds_no_nodes(name, monkeypatch):
     """A driven kernel builds one composite node set and reads F_1 and F_2
-    there in one ``channel_quantities`` call; an undriven one does neither.
-    Both read each channel's dense output once."""
+    there in one ``channel_forces`` call, with no ``channel_quantities``
+    call; an undriven one does neither.  Both read each channel's dense
+    output once."""
     sc = load_shipped(name)
     dec = solve_angle(sc.system)
-    calls = {"nodes": 0, "forces": 0, 1: 0, 2: 0}
+    calls = {"nodes": 0, "forces": 0, "quantities": 0, 1: 0, 2: 0}
 
     def counted(key, fn):
         def call(*args, **kwargs):
@@ -398,13 +400,16 @@ def test_undriven_kernel_reads_no_drive_and_builds_no_nodes(name, monkeypatch):
                  for s in solve_channels(dec, *sc.window))
     monkeypatch.setattr(propagator, "composite_gl_nodes",
                         counted("nodes", propagator.composite_gl_nodes))
-    monkeypatch.setattr(propagator, "channel_quantities",
-                        counted("forces", propagator.channel_quantities))
+    monkeypatch.setattr(propagator, "channel_forces",
+                        counted("forces", propagator.channel_forces))
+    monkeypatch.setattr(oscpair.decoupling, "channel_quantities",
+                        counted("quantities", oscpair.decoupling.channel_quantities))
     kern = build_kernel(dec, *sc.window, solutions=sols)
     driven = name == "driven-static"
     assert dec.undriven != driven
     assert all((ch.I_end != 0.0) == driven for ch in kern.channels)
-    assert calls == {"nodes": int(driven), "forces": int(driven), 1: 1, 2: 1}
+    assert calls == {"nodes": int(driven), "forces": int(driven), "quantities": 0,
+                     1: 1, 2: 1}
     monkeypatch.setattr(DecoupledSystem, "undriven", False)
     full = build_kernel(solve_angle(sc.system), *sc.window, solutions=sols)
     for a, b in ((kern.c0, full.c0), (kern.L, full.L), (kern.M, full.M)):
@@ -414,7 +419,7 @@ def test_undriven_kernel_reads_no_drive_and_builds_no_nodes(name, monkeypatch):
 def test_residual_sample_points_read_phi_once_per_channel(monkeypatch):
     """The 8 n_points candidate times are screened for caustics by one phi
     read per channel, and the times kept are those that a screen of scalar
-    reads keeps."""
+    reads keeps.  ``schrodinger_residual`` reads phi only there."""
     sc = load_shipped("caldirola-kanai")
     dec = solve_angle(sc.system)
     calls = {1: 0, 2: 0}
@@ -430,6 +435,13 @@ def test_residual_sample_points_read_phi_once_per_channel(monkeypatch):
                         lambda *args, **kwargs: tuple(map(counted, solve(*args, **kwargs))))
     times, _, sols = propagator.residual_sample_points(dec, *sc.window, n_points=20)
     assert calls == {1: 1, 2: 1}
+    # the residual check reuses those phi values: no further phi read
+    phi_reads = []
+    phi = ErmakovSolution.phi
+    monkeypatch.setattr(ErmakovSolution, "phi",
+                        lambda self, t: phi_reads.append(np.shape(t)) or phi(self, t))
+    propagator.schrodinger_residual(dec, *sc.window, n_points=4)
+    assert phi_reads == [(32,), (32,)]
     t0, t1 = sc.window
     candidates = np.linspace(t0 + 0.1 * (t1 - t0), t1 - 0.1 * (t1 - t0), 160)
     ok = [t for t in candidates

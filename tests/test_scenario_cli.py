@@ -97,6 +97,21 @@ def test_malformed_values_rejected(overrides, field):
         parse_scenario(_doc(**overrides))
 
 
+@pytest.mark.parametrize("field, limit", [("quad_order", 64), ("quad_panels", 1024)])
+def test_quadrature_sizes_bounded_at_parse(field, limit, tmp_path, capsys):
+    """An order of 1e5 would ask for an 80 GB companion matrix; sizes above
+    the limit are rejected with a message that names it, and the command
+    line exits 1."""
+    assert getattr(parse_scenario(_doc(**{field: limit})), field) == limit
+    for size in (limit + 1, 1e5):
+        with pytest.raises(SchemaError, match=f"field '{field}' must be at most {limit}"):
+            parse_scenario(_doc(**{field: size}))
+    bad = tmp_path / "big.json"
+    bad.write_text(_doc(**{field: 1e5}))
+    assert main(["decouple", "--scenario", str(bad), "--out", "/dev/null"]) == 1
+    assert f"field '{field}' must be at most {limit}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid, field", [
     ({"points": 48}, "grid.points"),
     ({"points": 16}, "grid.points"),

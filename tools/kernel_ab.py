@@ -22,8 +22,11 @@ in alternating order, so that both see the same load; the round prints
 the ops/s of each (14 ops over the summed op times) and their ratio B/A.
 The end prints, per op, the best time of the whole op and of
 ``solve_channels`` (both channels' auxiliary solves) under A and B, and
-their sums over the 14 ops.  Read the ratios: the absolute times depend
-on the host.
+their sums over the 14 ops, and the median over the rounds of the op's
+minor page faults (``ru_minflt`` of the process) under A and B.  Read the
+ratios: the absolute times depend on the host, and the faults on what
+the process freed before (glibc's thresholds for returning memory to
+the system move with the sizes freed).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import importlib.util  # noqa: E402
 import io  # noqa: E402
+import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -103,14 +107,17 @@ class Side:
         propagator.solve_channels = timed
 
     def run(self, wl, variant, kind):
-        """(exit code, stderr, op seconds, solve_channels seconds) of one op."""
+        """(exit code, stderr, op seconds, solve_channels seconds, minor
+        page faults) of one op."""
         self.solve_s = 0.0
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = perf_counter()
             rc = self.pkg.cli.main(wl.argv("kernel", variant, kind, self.out))
             dt = perf_counter() - t0
-        return rc, err.getvalue(), dt, self.solve_s
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        return rc, err.getvalue(), dt, self.solve_s, faults
 
 
 def main(argv=None):
@@ -168,13 +175,15 @@ def main(argv=None):
                   f"within {args.tol:g} (seed {args.seed})")
 
         best = [[[float("inf")] * len(ops) for _ in sides] for _ in range(2)]
+        faults = [[[] for _ in ops] for _ in sides]
         ratios = []
         for r in range(args.rounds):
             total = [0.0, 0.0]
             for i, (variant, kind) in enumerate(ops):
                 order = (0, 1) if (r + i) % 2 == 0 else (1, 0)
                 for s in order:
-                    _, _, dt, solve_s = sides[s].run(wl, variant, kind)
+                    _, _, dt, solve_s, flt = sides[s].run(wl, variant, kind)
+                    faults[s][i].append(flt)
                     total[s] += dt
                     best[0][s][i] = min(best[0][s][i], dt)
                     best[1][s][i] = min(best[1][s][i], solve_s)
@@ -185,15 +194,19 @@ def main(argv=None):
         print(f"median B/A ops/s ratio: {statistics.median(ratios):.3f}")
 
         print(f"\n{'op':36s} {'op A ms':>9s} {'op B ms':>9s} "
-              f"{'solve A ms':>11s} {'solve B ms':>11s} {'solve A/B':>10s}")
+              f"{'solve A ms':>11s} {'solve B ms':>11s} {'solve A/B':>10s} "
+              f"{'flt A':>7s} {'flt B':>7s}")
+        flt = [[statistics.median(f) for f in side] for side in faults]
         for i, label in enumerate(labels):
             op_a, op_b = best[0][0][i], best[0][1][i]
             sv_a, sv_b = best[1][0][i], best[1][1][i]
             print(f"{label:36s} {1e3 * op_a:9.2f} {1e3 * op_b:9.2f} "
-                  f"{1e3 * sv_a:11.2f} {1e3 * sv_b:11.2f} {sv_a / sv_b:10.3f}")
+                  f"{1e3 * sv_a:11.2f} {1e3 * sv_b:11.2f} {sv_a / sv_b:10.3f} "
+                  f"{flt[0][i]:7.0f} {flt[1][i]:7.0f}")
         sums = [sum(x) for x in (best[0][0], best[0][1], best[1][0], best[1][1])]
         print(f"{'sum of best':36s} {1e3 * sums[0]:9.2f} {1e3 * sums[1]:9.2f} "
-              f"{1e3 * sums[2]:11.2f} {1e3 * sums[3]:11.2f} {sums[2] / sums[3]:10.3f}")
+              f"{1e3 * sums[2]:11.2f} {1e3 * sums[3]:11.2f} {sums[2] / sums[3]:10.3f} "
+              f"{sum(flt[0]):7.0f} {sum(flt[1]):7.0f}")
     return 0
 
 
