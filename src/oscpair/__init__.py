@@ -45,6 +45,8 @@ from .oracle import (
 from .propagator import (
     Kernel,
     build_kernel,
+    build_kernels,
+    evolve_gaussian,
     propagate_gaussian,
     schrodinger_residual,
     solve_channels,

@@ -7,8 +7,9 @@ decouple   solve for the rotation angle; print alpha, gamma_max, admissible
 kernel     evaluate K on position tuples from a CSV/JSON file; emit CSV
            (x1q, x2q, x1p, x2p, ReK, ImK); optionally dump auxiliary data
 evolve     propagate the scenario's Gaussian state; emit a CSV time series
-           of means, covariances, norm and global phase (one auxiliary
-           solve for the window, shared by every interval's kernel)
+           of means, covariances, norm and global phase
+           (``propagator.evolve_gaussian``: one auxiliary solve for the
+           window, one kernel family of its intervals)
 oracle     split-operator evolution; emit CSV observables and optionally a
            binary |psi|^2 dump
 compare    corrected vs lw variant vs oracle; exit 0 iff the corrected
@@ -31,8 +32,8 @@ written per layout class and compacted with a byte mask.  A cell whose
 scaled value lies within the longdouble rounding-error bound of a
 midpoint (about 0.011 units of the 17th digit), and every non-finite
 cell, is formatted by Python's ``%`` instead; where longdouble is not the
-x87 80-bit format (it is on x86-64 Linux), every cell is.  ``_write_csv``
-states the bound and its proof.
+x87 80-bit format (it is on x86-64 Linux), or the table holds a string
+column, every cell is.  ``_write_csv`` states the bound and its proof.
 
 A points file is CSV (an optional header line, then rows of four
 numbers, with no blank line) or a JSON list of such rows.  Every value must be a finite
@@ -64,12 +65,7 @@ from .errors import (
     SolverFailure,
 )
 from .oracle import energy_expectation, evolve, from_gaussian
-from .propagator import (
-    build_kernel,
-    propagate_gaussian,
-    schrodinger_residual,
-    solve_channels,
-)
+from .propagator import build_kernel, evolve_gaussian, schrodinger_residual
 from .scenario import load_scenario
 
 __all__ = ["main", "build_parser"]
@@ -112,9 +108,11 @@ def _write_csv(path, header, columns):
     them, which round-trips every float64.  The whole table is formatted
     at once and written in one piece.
 
-    The numbers are formatted by numpy (:func:`_g17_fields`), not one
-    Python call per cell.  For finite nonzero v, ``%.17g`` prints the
-    17-digit integer D = rint(|v| 10^(16-k)) (ties to even), k = floor(
+    The numbers of an all-numeric table are formatted by numpy
+    (:func:`_g17_fields`), not one Python call per cell; a table with a
+    string column (a few dozen rows) is formatted by Python's ``%``.
+    For finite nonzero v, ``%.17g`` prints the 17-digit integer
+    D = rint(|v| 10^(16-k)) (ties to even), k = floor(
     log10 |v|), with k + 1 and D = 10^16 when D rounds up to 10^17; in
     the fixed layout for -4 <= k < 17 and as d.ddd...e+XX otherwise,
     with trailing zeros stripped.
@@ -162,42 +160,19 @@ def _is_text(col):
 
 def _csv_rows(columns):
     """The CSV rows of the equal-length ``columns`` (float arrays, or lists
-    of strings), as one string."""
+    of strings), as one string.  A table with a string column is formatted
+    cell by cell in Python."""
     nrows = len(columns[0]) if columns else 0
     if nrows == 0:
         return ""
-    numbers = [col for col in columns if isinstance(col, np.ndarray)]
-    if len(numbers) == len(columns):
+    if all(isinstance(col, np.ndarray) for col in columns):
         chars, keep = _g17_fields(np.column_stack(columns))
         chars[:, :, -1] = ord(",")
         chars[:, -1, -1] = ord("\n")
         return chars[keep].tobytes().decode()
-    if numbers:
-        chars, keep = _g17_fields(np.column_stack(numbers))
-    fields = []
-    j = 0
-    for col in columns:
-        if isinstance(col, np.ndarray):
-            fields.append((chars[:, j], keep[:, j]))
-            j += 1
-        else:
-            fields.append(_text_fields(col))
-    for c, _ in fields[:-1]:
-        c[:, -1] = ord(",")
-    fields[-1][0][:, -1] = ord("\n")
-    chars = np.concatenate([c for c, _ in fields], axis=1)
-    keep = np.concatenate([k for _, k in fields], axis=1)
-    return chars[keep].tobytes().decode()
-
-
-def _text_fields(col):
-    """(chars, keep) of a string column, as :func:`_g17_fields` lays them out."""
-    cells = [_quoted(v).encode() for v in col]
-    width = max(map(len, cells)) + 1
-    chars = np.array(cells, dtype=f"S{width}").view(np.uint8).reshape(len(cells), width)
-    keep = np.arange(width) < np.array([len(c) for c in cells])[:, None]
-    keep[:, -1] = True
-    return chars, keep
+    cells = [_fallback_cells(col) if isinstance(col, np.ndarray) else map(_quoted, col)
+             for col in columns]
+    return "".join(",".join(row) + "\n" for row in zip(*cells))
 
 
 # --- %.17g in numpy ------------------------------------------------------------
@@ -493,28 +468,18 @@ def _cmd_kernel(args):
 
 def _cmd_evolve(args):
     sc = load_scenario(args.scenario)
-    dec = _decoupled(sc)
-    state = sc.initial_state()
-    t0, t1 = sc.window
-    times = np.linspace(t0, t1, args.steps + 1)
+    times = np.linspace(*sc.window, args.steps + 1)
+    states = evolve_gaussian(_decoupled(sc), sc.initial_state(), times,
+                             quad_order=sc.quad_order, quad_panels=sc.quad_panels,
+                             ode_tol=sc.ode_tol, caustic_tol=sc.caustic_tol)
     rows = []
-
-    def record(t, st):
+    for t, st in zip(times, states):
         mu = st.mean_position()
         mom = st.mean_momentum()
         cov = st.covariance_position()
         phase = float(np.angle(np.exp(1j * np.imag(st.c))))
         rows.append((t, mu[0], mu[1], mom[0], mom[1],
                      cov[0, 0], cov[1, 1], cov[0, 1], st.norm(), phase))
-
-    record(times[0], state)
-    sols = solve_channels(dec, t0, t1, ode_tol=sc.ode_tol)
-    for ta, tb in zip(times[:-1], times[1:]):
-        kern = build_kernel(dec, ta, tb,
-                            quad_order=sc.quad_order, quad_panels=sc.quad_panels,
-                            caustic_tol=sc.caustic_tol, solutions=sols)
-        state = propagate_gaussian(kern, state)
-        record(tb, state)
     _write_csv(args.out, ["t", "x1_mean", "x2_mean", "p1_mean", "p2_mean",
                           "var_x1", "var_x2", "cov_x1x2", "norm", "phase"],
                zip(*rows))

@@ -25,7 +25,8 @@ from .decoupling import DecoupledSystem
 from .errors import InadmissibleSystem
 from .gaussian import GaussianState2D
 from .oracle import Grid2D, evolve, fidelity, from_gaussian
-from .propagator import build_kernel, propagate_gaussian, schrodinger_residual
+from .propagator import (DEFAULT_ODE_TOL, DEFAULT_QUAD_ORDER, DEFAULT_QUAD_PANELS,
+                         build_kernel, propagate_gaussian, schrodinger_residual)
 
 __all__ = ["ComparisonReport", "run_comparison", "discrepancy_significant"]
 
@@ -47,7 +48,8 @@ class ComparisonReport:
 
 def run_comparison(decoupled: DecoupledSystem, window, initial: GaussianState2D,
                    grid: Grid2D, n_steps, scenario_id="", n_residual_points=20,
-                   seed=0, quad_order=8, quad_panels=64, ode_tol=1e-10):
+                   seed=0, quad_order=DEFAULT_QUAD_ORDER, quad_panels=DEFAULT_QUAD_PANELS,
+                   ode_tol=DEFAULT_ODE_TOL):
     """Run both kernel variants against the oracle on one scenario.
 
     Returns (corrected report, lw report).  Raises InadmissibleSystem when

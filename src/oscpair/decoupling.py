@@ -137,7 +137,8 @@ class CanonicalTransform:
         return PhasePoint(x1=x1, x2=x2, p1=p1, p2=p2)
 
     def position_matrix(self, t):
-        """2x2 matrix T(t) with Q = T x for the position block."""
+        """2x2 matrix T(t) with Q = T x for the position block; for an
+        array of times, shape (2, 2, *t.shape)."""
         sm1, sm2, _, _, c, s = self._parts(t)
         return np.array([[c * sm1, -s * sm2], [s * sm1, c * sm2]])
 

@@ -35,21 +35,23 @@ update, so there is a single code path to validate.
 
 Inside a window every kernel depends on the auxiliary data only through
 rho_j and phi_j, so one auxiliary solve per window fixes them all.
-``solve_channels`` is the one place that solve happens: ``build_kernel``
-calls it unless it is handed ``solutions``, the residual check solves
-once and builds every stencil kernel from that pair, and the command
-line's ``evolve`` solves once for the scenario window and builds each
-interval's kernel from it (2 solves per run, not 2 per interval).
+``solve_channels`` is the one place that solve happens, and
+``build_kernels`` assembles a family of kernels from its pair: those of
+any windows inside the solved one, such as the intervals of
+``evolve_gaussian`` or the stencil times of the residual check.
+``build_kernel`` is a family of one, after its own solve unless it is
+handed ``solutions``.
 
-A kernel reads each channel's dense output once
-(``ErmakovSolution.rho_drho_phi``): at its two endpoints and, for a
-driven channel, at the composite Gauss-Legendre nodes of the window.
-Those nodes are built once per kernel, and F_1 and F_2 alone are read
-there together (``channel_forces``).  The node values serve I''_j, I'_j
-and both integrals of D_j: the inner one at every node is the panel-wise
-spectral running integral of ``quadrature.running_integral``.  When f_1 and f_2 are both
-Constant 0 (``DecoupledSystem.undriven``) the driving integrals are 0
-without a node set or a read of F_j.
+A family checks its variant, admissibility and windows once and reads
+each channel's dense output once (``ErmakovSolution.rho_drho_phi``): at
+every window end and, for a driven channel, at the composite
+Gauss-Legendre nodes of every window, where F_1 and F_2 alone are read
+together (``channel_forces``).  The masses, mdot_j and T(t) are read once
+as arrays, and the kernels are assembled together.  The node values serve
+I''_j, I'_j and both integrals of D_j: the inner one at every node is the
+panel-wise spectral running integral of ``quadrature.running_integral``.
+When f_1 and f_2 are both Constant 0 (``DecoupledSystem.undriven``) the
+driving integrals are 0 without a node set or a read of F_j.
 
 The ``variant="lw"`` kernel reproduces the defective construction for the
 comparison experiments: channel frequencies built from the bare w_j^2
@@ -75,6 +77,8 @@ __all__ = [
     "ChannelKernelData",
     "Kernel",
     "build_kernel",
+    "build_kernels",
+    "evolve_gaussian",
     "solve_channels",
     "propagate_gaussian",
     "schrodinger_residual",
@@ -87,6 +91,14 @@ DEFAULT_QUAD_PANELS = 64
 DEFAULT_ODE_TOL = 1e-10
 #: share of the window at each end where residual samples are not drawn
 _MARGIN_FRAC = 0.1
+#: residual samples keep |sin phi_j| above this in both channels
+_SIN_PHI_MIN = 0.15
+#: the residual's kernel times tc + k h_t: the first-derivative stencils
+#: of its two levels, steps h_t and h_t / 2, and tc itself
+_STENCIL = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+#: the sign of each end, t'' and t', in the kernel's boundary terms
+_ENDS_SIGN = np.array([[1.0], [-1.0]])
+_DIAG = np.arange(4)
 
 
 @dataclass(frozen=True)
@@ -174,22 +186,103 @@ def solve_channels(decoupled: DecoupledSystem, t_start, t_end, variant="correcte
                  for j in (1, 2))
 
 
-def _driving_integrals(F, rho, phase, phi, w, order):
-    """(I_end, I_start, D) of one channel on [t_start, t_end].
+def build_kernels(decoupled: DecoupledSystem, t_start, t_end, solutions,
+                  variant="corrected", quad_order=DEFAULT_QUAD_ORDER,
+                  quad_panels=DEFAULT_QUAD_PANELS, caustic_tol=DEFAULT_CAUSTIC_TOL):
+    """The kernels of the windows [t_start, t_end], a list in the C order of
+    the broadcast shape of the two arrays of window ends.
 
-    F, rho and phase = phi_j(t) - phi_j(t_start) are read at the nodes of
-    ``composite_gl_nodes(t_start, t_end, panels, order)``, whose weights
-    are ``w``; phi is phi_j(t_end) - phi_j(t_start).  The inner integral
-    of D at each node is the ``running_integral`` of G sin phase from the
-    same values, so no further node set or read is needed.
+    ``solutions`` is the pair returned by ``solve_channels`` for the same
+    variant on a window containing every window of the family.  The
+    variant, admissibility and windows are checked once, each channel's
+    dense output is read once at every end and node, and F_j, the masses,
+    mdot_j and T(t) once each, as arrays.  A window whose |sin phi_j| is at
+    most ``caustic_tol`` raises CausticError: that of the first such
+    window, channel 1 before channel 2, as ``build_kernel`` raises it for
+    that window alone.
     """
-    G = F * rho
-    from_start = G * np.sin(phase)
-    to_end = G * np.sin(phi - phase)
-    I_end = float(np.dot(w, from_start))
-    I_start = float(np.dot(w, to_end))
-    D = float(np.sum(w * to_end * running_integral(w * from_start, order)))
-    return I_end, I_start, D
+    spec = decoupled.system
+    corrected = _is_corrected(decoupled, variant)
+    ends = np.empty((2, *np.broadcast(t_end, t_start).shape))
+    ends[0], ends[1] = t_end, t_start
+    n = ends[0].size
+    ends = ends.reshape(-1)  # every t'', then every t'
+    if not (ends[:n] > ends[n:]).all():  # NaN too
+        raise ValueError("t_end must exceed t_start")
+    spec.check_time(ends)
+    forces = (None, None)
+    if not decoupled.undriven:
+        t_nodes, w = composite_gl_nodes(ends[n:], ends[:n], quad_panels, quad_order)
+        # a channel whose F_j is 0 at every node has no driving terms
+        forces = tuple(F if np.max(np.abs(F)) != 0.0 else None
+                       for F in channel_forces(spec, decoupled.alpha, t_nodes))
+    reads = [sol.rho_drho_phi(ends if F is None else np.concatenate((ends, t_nodes.ravel())))
+             for sol, F in zip(solutions, forces)]
+    # rho, rho' and phi by (channel, end: t'' or t', window)
+    rho, drho, phis = np.array([[x[:2 * n] for x in r] for r in reads]).reshape(
+        2, 3, 2, n).transpose(1, 0, 2, 3)
+    phi = phis[:, 0] - phis[:, 1]
+    s = np.sin(phi)
+    bad = np.abs(s) <= caustic_tol
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        j = 1 if bad[0, i] else 2
+        sol = solutions[j - 1]
+        caustics = sol.caustics_in(ends[n + i], min(sol.t_end, ends[i]))
+        nearest = min(caustics, key=lambda tc: abs(tc - ends[i]), default=None)
+        raise CausticError(j, float(s[j - 1, i]), nearest)
+
+    # (I_end, I_start) by (channel, end), and D by channel
+    I, D = np.zeros((2, 2, n)), np.zeros((2, n))
+    for c, ((rho_c, _, phi_c), F) in enumerate(zip(reads, forces)):
+        if F is not None:
+            # phases are measured from t_start, wherever the solve started
+            phase = phi_c[2 * n:].reshape(n, -1) - phi_c[n:2 * n, None]
+            G = w * F * rho_c[2 * n:].reshape(n, -1)
+            from_start = G * np.sin(phase)
+            to_end = G * np.sin(phi[c, :, None] - phase)
+            I[c, 0] = from_start.sum(axis=-1)
+            I[c, 1] = to_end.sum(axis=-1)
+            D[c] = (to_end * running_integral(from_start, quad_order)).sum(axis=-1)
+
+    hbar = spec.hbar
+    cos_phi = np.cos(phi)
+    maslov = np.floor(phi / math.pi)
+    k = 1.0 / (hbar * s)
+    inv = 1.0 / rho
+    # M / i in the rotated coordinates: a 2 x 2 block over (t'', t') per
+    # channel, by (channel, end, end, window)
+    Q = np.empty((2, 2, 2, n))
+    Q[:, _DIAG[:2], _DIAG[:2]] = ((cos_phi * k)[:, None] * inv**2
+                                  + _ENDS_SIGN / hbar * drho * inv)
+    Q[:, 0, 1] = Q[:, 1, 0] = -k * inv[:, 0] * inv[:, 1]
+    # T(t) by (channel, end, coordinate, window), and M / i = T^T Q T
+    T = decoupled.transform.position_matrix(ends).reshape(2, 2, 2, n).transpose(0, 2, 1, 3)
+    X = (T[:, :, :, None, None] * Q[:, :, None, :, None]
+         * T[:, None, None]).sum(axis=0).reshape(4, 4, n)
+    # the window check covers the masses' domains: they are read unchecked
+    masses = (spec.m1, spec.m2)
+    if corrected:
+        md = np.array([mj._deriv1(ends) for mj in masses]).reshape(2, 2, n)
+        X[_DIAG, _DIAG] -= (0.5 / hbar) * (_ENDS_SIGN * md).transpose(1, 0, 2).reshape(4, n)
+    Y = (T * (I * k[:, None] * inv)[:, :, None]).sum(axis=0).reshape(4, n)
+    M = np.multiply(X.transpose(2, 0, 1), 1j, order="C")
+    L = np.multiply(Y.T, 1j, order="C")
+    m = np.array([mj._value(ends) for mj in masses])
+    scale = 2.0 * math.pi * hbar * rho[:, 0] * rho[:, 1] * s
+    c0 = (0.25 * np.log(m[:, :n] * m[:, n:] / scale**2)
+          - 1j * ((maslov + 0.5) * (0.5 * math.pi) + D * k)).sum(axis=0)
+
+    values = np.array([rho[:, 1], drho[:, 1], rho[:, 0], drho[:, 0], phi, s, cos_phi,
+                       maslov, I[:, 0], I[:, 1], D]).transpose(2, 1, 0).tolist()
+    kernels = []
+    for a, b, c, L_i, M_i, v in zip(ends[n:].tolist(), ends[:n].tolist(), c0.tolist(),
+                                    L, M, values):
+        channels = tuple(ChannelKernelData(j, sol, *x[:7], int(x[7]), *x[8:])
+                         for j, sol, x in zip((1, 2), solutions, v))
+        kernels.append(Kernel(decoupled=decoupled, t_start=a, t_end=b, variant=variant,
+                              channels=channels, c0=c, L=L_i, M=M_i))
+    return kernels
 
 
 def build_kernel(decoupled: DecoupledSystem, t_start, t_end, variant="corrected",
@@ -204,98 +297,33 @@ def build_kernel(decoupled: DecoupledSystem, t_start, t_end, variant="corrected"
     ``solutions`` is the pair returned by ``solve_channels`` for the same
     variant on a window containing [t_start, t_end]; it lets many kernels
     share one solve, and ``ode_tol`` and ``ermakov_ic`` are then unused.
-    Without it the kernel solves its own window.
+    Without it the kernel solves its own window.  It is the one kernel of
+    ``build_kernels`` on that window.
     """
-    spec = decoupled.system
-    t_start, t_end = float(t_start), float(t_end)
-    if t_end <= t_start:
-        raise ValueError("t_end must exceed t_start")
-    spec.check_time([t_start, t_end])
-    corrected = _is_corrected(decoupled, variant)
     if solutions is None:
         solutions = solve_channels(decoupled, t_start, t_end, variant=variant,
                                    ode_tol=ode_tol, ic=ermakov_ic)
+    return build_kernels(decoupled, t_start, t_end, solutions, variant, quad_order,
+                         quad_panels, caustic_tol)[0]
 
-    hbar = spec.hbar
-    # the window is checked above, so the masses are read unchecked, at the
-    # 0-d arrays that their checked reads would pass on
-    masses = (spec.m1, spec.m2)
-    at_start, at_end = np.asarray(t_start), np.asarray(t_end)
-    forces = (None, None)
-    if not decoupled.undriven:
-        t_nodes, w = composite_gl_nodes(t_start, t_end, quad_panels, quad_order)
-        # a channel whose F_j is 0 at every node has no driving terms
-        forces = tuple(F if np.max(np.abs(F)) != 0.0 else None
-                       for F in channel_forces(spec, decoupled.alpha, t_nodes))
-    channels = []
-    per_channel = []
-    for j, sol, F in zip((1, 2), solutions, forces):
-        t_read = [t_start, t_end] if F is None else np.concatenate(([t_start, t_end], t_nodes))
-        rho, drho, phis = sol.rho_drho_phi(t_read)
-        (rho_p, rho_q), (drho_p, drho_q), (phi_p, phi_q) = (
-            x[:2].tolist() for x in (rho, drho, phis))
-        phi = phi_q - phi_p
-        sin_phi = math.sin(phi)
-        if abs(sin_phi) <= caustic_tol:
-            caustics = sol.caustics_in(t_start, min(sol.t_end, t_end))
-            nearest = min(caustics, key=lambda tc: abs(tc - t_end), default=None)
-            raise CausticError(j, sin_phi, nearest)
-        if F is None:
-            I_end = I_start = D = 0.0
-        else:
-            # phases are measured from t_start, wherever the solve started
-            I_end, I_start, D = _driving_integrals(
-                F, rho[2:], phis[2:] - phi_p, phi, w, quad_order)
-        data = ChannelKernelData(
-            channel=j, solution=sol,
-            rho_p=rho_p, drho_p=drho_p, rho_q=rho_q, drho_q=drho_q,
-            phi=phi, sin_phi=sin_phi, cos_phi=math.cos(phi),
-            maslov=int(math.floor(phi / math.pi)),
-            I_end=I_end, I_start=I_start, D=D,
-        )
-        channels.append(data)
 
-        s = sin_phi
-        a_end = 0.5j / hbar * (drho_q / rho_q) + 0.5j * data.cos_phi / (hbar * s * rho_q**2)
-        a_start = -0.5j / hbar * (drho_p / rho_p) + 0.5j * data.cos_phi / (hbar * s * rho_p**2)
-        cross = -1j / (hbar * s * rho_q * rho_p)
-        lin_end = 1j * I_end / (hbar * s * rho_q)
-        lin_start = 1j * I_start / (hbar * s * rho_p)
-        m_q = masses[j - 1]._value(at_end)
-        m_p = masses[j - 1]._value(at_start)
-        log_pref = (0.25 * math.log(m_q * m_p)
-                    - 0.5 * math.log(2.0 * math.pi * hbar * rho_q * rho_p * abs(s))
-                    - 0.25j * math.pi - 0.5j * math.pi * data.maslov)
-        const = log_pref - 1j * D / (hbar * s)
-        per_channel.append((a_end, a_start, cross, lin_end, lin_start, const))
+def evolve_gaussian(decoupled: DecoupledSystem, state, times,
+                    quad_order=DEFAULT_QUAD_ORDER, quad_panels=DEFAULT_QUAD_PANELS,
+                    ode_tol=DEFAULT_ODE_TOL, caustic_tol=DEFAULT_CAUSTIC_TOL):
+    """The Gaussian ``state`` at times[0] carried through the corrected
+    kernels of the intervals of the ascending ``times``: the list of states
+    at every time, ``state`` first.
 
-    T_end = decoupled.transform.position_matrix(t_end)
-    T_start = decoupled.transform.position_matrix(t_start)
-    a_end = np.array([pc[0] for pc in per_channel])
-    a_start = np.array([pc[1] for pc in per_channel])
-    cross = np.array([pc[2] for pc in per_channel])
-    lin_end = np.array([pc[3] for pc in per_channel])
-    lin_start = np.array([pc[4] for pc in per_channel])
-    c0 = complex(sum(pc[5] for pc in per_channel))
-
-    if corrected:
-        md_end = np.array([m._deriv1(at_end) for m in masses])
-        md_start = np.array([m._deriv1(at_start) for m in masses])
-        bnd_end = np.diag(-0.25j / hbar * md_end)
-        bnd_start = np.diag(0.25j / hbar * md_start)
-    else:
-        bnd_end = bnd_start = np.zeros((2, 2), dtype=complex)
-
-    M = np.zeros((4, 4), dtype=complex)
-    M[:2, :2] = 2.0 * (T_end.T @ np.diag(a_end) @ T_end + bnd_end)
-    M[2:, 2:] = 2.0 * (T_start.T @ np.diag(a_start) @ T_start + bnd_start)
-    M[:2, 2:] = T_end.T @ np.diag(cross) @ T_start
-    M[2:, :2] = M[:2, 2:].T
-    L = np.concatenate([T_end.T @ lin_end, T_start.T @ lin_start])
-
-    return Kernel(decoupled=decoupled, t_start=t_start, t_end=t_end,
-                  variant=variant, channels=tuple(channels),
-                  c0=c0, L=L, M=M)
+    One auxiliary solve on [times[0], times[-1]] serves the family of
+    interval kernels; the states are propagated in order.
+    """
+    times = np.asarray(times, dtype=float)
+    sols = solve_channels(decoupled, times[0], times[-1], ode_tol=ode_tol)
+    states = [state]
+    for kern in build_kernels(decoupled, times[:-1], times[1:], sols, quad_order=quad_order,
+                              quad_panels=quad_panels, caustic_tol=caustic_tol):
+        states.append(propagate_gaussian(kern, states[-1]))
+    return states
 
 
 def propagate_gaussian(kernel: Kernel, state: GaussianState2D) -> GaussianState2D:
@@ -327,33 +355,30 @@ def propagate_gaussian(kernel: Kernel, state: GaussianState2D) -> GaussianState2
 # --- finite-difference Schrodinger-equation check --------------------------
 
 def residual_sample_points(decoupled, t_start, t_end, n_points=20, seed=0,
-                           sin_phi_min=0.15, variant="corrected",
-                           ode_tol=DEFAULT_ODE_TOL, margin_frac=_MARGIN_FRAC):
+                           variant="corrected", ode_tol=DEFAULT_ODE_TOL):
     """Interior (t, x'', x') samples away from caustics of both channels.
 
     Positions are drawn from a seeded normal with the system's natural
     length scale sqrt(hbar); times are spread over the interior of the
-    window, rejecting those where either channel is within ``sin_phi_min``
+    window, rejecting those where either channel is within ``_SIN_PHI_MIN``
     of a caustic (the kernel is singular there by construction).
     Returns (times, points, solutions), the last from ``solve_channels``
     on the window.
     """
-    return _sample_points(decoupled, t_start, t_end, n_points, seed, sin_phi_min,
-                          variant, ode_tol, margin_frac)[:3]
+    return _sample_points(decoupled, t_start, t_end, n_points, seed, variant, ode_tol)[:3]
 
 
-def _sample_points(decoupled, t_start, t_end, n_points, seed, sin_phi_min, variant,
-                   ode_tol, margin_frac):
+def _sample_points(decoupled, t_start, t_end, n_points, seed, variant, ode_tol):
     """``residual_sample_points``, and min_j |sin phi_j| at each time from
     the same read of phi."""
     spec = decoupled.system
     sols = solve_channels(decoupled, t_start, t_end, variant=variant, ode_tol=ode_tol)
     T = t_end - t_start
-    candidates = np.linspace(t_start + margin_frac * T,
-                             t_end - margin_frac * T, 8 * n_points)
+    candidates = np.linspace(t_start + _MARGIN_FRAC * T,
+                             t_end - _MARGIN_FRAC * T, 8 * n_points)
     phis = [s.phi(candidates) for s in sols]
-    ok = np.flatnonzero((np.abs(np.sin(phis[0])) > sin_phi_min)
-                        & (np.abs(np.sin(phis[1])) > sin_phi_min))
+    ok = np.flatnonzero((np.abs(np.sin(phis[0])) > _SIN_PHI_MIN)
+                        & (np.abs(np.sin(phis[1])) > _SIN_PHI_MIN))
     if not ok.size:
         raise CausticError(0, 0.0, None)
     kept = ok[np.linspace(0, len(ok) - 1, min(n_points, len(ok))).astype(int)]
@@ -367,8 +392,7 @@ def _sample_points(decoupled, t_start, t_end, n_points, seed, sin_phi_min, varia
 
 def schrodinger_residual(decoupled, t_start, t_end, variant="corrected",
                          n_points=20, seed=0, quad_order=DEFAULT_QUAD_ORDER,
-                         quad_panels=DEFAULT_QUAD_PANELS, ode_tol=DEFAULT_ODE_TOL,
-                         sin_phi_min=0.15):
+                         quad_panels=DEFAULT_QUAD_PANELS, ode_tol=DEFAULT_ODE_TOL):
     """Relative residual |i hbar dK/dt - H K| / (|K| * energy scale).
 
     Time and space derivatives come from fourth-order five-point stencils;
@@ -381,35 +405,26 @@ def schrodinger_residual(decoupled, t_start, t_end, variant="corrected",
     spec = decoupled.system
     hbar = spec.hbar
     times, points, sols, s_mins = _sample_points(
-        decoupled, t_start, t_end, n_points, seed, sin_phi_min, variant, ode_tol,
-        _MARGIN_FRAC)
+        decoupled, t_start, t_end, n_points, seed, variant, ode_tol)
 
     T = t_end - t_start
+    h_x = 2.5e-3 * math.sqrt(hbar)
+    h_ts = [min(1e-3 * T, 0.2 * (t_end - tc), 0.2 * (tc - t_start))
+            * min(1.0, max(s_min**2, 0.02)) for tc, s_min in zip(times, s_mins)]
+    # every stencil time of every point, one family
+    kernels = build_kernels(decoupled, t_start,
+                            np.array(times)[:, None] + np.array(h_ts)[:, None] * _STENCIL,
+                            sols, variant, quad_order, quad_panels)
     residuals = np.empty(len(times))
-    for i, (tc, pt, s_min) in enumerate(zip(times, points, s_mins)):
+    for i, (tc, pt, h_t) in enumerate(zip(times, points, h_ts)):
         x1q, x2q, x1p, x2p = pt
-        h_t = min(1e-3 * T, 0.2 * (t_end - tc), 0.2 * (tc - t_start))
-        h_t *= min(1.0, max(s_min**2, 0.02))
-        h_x = 2.5e-3 * math.sqrt(hbar)
+        stencil = kernels[7 * i:7 * i + 7]
+        k0 = stencil[3]
+        K = [k.evaluate(x1q, x2q, x1p, x2p) for k in stencil]
+        K0 = complex(K[3])
 
-        def kernel_at(t_eval):
-            return build_kernel(decoupled, t_start, t_eval, variant=variant,
-                                quad_order=quad_order, quad_panels=quad_panels,
-                                solutions=sols)
-
-        cache = {}
-
-        def K_of_t(dt):
-            if dt not in cache:
-                cache[dt] = kernel_at(tc + dt)
-            return cache[dt].evaluate(x1q, x2q, x1p, x2p)
-
-        k0 = kernel_at(tc)
-        K0 = complex(k0.evaluate(x1q, x2q, x1p, x2p))
-
-        def residual_for(ht, hx):
-            dKdt = (K_of_t(-2 * ht) - 8 * K_of_t(-ht)
-                    + 8 * K_of_t(ht) - K_of_t(2 * ht)) / (12 * ht)
+        def residual_for(ht, hx, K_m2, K_m1, K_p1, K_p2):
+            dKdt = (K_m2 - 8 * K_m1 + 8 * K_p1 - K_p2) / (12 * ht)
             shifts = np.array([-2, -1, 0, 1, 2]) * hx
             lap = 0.0
             for m_j, vals in [
@@ -425,7 +440,7 @@ def schrodinger_residual(decoupled, t_start, t_end, variant="corrected",
             scale = max(abs(lhs), abs(lap), abs(VK), hbar / T * abs(K0), 1e-300)
             return abs(lhs - rhs) / scale
 
-        r1 = residual_for(h_t, h_x)
-        r2 = residual_for(h_t / 2, h_x / 2)
+        r1 = residual_for(h_t, h_x, K[0], K[1], K[5], K[6])
+        r2 = residual_for(h_t / 2, h_x / 2, K[1], K[2], K[4], K[5])
         residuals[i] = min(r1, r2)
     return np.array(times), points, residuals

@@ -51,27 +51,31 @@ def composite_gl_nodes(a, b, panels, order):
     """Nodes and weights of a composite Gauss-Legendre rule on [a, b].
 
     Returns flat arrays of length panels*order; nodes are ordered panel by
-    panel, ascending.
+    panel, ascending.  Arrays a and b of equal shape give one rule per
+    window [a[i], b[i]], along a last axis of that length.
     """
     xi, wi = _gauss_legendre(int(order))
-    edges = np.linspace(a, b, int(panels) + 1)
+    edges = np.linspace(a, b, int(panels) + 1, axis=-1)
     half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    t = mid[:, None] + half[:, None] * xi[None, :]
-    w = half[:, None] * wi[None, :]
-    return t.ravel(), w.ravel()
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    t = mid[..., None] + half[..., None] * xi
+    w = half[..., None] * wi
+    return t.reshape(*edges.shape[:-1], -1), w.reshape(*edges.shape[:-1], -1)
 
 
 def running_integral(wf, order):
     """int_a^t f(s) ds at every node t of a ``composite_gl_nodes`` rule of
     ``order`` points per panel, from wf = w f, its weights times f at its
-    nodes, both in its order.
+    nodes, both in its order along the last axis (one rule per row).
 
     Q[k, m] w_m^(-1) turns w_m f(xi_m) into the panel's share up to xi_k,
     so the panel widths are not needed.
     """
     order = int(order)
     _, wi = _gauss_legendre(order)
-    wf = np.reshape(wf, (-1, order))
-    before = np.concatenate(([0.0], np.cumsum(np.sum(wf, axis=1)[:-1])))
-    return (before[:, None] + wf @ (integration_matrix(order) / wi).T).ravel()
+    wf = np.asarray(wf)
+    panels = wf.reshape(*wf.shape[:-1], -1, order)
+    sums = np.sum(panels, axis=-1)
+    before = np.zeros_like(sums)
+    np.cumsum(sums[..., :-1], axis=-1, out=before[..., 1:])
+    return (before[..., None] + panels @ (integration_matrix(order) / wi).T).reshape(wf.shape)

@@ -37,9 +37,12 @@ from importlib import resources
 import numpy as np
 
 from .coefficients import _finite_number, coefficient_from_dict
+from .decoupling import DEFAULT_GAMMA_TOL
 from .errors import SchemaError
 from .gaussian import GaussianState2D
 from .oracle import GRID_POINTS_RULE, Grid2D, _grid_points_ok, suggest_extent
+from .propagator import (DEFAULT_CAUSTIC_TOL, DEFAULT_ODE_TOL, DEFAULT_QUAD_ORDER,
+                         DEFAULT_QUAD_PANELS)
 from .system import SystemSpec
 
 __all__ = ["Scenario", "parse_scenario", "load_scenario", "shipped_scenarios",
@@ -183,9 +186,11 @@ def parse_scenario(text) -> Scenario:
         tols = {}
     for key in sorted(set(tols) - _TOL_FIELDS):
         problems.append(f"unknown field 'tolerances.{key}'")
-    ode_tol = _num(tols, "ode_tol", problems, where="tolerances.", default=1e-10)
-    gamma_tol = _num(tols, "gamma_tol", problems, where="tolerances.", default=1e-9)
-    caustic_tol = _num(tols, "caustic_tol", problems, where="tolerances.", default=1e-8)
+    ode_tol = _num(tols, "ode_tol", problems, where="tolerances.", default=DEFAULT_ODE_TOL)
+    gamma_tol = _num(tols, "gamma_tol", problems, where="tolerances.",
+                     default=DEFAULT_GAMMA_TOL)
+    caustic_tol = _num(tols, "caustic_tol", problems, where="tolerances.",
+                       default=DEFAULT_CAUSTIC_TOL)
     if ode_tol is not None and ode_tol <= 0:
         problems.append("field 'tolerances.ode_tol' must be positive")
     if gamma_tol is not None and gamma_tol < 0:
@@ -193,8 +198,10 @@ def parse_scenario(text) -> Scenario:
     if caustic_tol is not None and not 0 <= caustic_tol < 1:
         problems.append("field 'tolerances.caustic_tol' must lie in [0, 1)")
 
-    quad_order = _count(doc, "quad_order", problems, default=8.0, most=MAX_QUAD_ORDER)
-    quad_panels = _count(doc, "quad_panels", problems, default=64.0, most=MAX_QUAD_PANELS)
+    quad_order = _count(doc, "quad_order", problems, default=DEFAULT_QUAD_ORDER,
+                        most=MAX_QUAD_ORDER)
+    quad_panels = _count(doc, "quad_panels", problems, default=DEFAULT_QUAD_PANELS,
+                         most=MAX_QUAD_PANELS)
 
     grid_doc = doc.get("grid", {})
     if not isinstance(grid_doc, dict):

@@ -9,6 +9,7 @@ from oscpair import (
     GaussianState2D,
     InadmissibleSystem,
     build_kernel,
+    build_kernels,
     decoupled_at_angle,
     gaussian_fidelity,
     load_shipped,
@@ -21,11 +22,9 @@ from oscpair import (
 import oscpair.decoupling
 from oscpair import propagator
 from oscpair.decoupling import DecoupledSystem
-from oscpair.propagator import _driving_integrals
-from oscpair.quadrature import composite_gl_nodes
-from oscpair.ermakov import ErmakovSolution, solve_ermakov
+from oscpair.ermakov import ErmakovSolution
 
-from conftest import ck_spec, const_spec, random_admissible_spec
+from conftest import SHIPPED, ck_spec, const_spec, random_admissible_spec
 
 
 def feynman_ho(xq, xp, w, T, hbar=1.0, m=1.0):
@@ -164,11 +163,10 @@ def test_driving_integrals_constant_force():
     # Omega = 1, rho = 1, F = F0: closed forms (verified against dblquad)
     #   I'' = I' = F0 (1 - cos T),  D = F0^2 (1 - cos T - (T/2) sin T)
     F0, T = 0.7, 1.3
-    sol = solve_ermakov(lambda t: 1.0, 0.0, T, ic=(1.0, 0.0), tol=1e-12)
-    t, w = composite_gl_nodes(0.0, T, 64, 8)
-    rho, _, phase = sol.rho_drho_phi(t)
-    I_end, I_start, D = _driving_integrals(F0 * np.ones_like(t), rho, phase,
-                                           float(sol.phi(T)), w, 8)
+    dec = solve_angle(const_spec(w2=2.0, f1=F0))
+    ch = build_kernel(dec, 0.0, T, ode_tol=1e-12).channels[0]
+    assert dec.alpha == 0.0 and ch.rho_q == pytest.approx(1.0, abs=1e-12)
+    I_end, I_start, D = ch.I_end, ch.I_start, ch.D
     assert I_end == pytest.approx(F0 * (1 - np.cos(T)), abs=1e-10)
     assert I_start == pytest.approx(F0 * (1 - np.cos(T)), abs=1e-10)
     assert D == pytest.approx(F0**2 * (1 - np.cos(T) - T / 2 * np.sin(T)), abs=1e-10)
@@ -205,6 +203,69 @@ def test_caustic_error():
         build_kernel(dec, 0.0, np.pi)
     assert exc.value.channel in (1, 2)
     assert exc.value.nearest_caustic == pytest.approx(np.pi, abs=1e-6)
+
+
+@pytest.mark.parametrize("w2, t_ends, first, channel", [
+    (1.0, [1.0, 2.0, np.pi, 4.0], 2, 1),
+    (2.0, [1.0, np.pi / 2, np.pi, 4.0], 1, 2),
+])
+def test_family_raises_the_caustic_error_of_its_first_caustic_window(w2, t_ends, first,
+                                                                     channel):
+    """Windows before, at and past the first caustic, pi / w_j: the family
+    raises what its first caustic window raises alone, channel 1 before
+    channel 2 (both meet a caustic at pi when w2 = 2)."""
+    dec = solve_angle(const_spec(w2=w2))
+    sols = solve_channels(dec, 0.0, 4.0)
+    with pytest.raises(CausticError) as family:
+        build_kernels(dec, 0.0, t_ends, sols)
+    with pytest.raises(CausticError) as alone:
+        build_kernel(dec, 0.0, t_ends[first], solutions=sols)
+    assert family.value.channel == alone.value.channel == channel
+    assert family.value.sin_phi == alone.value.sin_phi
+    assert family.value.nearest_caustic == alone.value.nearest_caustic
+    assert family.value.nearest_caustic == pytest.approx(np.pi / w2, abs=1e-9)
+
+
+@pytest.mark.parametrize("t_end", [0.5, 1.0, np.nan])
+def test_family_rejects_windows_that_do_not_end_after_they_start(t_end):
+    dec = solve_angle(const_spec())
+    sols = solve_channels(dec, 0.0, 2.0)
+    with pytest.raises(ValueError, match="t_end must exceed t_start"):
+        build_kernels(dec, 1.0, [1.5, t_end], sols)
+
+
+def _family_cases():
+    """(name, decoupled, window) of the shipped scenarios and of 8 seeded
+    driven random admissible systems."""
+    for name in SHIPPED:
+        sc = load_shipped(name)
+        yield name, solve_angle(sc.system, gamma_tol=sc.gamma_tol), sc.window
+    rng = np.random.default_rng(19)
+    for case in range(8):
+        spec = random_admissible_spec(rng, drive=True)
+        t_start = float(rng.uniform(0.0, 2.0))
+        yield f"random-{case}", solve_angle(spec), (
+            t_start, t_start + float(rng.uniform(0.5, 3.5)))
+
+
+@pytest.mark.parametrize("variant", ["corrected", "lw"])
+def test_family_kernels_equal_their_one_window_kernels(variant):
+    """Every interval of a 64-step grid, built in one family, is the kernel
+    ``build_kernel`` builds for it alone from the same solve: c0, L and M
+    within 1e-12 scaled, the Maslov counts exactly."""
+    for name, dec, window in _family_cases():
+        sols = solve_channels(dec, *window, variant=variant)
+        times = np.linspace(*window, 65)
+        family = build_kernels(dec, times[:-1], times[1:], sols, variant)
+        assert len(family) == 64
+        for kern, t_start, t_end in zip(family, times[:-1], times[1:]):
+            one = build_kernel(dec, t_start, t_end, variant=variant, solutions=sols)
+            assert (kern.t_start, kern.t_end) == (one.t_start, one.t_end)
+            for got, want in ((kern.c0, one.c0), (kern.L, one.L), (kern.M, one.M)):
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale, (name, t_end)
+            assert ([ch.maslov for ch in kern.channels]
+                    == [ch.maslov for ch in one.channels]), (name, t_end)
 
 
 def test_corrected_variant_requires_admissible():
@@ -382,10 +443,10 @@ def test_kernel_reads_each_solution_once_per_node_set(name, limit):
 
 @pytest.mark.parametrize("name", ["static", "driven-static"])
 def test_undriven_kernel_reads_no_drive_and_builds_no_nodes(name, monkeypatch):
-    """A driven kernel builds one composite node set and reads F_1 and F_2
-    there in one ``channel_forces`` call, with no ``channel_quantities``
-    call; an undriven one does neither.  Both read each channel's dense
-    output once."""
+    """A driven kernel, or family of kernels, builds one composite node set
+    and reads F_1 and F_2 there in one ``channel_forces`` call, with no
+    ``channel_quantities`` call; an undriven one does neither.  Both read
+    each channel's dense output once."""
     sc = load_shipped(name)
     dec = solve_angle(sc.system)
     calls = {"nodes": 0, "forces": 0, "quantities": 0, 1: 0, 2: 0}
@@ -408,6 +469,12 @@ def test_undriven_kernel_reads_no_drive_and_builds_no_nodes(name, monkeypatch):
     driven = name == "driven-static"
     assert dec.undriven != driven
     assert all((ch.I_end != 0.0) == driven for ch in kern.channels)
+    assert calls == {"nodes": int(driven), "forces": int(driven), "quantities": 0,
+                     1: 1, 2: 1}
+    # a family of 64 windows makes the same calls
+    calls.update(dict.fromkeys(calls, 0))
+    times = np.linspace(*sc.window, 65)
+    assert len(build_kernels(dec, times[:-1], times[1:], sols)) == 64
     assert calls == {"nodes": int(driven), "forces": int(driven), "quantities": 0,
                      1: 1, 2: 1}
     monkeypatch.setattr(DecoupledSystem, "undriven", False)
