@@ -38,6 +38,9 @@ column, every cell is.  ``_write_csv`` states the bound and its proof.
 A points file is CSV (an optional header line, then rows of four
 numbers, with no blank line) or a JSON list of such rows.  Every value must be a finite
 number; anything else is a validation failure naming the points file.
+A CSV file of the canonical layout is parsed by ``strtold`` to 80-bit
+longdoubles and rounded to float64, with the same bits as ``float``
+(``_strict_points`` states why); any other goes through ``np.loadtxt``.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import io
 import json
 import struct
 import sys
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -169,7 +173,9 @@ def _csv_rows(columns):
         chars, keep = _g17_fields(np.column_stack(columns))
         chars[:, :, -1] = ord(",")
         chars[:, -1, -1] = ord("\n")
-        return chars[keep].tobytes().decode()
+        text = chars[keep]
+        del chars, keep
+        return str(text, "ascii")
     cells = [_fallback_cells(col) if isinstance(col, np.ndarray) else map(_quoted, col)
              for col in columns]
     return "".join(",".join(row) + "\n" for row in zip(*cells))
@@ -191,6 +197,9 @@ _Q_MIN, _Q_MAX = 16 - _K_MAX, 16 - _K_MIN  # scale exponents q of the powers
 #: (fixed, k = 16 - c); _ZERO, the cell is 0; _FALLBACK, Python formats it
 _ZERO, _FALLBACK = 21, 22
 _LEADING = np.frombuffer(b"0.000", np.uint8)
+#: longdouble is the x87 80-bit format (x86-64 Linux): the platform rule of
+#: the numpy writer and of the strict points reader
+_X87 = np.finfo(np.longdouble).nmant == 63
 
 
 class _G17Tables(NamedTuple):
@@ -248,7 +257,7 @@ def _g17_tables():
             | (col == _FIELD - 1))
     return _G17Tables(
         decade_start=start,
-        pow10=powers[_Q_MIN - lo:_Q_MAX - lo + 1] if info.nmant == 63 else None,
+        pow10=powers[_Q_MIN - lo:_Q_MAX - lo + 1] if _X87 else None,
         half_lo=np.nextafter((0.5 - bound).astype(np.float64), 0),
         half_hi=np.nextafter((0.5 + bound).astype(np.float64), 1),
         quads=quads, quad_digits=quad_digits, klass=klass.astype(np.int8),
@@ -281,6 +290,8 @@ def _g17_fields(values):
         exp_len = np.empty(n, np.intp)
         fallback = np.arange(n)
     else:
+        # each full-size temporary is freed at its last use: the working
+        # set stays near a few planes of 8n bytes and the 32n-byte fields
         a = np.abs(x)
         normal = (a > 0) & (a < np.inf)
         a[~normal] = 1.0
@@ -290,74 +301,68 @@ def _g17_fields(values):
         k -= a < np.take(t.decade_start, i)
         qi = 16 - _Q_MIN - k  # index of 10^(16 - k) in the power table
         s = a.astype(np.longdouble)
+        del a
         s *= np.take(t.pow10.view("V16"), qi).view(np.longdouble)
-        frac, whole = np.modf(s)
-        frac = frac.astype(np.float64)
-        D = whole.astype(np.int64)
+        D = s.astype(np.int64)  # the integer part of s (near [10^16, 10^17))
+        s -= D                  # and its fraction, exactly
+        frac = s.astype(np.float64)
+        del s
         D += frac > 0.5
         near_half = (frac >= np.take(t.half_lo, qi)) & (frac <= np.take(t.half_hi, qi))
+        del frac, qi
         carry = D == 10**17
         D[carry] = 10**16
         k += carry
-        i = k - _K_MIN
+        np.subtract(k, _K_MIN, out=i)
+        del k, carry
         klass = np.take(t.klass, i)
         klass[~normal] = np.where(x[~normal] == 0, _ZERO, _FALLBACK)
         klass[near_half] = _FALLBACK
+        del normal, near_half
         order = np.argsort(klass, kind="stable")
         ends = np.cumsum(np.bincount(klass, minlength=_FALLBACK + 1)).tolist()
+        del klass
 
         # the 17 digits, in class order: a leading digit and four quads
         D = np.take(D, order)
         upper = D // 10**8
-        lower = (D - upper * 10**8).astype(np.int32)
+        D -= upper * 10**8
+        lower = D.astype(np.int32)
         upper = upper.astype(np.int32)
+        del D
         lead = upper // 10**8
         upper -= lead * 10**8
         q0, q2 = upper // 10**4, lower // 10**4
-        quads = (q0, upper - q0 * 10**4, q2, lower - q2 * 10**4)
+        upper -= q0 * 10**4
+        lower -= q2 * 10**4
+        quads = (q0, upper, q2, lower)
         words = np.empty((n, 5), np.uint32)
         for j, v in enumerate(quads):
             words[:, j + 1] = np.take(t.quads, v)
         digits = words.view(np.uint8)[:, 3:]
         digits[:, 0] = lead + ord("0")
-        nd = 13 + np.take(t.quad_digits, quads[3])
-        short = np.flatnonzero(quads[3] == 0)
+        nd = 13 + np.take(t.quad_digits, lower)
+        short = np.flatnonzero(lower == 0)
         if short.size:
             q0, q1, q2 = (v[short] for v in quads[:3])
             nd[short] = np.where(
                 q2 != 0, 9 + t.quad_digits[q2],
                 np.where(q1 != 0, 5 + t.quad_digits[q1], 1 + t.quad_digits[q0]))
+        del quads, q0, q2, upper, lower, lead
 
-        # the sign and mantissa bytes, one slice assignment per class
         sorted_chars = np.empty((n, _FIELD), np.uint8)
-        sorted_chars[:, 0] = ord("-")
-        length = np.empty(n, np.intp)
-        first = 0
-        for c, last in enumerate(ends[:_FALLBACK]):
-            if last == first:
-                continue
-            rows = slice(first, last)
-            out, d = sorted_chars[rows], digits[rows]
-            if c <= 16:   # c + 1 digits, a point, 16 - c digits
-                out[:, 1:c + 2] = d[:, :c + 1]
-                out[:, c + 2] = ord(".")
-                out[:, c + 3:19] = d[:, c + 1:]
-                length[rows] = np.where(nd[rows] > c + 1, nd[rows] + 1, c + 1)
-            elif c < _ZERO:   # "0." and c - 17 zeros, 17 digits
-                lead_len = c - 15
-                out[:, 1:1 + lead_len] = _LEADING[:lead_len]
-                out[:, 1 + lead_len:18 + lead_len] = d
-                length[rows] = nd[rows] + lead_len
-            else:
-                out[:, 1] = ord("0")
-                length[rows] = 1
-            first = last
+        length = _mantissa_bytes(sorted_chars, digits, nd, ends)
+        del words, digits, nd
         chars = np.empty((n, _FIELD), np.uint8)
         np.put(chars.view(f"V{_FIELD}"), order, sorted_chars.view(f"V{_FIELD}"))
+        del sorted_chars
         chars.view(np.uint64)[:, 3] = np.take(t.exponents, i)
         exp_len = np.take(t.exponent_len, i)
+        del i
         end = np.empty(n, np.intp)
-        np.put(end, order, length + 1)
+        length += 1
+        np.put(end, order, length)
+        del length
         fallback = order[ends[_ZERO]:]
     if fallback.size:
         cells = [c.encode() for c in _fallback_cells(x[fallback])]
@@ -368,6 +373,37 @@ def _g17_fields(values):
     keep = np.take(t.keep, (start * 25 + end) * 6 + exp_len)
     shape = values.shape + (_FIELD,)
     return chars.reshape(shape), keep.view(bool).reshape(shape)
+
+
+def _mantissa_bytes(chars, digits, nd, ends):
+    """Write the sign and mantissa bytes of the cells in class order, one
+    slice assignment per layout class, into ``chars``; return the byte
+    lengths of the mantissas (digits, point and leading zeros).  ``digits``
+    holds the 17 digits of each cell, ``nd`` how many are left of its
+    trailing zeros, and ``ends`` the end of each class."""
+    chars[:, 0] = ord("-")
+    length = np.empty(len(chars), np.intp)
+    first = 0
+    for c, last in enumerate(ends[:_FALLBACK]):
+        if last == first:
+            continue
+        rows = slice(first, last)
+        out, d = chars[rows], digits[rows]
+        if c <= 16:   # c + 1 digits, a point, 16 - c digits
+            out[:, 1:c + 2] = d[:, :c + 1]
+            out[:, c + 2] = ord(".")
+            out[:, c + 3:19] = d[:, c + 1:]
+            length[rows] = np.where(nd[rows] > c + 1, nd[rows] + 1, c + 1)
+        elif c < _ZERO:   # "0." and c - 17 zeros, 17 digits
+            lead_len = c - 15
+            out[:, 1:1 + lead_len] = _LEADING[:lead_len]
+            out[:, 1 + lead_len:18 + lead_len] = d
+            length[rows] = nd[rows] + lead_len
+        else:
+            out[:, 1] = ord("0")
+            length[rows] = 1
+        first = last
+    return length
 
 
 def _decoupled(sc):
@@ -393,7 +429,13 @@ def _cmd_decouple(args):
 
 
 def _read_points(path):
-    """(n, 4) finite floats from a CSV (optional header line) or JSON file."""
+    """(n, 4) finite floats from a CSV (optional header line) or JSON file.
+
+    A CSV file of the canonical layout (what ``np.savetxt(..., fmt="%.17g",
+    delimiter=",")`` writes, with or without a header) is parsed by
+    :func:`_strict_points`; any other goes through ``np.loadtxt``
+    (:func:`_loadtxt_points`), the only source of errors.
+    """
     if path.endswith(".json"):
         with open(path) as fh:
             data = json.load(fh)
@@ -409,17 +451,11 @@ def _read_points(path):
             raise SchemaError(["points file holds a non-finite value"]) from None
     else:
         with open(path, newline="") as fh:
-            lines = fh.read().replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        if lines[-1] == "":
-            lines.pop()  # the terminator of the last row
-        if lines and not all(_is_number(v) for v in next(csv.reader(lines[:1]))):
-            lines = lines[1:]  # header line
-        if not lines or "" in lines:  # no rows, or a blank line: a row of no values
-            raise SchemaError([ROWS_MESSAGE])
-        try:
-            pts = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
-        except ValueError:  # a ragged row or a cell that is not a number
-            raise SchemaError([ROWS_MESSAGE]) from None
+            text = fh.read()
+        pts = _strict_points(text)
+        if pts is not None:
+            return pts
+        pts = _loadtxt_points(text)
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise SchemaError([ROWS_MESSAGE])
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
@@ -427,6 +463,83 @@ def _read_points(path):
         raise SchemaError(
             [f"points file holds a non-finite value in point {bad[0] + 1}"])
     return pts
+
+
+def _loadtxt_points(text):
+    """The rows of a CSV points file by ``np.loadtxt``: any line ending, an
+    optional header line, quoted cells and cells padded with whitespace."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the terminator of the last row
+    if lines and _is_header(lines[0]):
+        lines = lines[1:]
+    if not lines or "" in lines:  # no rows, or a blank line: a row of no values
+        raise SchemaError([ROWS_MESSAGE])
+    try:
+        return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except ValueError:  # a ragged row or a cell that is not a number
+        raise SchemaError([ROWS_MESSAGE]) from None
+
+
+_STRICT_SEPARATORS = b",,,\n"  # what is left of a row once its number bytes go
+_TINY = np.finfo(np.float64).tiny
+
+
+def _strict_points(text):
+    """The (n, 4) finite float64 rows of a strict CSV points file, or None.
+
+    Strict: ``\\n`` line ends, the header line of :func:`_loadtxt_points`
+    if any, then rows of exactly four cells of the bytes ``0-9 + - . e E``
+    (the last row may lack its ``\\n``).  glibc's ``strtold`` parses every
+    cell (``np.fromstring``) to the nearest 80-bit longdouble L, which is
+    then rounded to float64.  Every midpoint of adjacent float64s is an
+    80-bit value, so rounding the decimal value d to nearest is monotone
+    across it: L lies on the same side of each midpoint as d, or on it.
+    The two roundings therefore give float(d) unless L is itself a
+    midpoint (its 11 low significand bits 0x400) or below the least
+    normal float64, where fewer bits are kept; those cells, and zeros,
+    are parsed again by ``float``.  A file that is not strict, or holds a
+    cell that is not a number or a value that is not finite, gives None;
+    on every file this takes, :func:`_loadtxt_points` gives the same
+    floats.  Runs where longdouble is the x87 80-bit format (``_X87``).
+    """
+    if not _X87 or "\r" in text or not text.isascii():
+        return None
+    head, _, rows = text.partition("\n")
+    if _is_header(head):
+        text = rows
+    raw = text.encode("ascii")
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    separators = raw.translate(None, b"0123456789+-.eE")  # and any other byte
+    n = len(separators) // 4
+    if not n or separators != _STRICT_SEPARATORS * n:
+        return None
+    cells = raw.replace(b"\n", b",")
+    try:
+        # where a cell is not a number, numpy 2.4 raises; older versions
+        # warn and return the values before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            wide = np.fromstring(cells, dtype=np.longdouble, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    with np.errstate(over="ignore"):
+        pts = wide.astype(np.float64)
+    low = wide.view(np.uint16)[::wide.itemsize // 2]  # low 16 significand bits
+    redo = np.flatnonzero(((low & 0x7FF) == 0x400) | (np.abs(pts) <= _TINY))
+    if redo.size:
+        tokens = cells.split(b",")
+        pts[redo] = [float(tokens[i]) for i in redo.tolist()]
+    if not np.isfinite(pts).all():
+        return None
+    return pts.reshape(n, 4)
+
+
+def _is_header(line):
+    """Whether the first line of a CSV points file is a header: a cell that
+    is not a number."""
+    return not all(_is_number(v) for v in next(csv.reader([line])))
 
 
 def _leaves(data):

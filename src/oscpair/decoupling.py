@@ -104,12 +104,17 @@ class CanonicalTransform:
     def __post_init__(self):
         object.__setattr__(self, "alpha", normalize_angle(self.alpha))
 
-    def _parts(self, t):
+    def _roots(self, t):
+        """(t as checked, sqrt m_1, sqrt m_2) at t."""
         s = self.system
         # the window check covers every coefficient's domain, so the masses
         # are read unchecked, at the float array their checked reads would pass on
         t = s.check_time(t)
-        sm1, sm2 = np.sqrt(s.m1._value(t)), np.sqrt(s.m2._value(t))
+        return t, np.sqrt(s.m1._value(t)), np.sqrt(s.m2._value(t))
+
+    def _parts(self, t):
+        s = self.system
+        t, sm1, sm2 = self._roots(t)
         b1 = -s.m1._deriv1(t) / (2.0 * sm1)
         b2 = -s.m2._deriv1(t) / (2.0 * sm2)
         return sm1, sm2, b1, b2, np.cos(self.alpha), np.sin(self.alpha)
@@ -139,7 +144,8 @@ class CanonicalTransform:
     def position_matrix(self, t):
         """2x2 matrix T(t) with Q = T x for the position block; for an
         array of times, shape (2, 2, *t.shape)."""
-        sm1, sm2, _, _, c, s = self._parts(t)
+        _, sm1, sm2 = self._roots(t)
+        c, s = np.cos(self.alpha), np.sin(self.alpha)
         return np.array([[c * sm1, -s * sm2], [s * sm1, c * sm2]])
 
 

@@ -154,7 +154,8 @@ class ErmakovSolution:
 
     def _check(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.t_start - 1e-12) or np.any(t > self.t_end + 1e-12):
+        # false for a NaN time, as every comparison with NaN is
+        if not (np.all(t >= self.t_start - 1e-12) and np.all(t <= self.t_end + 1e-12)):
             raise DomainError(
                 f"time outside solved range [{self.t_start:g}, {self.t_end:g}]"
             )
@@ -236,8 +237,13 @@ class _ClosedForm:
     """u, u', v, v' and phi of a constant Om^2 in closed form.
 
     Read like :class:`_Panels`: 0-d times give shape (5,), 1-D times
-    (5, n).  A 0-d time is read as a length-1 array, so a value
-    does not depend on the shape of the read.
+    (5, n).  A 0-d time is read as a length-1 array.  u, u', v and v' at
+    a time do not depend on the other times of the read: each is a sum
+    of products of one cos and sin (cosh and sinh, or 1 and tau) of that
+    time alone.  phi can, by an ulp: numpy's vectorized arctan2 may
+    round a value differently with the other values of its SIMD vector
+    (seen on x86-64 with AVX-512 for a 1-element and a 6-element read of
+    the same time, with identical u and v).
 
     phi is the polar angle of (u, v), atan2(v, u) in (-pi, pi], lifted by
     a multiple of 2 pi.  For Om^2 <= 0, v >= 0 for tau >= 0 and no lift is

@@ -146,13 +146,15 @@ class SystemSpec:
             read(name)
 
     def check_time(self, t):
-        """t as a float array, or DomainError if any time leaves [t_min, t_max].
+        """t as a float array, or DomainError if any time leaves [t_min, t_max]
+        or is NaN.
 
         Every coefficient's domain covers the window (checked above), so
         times that pass may go to the unchecked coefficient formulas.
         """
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.t_min) or np.any(t > self.t_max):
+        # false for a NaN time, as every comparison with NaN is
+        if not (np.all(t >= self.t_min) and np.all(t <= self.t_max)):
             raise DomainError(
                 f"time outside system domain [{self.t_min:g}, {self.t_max:g}]"
             )

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 
@@ -223,11 +224,15 @@ def test_exponent_estimate_may_be_off_by_one_either_way(monkeypatch):
     _assert_same_rows(_numpy_rows(cells), _percent_g(cells))
 
 
-def test_kernel_table_sends_few_cells_to_python(monkeypatch):
-    rng = np.random.default_rng(6)
+def _kernel_table(rng):
+    """A 1,024 x 6 table like the kernel's: points, then Re K and Im K."""
     pts = rng.normal(size=(1024, 4))
     K = np.exp(-rng.uniform(0, 30, 1024) + 1j * rng.uniform(0, 2 * np.pi, 1024))
-    cells = np.column_stack([pts, K.real, K.imag])
+    return np.column_stack([pts, K.real, K.imag])
+
+
+def test_kernel_table_sends_few_cells_to_python(monkeypatch):
+    cells = _kernel_table(np.random.default_rng(6))
     calls = []
     fallback = cli._fallback_cells
     monkeypatch.setattr(cli, "_fallback_cells",
@@ -235,6 +240,28 @@ def test_kernel_table_sends_few_cells_to_python(monkeypatch):
     _assert_same_rows(_numpy_rows(cells), _percent_g(cells))
     if cli._g17_tables().pow10 is not None:
         assert sum(calls) <= 0.03 * cells.size
+
+
+def test_kernel_table_written_within_a_bounded_working_set(tmp_path):
+    """Every full-size temporary of the writer is freed at its last use:
+    the traced peak of writing the 124 KB kernel table stays at most
+    1.3 MB (1.80 MB when they all lived to the end of the call)."""
+    if cli._g17_tables().pow10 is None:
+        pytest.skip("longdouble is not the x87 80-bit format")
+    cells = _kernel_table(np.random.default_rng(6))
+    header = ["x1q", "x2q", "x1p", "x2p", "ReK", "ImK"]
+    path = str(tmp_path / "kernel.csv")
+    _write_csv(path, header, list(cells.T))  # the lookup tables are built once
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _write_csv(path, header, list(cells.T))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3e6
+    with open(path) as fh:
+        assert fh.read() == _reference_csv(header, cells.tolist())
 
 
 def _kernel(tmp_path, name, text):

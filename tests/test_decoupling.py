@@ -692,3 +692,17 @@ def test_canonical_transform_reads_coefficients_unchecked(name, monkeypatch):
         monkeypatch.setattr(Coefficient, attr,
                             lambda *args: pytest.fail("checked coefficient read"))
     assert outputs() == want
+
+
+def test_position_matrix_reads_only_the_masses(monkeypatch):
+    sc = load_shipped("caldirola-kanai")
+    ct = solve_angle(sc.system).transform
+    ts = np.linspace(*sc.window, 5)
+    want = ct.position_matrix(ts)
+    monkeypatch.setattr(type(sc.system.m1), "_deriv1",
+                        lambda *args: pytest.fail("mass derivative read"))
+    assert np.array_equal(ct.position_matrix(ts), want)
+    roots = np.sqrt(sc.system.m1(ts)), np.sqrt(sc.system.m2(ts))
+    c, s = np.cos(ct.alpha), np.sin(ct.alpha)
+    assert np.array_equal(want, np.array([[c * roots[0], -s * roots[1]],
+                                          [s * roots[0], c * roots[1]]]))

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import oscpair.ermakov
-from oscpair import decoupled_at_angle, load_shipped, solve_angle, solve_ermakov, solve_ermakov_nonlinear
+from oscpair import (decoupled_at_angle, load_shipped, solve_angle, solve_channels,
+                     solve_ermakov, solve_ermakov_nonlinear)
 from oscpair.ermakov import ORDER, ErmakovSolution, _check_grid
 from oscpair.errors import DomainError, NonPositiveRho, SolverFailure
 
@@ -347,3 +348,13 @@ def test_cli_kernel_with_overflowing_masses_fails_without_hanging(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert "error: coefficient m1 (value, first or second derivative) is not finite" \
         in proc.stderr
+
+
+def test_nan_time_read_rejected():
+    sc = load_shipped("caldirola-kanai")
+    sols = solve_channels(solve_angle(sc.system), *sc.window)
+    for t in (np.nan, [sc.window[0], np.nan]):
+        with pytest.raises(DomainError):
+            sols[0].rho_drho_phi(t)
+    with pytest.raises(DomainError):
+        sols[1].rho(np.nan)

@@ -7,9 +7,11 @@ from oscpair import (
     DomainError,
     PhasePoint,
     SystemSpec,
+    channel_quantities,
     effective_frequency_sq,
     hamiltonian,
     kinetic_energy,
+    load_shipped,
     potential,
 )
 from oscpair.coefficients import (
@@ -168,3 +170,14 @@ def test_time_domain_checked():
         potential(spec, 0.0, 0.0, 6.0)
     with pytest.raises(DomainError):
         effective_frequency_sq(spec, 1, -0.5)
+
+
+def test_nan_time_rejected():
+    """Every comparison with NaN is false, so a test for leaving the domain
+    must be one that NaN fails."""
+    spec = load_shipped("caldirola-kanai").system
+    with pytest.raises(DomainError):
+        channel_quantities(spec, 0.1, np.nan)
+    with pytest.raises(DomainError):
+        spec.check_time([0.5, np.nan, 1.0])
+    assert spec.check_time([]).shape == (0,)

@@ -20,13 +20,16 @@ of each op is printed.
 Then it runs R rounds.  In each round every op runs with A and with B,
 in alternating order, so that both see the same load; the round prints
 the ops/s of each (14 ops over the summed op times) and their ratio B/A.
-The end prints, per op, the best time of the whole op and of
-``solve_channels`` (both channels' auxiliary solves) under A and B, and
-their sums over the 14 ops, and the median over the rounds of the op's
-minor page faults (``ru_minflt`` of the process) under A and B.  Read the
-ratios: the absolute times depend on the host, and the faults on what
-the process freed before (glibc's thresholds for returning memory to
-the system move with the sizes freed).
+The end prints two tables.  The first gives, per op, the best time of
+the whole op and of ``solve_channels`` (both channels' auxiliary solves)
+under A and B, and the median over the rounds of the op's minor page
+faults (``ru_minflt`` of the process) under A and B.  The second gives,
+per op, the best time of ``cli._read_points`` (the points file) and of
+``cli._write_csv`` (the kernel table) under A and B.  Each table ends
+with the sums over the 14 ops.  Read the ratios: the absolute times
+depend on the host, and the faults on what the process freed before
+(glibc's thresholds for returning memory to the system move with the
+sizes freed).
 """
 
 from __future__ import annotations
@@ -87,29 +90,36 @@ def load_workloads():
     return module
 
 
+#: the stages timed inside each op: (module, function) of a checkout
+STAGES = (("propagator", "solve_channels"), ("cli", "_read_points"),
+          ("cli", "_write_csv"))
+
+
 class Side:
-    """One checkout's ``oscpair``, with ``solve_channels`` timed per op."""
+    """One checkout's ``oscpair``, with the ``STAGES`` timed per op."""
 
     def __init__(self, pkg, out):
         self.pkg = pkg
         self.out = out
-        self.solve_s = 0.0
-        propagator = pkg.propagator
-        solve = propagator.solve_channels
+        self.stage_s = [0.0] * len(STAGES)
+        for j, (module, name) in enumerate(STAGES):
+            module = getattr(pkg, module)
+            setattr(module, name, self._timed(j, getattr(module, name)))
 
+    def _timed(self, j, func):
         def timed(*args, **kwargs):
             t0 = perf_counter()
             try:
-                return solve(*args, **kwargs)
+                return func(*args, **kwargs)
             finally:
-                self.solve_s += perf_counter() - t0
+                self.stage_s[j] += perf_counter() - t0
 
-        propagator.solve_channels = timed
+        return timed
 
     def run(self, wl, variant, kind):
-        """(exit code, stderr, op seconds, solve_channels seconds, minor
-        page faults) of one op."""
-        self.solve_s = 0.0
+        """(exit code, stderr, op seconds, seconds per stage, minor page
+        faults) of one op."""
+        self.stage_s = [0.0] * len(STAGES)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -117,7 +127,32 @@ class Side:
             rc = self.pkg.cli.main(wl.argv("kernel", variant, kind, self.out))
             dt = perf_counter() - t0
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-        return rc, err.getvalue(), dt, self.solve_s, faults
+        return rc, err.getvalue(), dt, self.stage_s, faults
+
+
+def print_table(labels, stages, faults=None):
+    """Per op and summed over the ops: the best milliseconds of each
+    (name, best[side][op]) stage under A and B and their ratio A/B, then
+    the median minor page faults[side][op] if given."""
+    head = f"\n{'op':36s}"
+    for name, _ in stages:
+        head += f" {name + ' A ms':>11s} {name + ' B ms':>11s} {name + ' A/B':>10s}"
+    if faults is not None:
+        head += f" {'flt A':>7s} {'flt B':>7s}"
+    print(head)
+    rows = [(label, [[side[i] for side in best] for _, best in stages],
+             None if faults is None else [side[i] for side in faults])
+            for i, label in enumerate(labels)]
+    rows.append(("sum of best", [[sum(side) for side in best] for _, best in stages],
+                 None if faults is None else [sum(side) for side in faults]))
+    for label, times, flt in rows:
+        line = f"{label:36s}"
+        for a, b in times:
+            ratio = a / b if b else float("nan")  # a stage that did not run
+            line += f" {1e3 * a:11.2f} {1e3 * b:11.2f} {ratio:10.3f}"
+        if flt is not None:
+            line += f" {flt[0]:7.0f} {flt[1]:7.0f}"
+        print(line)
 
 
 def main(argv=None):
@@ -174,7 +209,8 @@ def main(argv=None):
             print(f"outputs: all {len(ops)} kernel ops agree to {worst:.3e} scaled, "
                   f"within {args.tol:g} (seed {args.seed})")
 
-        best = [[[float("inf")] * len(ops) for _ in sides] for _ in range(2)]
+        # best[j][s][i]: the op (j = 0) or stage j - 1, side s, op i
+        best = [[[float("inf")] * len(ops) for _ in sides] for _ in range(1 + len(STAGES))]
         faults = [[[] for _ in ops] for _ in sides]
         ratios = []
         for r in range(args.rounds):
@@ -182,31 +218,20 @@ def main(argv=None):
             for i, (variant, kind) in enumerate(ops):
                 order = (0, 1) if (r + i) % 2 == 0 else (1, 0)
                 for s in order:
-                    _, _, dt, solve_s, flt = sides[s].run(wl, variant, kind)
+                    _, _, dt, stage_s, flt = sides[s].run(wl, variant, kind)
                     faults[s][i].append(flt)
                     total[s] += dt
-                    best[0][s][i] = min(best[0][s][i], dt)
-                    best[1][s][i] = min(best[1][s][i], solve_s)
+                    for j, sec in enumerate([dt, *stage_s]):
+                        best[j][s][i] = min(best[j][s][i], sec)
             rate = [len(ops) / t for t in total]
             ratios.append(rate[1] / rate[0])
             print(f"round {r + 1}: A {rate[0]:.1f} ops/s, B {rate[1]:.1f} ops/s, "
                   f"B/A {ratios[-1]:.3f}")
         print(f"median B/A ops/s ratio: {statistics.median(ratios):.3f}")
 
-        print(f"\n{'op':36s} {'op A ms':>9s} {'op B ms':>9s} "
-              f"{'solve A ms':>11s} {'solve B ms':>11s} {'solve A/B':>10s} "
-              f"{'flt A':>7s} {'flt B':>7s}")
         flt = [[statistics.median(f) for f in side] for side in faults]
-        for i, label in enumerate(labels):
-            op_a, op_b = best[0][0][i], best[0][1][i]
-            sv_a, sv_b = best[1][0][i], best[1][1][i]
-            print(f"{label:36s} {1e3 * op_a:9.2f} {1e3 * op_b:9.2f} "
-                  f"{1e3 * sv_a:11.2f} {1e3 * sv_b:11.2f} {sv_a / sv_b:10.3f} "
-                  f"{flt[0][i]:7.0f} {flt[1][i]:7.0f}")
-        sums = [sum(x) for x in (best[0][0], best[0][1], best[1][0], best[1][1])]
-        print(f"{'sum of best':36s} {1e3 * sums[0]:9.2f} {1e3 * sums[1]:9.2f} "
-              f"{1e3 * sums[2]:11.2f} {1e3 * sums[3]:11.2f} {sums[2] / sums[3]:10.3f} "
-              f"{sum(flt[0]):7.0f} {sum(flt[1]):7.0f}")
+        print_table(labels, [("op", best[0]), ("solve", best[1])], flt)
+        print_table(labels, [("read", best[2]), ("write", best[3])])
     return 0
 
 
