@@ -44,6 +44,7 @@ from .oracle import (
 )
 from .propagator import (
     Kernel,
+    KernelFamily,
     build_kernel,
     build_kernels,
     evolve_gaussian,

@@ -35,9 +35,9 @@ cell, is formatted by Python's ``%`` instead; where longdouble is not the
 x87 80-bit format (it is on x86-64 Linux), or the table holds a string
 column, every cell is.  ``_write_csv`` states the bound and its proof.
 
-A points file is CSV (an optional header line, then rows of four
-numbers, with no blank line) or a JSON list of such rows.  Every value must be a finite
-number; anything else is a validation failure naming the points file.
+A points file is CSV (an optional header line with no number cell, then
+rows of four numbers, with no blank line) or a JSON list of such rows.
+Every value must be a finite number; anything else is a validation failure naming the points file.
 A CSV file of the canonical layout is parsed by ``strtold`` to 80-bit
 longdoubles and rounded to float64, with the same bits as ``float``
 (``_strict_points`` states why); any other goes through ``np.loadtxt``.
@@ -537,9 +537,9 @@ def _strict_points(text):
 
 
 def _is_header(line):
-    """Whether the first line of a CSV points file is a header: a cell that
-    is not a number."""
-    return not all(_is_number(v) for v in next(csv.reader([line])))
+    """Whether the first line of a CSV points file is a header: cells none
+    of which is a number.  A line with any number cell is a row."""
+    return bool(cells := next(csv.reader([line]))) and not any(map(_is_number, cells))
 
 
 def _leaves(data):

@@ -36,11 +36,11 @@ update, so there is a single code path to validate.
 Inside a window every kernel depends on the auxiliary data only through
 rho_j and phi_j, so one auxiliary solve per window fixes them all.
 ``solve_channels`` is the one place that solve happens, and
-``build_kernels`` assembles a family of kernels from its pair: those of
-any windows inside the solved one, such as the intervals of
-``evolve_gaussian`` or the stencil times of the residual check.
-``build_kernel`` is a family of one, after its own solve unless it is
-handed ``solutions``.
+``build_kernels`` assembles a ``KernelFamily`` from its pair: the stacked
+kernels of any windows inside the solved one, such as the intervals of
+``evolve_gaussian`` or the stencil times of the residual check, which
+reads them all in two ``log_evaluate`` calls.  ``build_kernel`` is a
+family of one, after its own solve unless it is handed ``solutions``.
 
 A family checks its variant, admissibility and windows once and reads
 each channel's dense output once (``ErmakovSolution.rho_drho_phi``): at
@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +77,7 @@ from .system import potential
 __all__ = [
     "ChannelKernelData",
     "Kernel",
+    "KernelFamily",
     "build_kernel",
     "build_kernels",
     "evolve_gaussian",
@@ -94,8 +96,11 @@ _MARGIN_FRAC = 0.1
 #: residual samples keep |sin phi_j| above this in both channels
 _SIN_PHI_MIN = 0.15
 #: the residual's kernel times tc + k h_t: the first-derivative stencils
-#: of its two levels, steps h_t and h_t / 2, and tc itself
+#: of its two levels, steps h_t and h_t / 2 (columns _DT_COLUMNS), and tc
 _STENCIL = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+_DT_COLUMNS = np.array([[0, 1, 5, 6], [1, 2, 4, 5]])
+#: the step of each level, as a share of h, and the x'' stencil in steps
+_LEVELS, _SHIFTS = np.array([1.0, 0.5]), np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 #: the sign of each end, t'' and t', in the kernel's boundary terms
 _ENDS_SIGN = np.array([[1.0], [-1.0]])
 _DIAG = np.arange(4)
@@ -107,13 +112,9 @@ class ChannelKernelData:
 
     channel: int
     solution: ErmakovSolution
-    rho_p: float      # rho at t'
-    drho_p: float
     rho_q: float      # rho at t''
     drho_q: float
     phi: float        # phi(t'', t')
-    sin_phi: float
-    cos_phi: float
     maslov: int
     I_end: float      # int G sin phi(t, t') dt   (couples to Q'')
     I_start: float    # int G sin phi(t'', t) dt  (couples to Q')
@@ -153,6 +154,51 @@ class Kernel:
         return self.evaluate(x1q, x2q, x1p, x2p)
 
 
+@dataclass(frozen=True, repr=False)
+class KernelFamily:
+    """Stacked kernels of windows inside one solve: t_start, t_end and c0 in the
+    windows' shape, L and M with trailing axes (4,) and (4, 4), per-channel values
+    behind a channel axis; ``family[i]`` is the Kernel of window i in C order."""
+
+    decoupled: DecoupledSystem
+    variant: str
+    solutions: tuple
+    t_start: np.ndarray
+    t_end: np.ndarray
+    c0: np.ndarray
+    L: np.ndarray
+    M: np.ndarray
+    rho_q: np.ndarray
+    drho_q: np.ndarray
+    phi: np.ndarray
+    maslov: np.ndarray
+    I_end: np.ndarray
+    I_start: np.ndarray
+    D: np.ndarray
+
+    @cached_property
+    def _scalars(self):
+        """t_start, t_end, c0 and the channels' values by window, as Python numbers."""
+        v = np.array([self.rho_q, self.drho_q, self.phi, self.maslov, self.I_end, self.I_start,
+                      self.D]).reshape(7, 2, -1).T.tolist()
+        return list(zip(*(x.ravel().tolist() for x in (self.t_start, self.t_end, self.c0)), v))
+
+    def __len__(self):
+        return len(self._scalars)
+
+    def __getitem__(self, i):
+        a, b, c, v = self._scalars[i]
+        channels = tuple(ChannelKernelData(j, sol, *x[:3], int(x[3]), *x[4:])
+                         for j, sol, x in zip((1, 2), self.solutions, v))
+        return Kernel(self.decoupled, a, b, self.variant, channels, c,
+                      self.L.reshape(-1, 4)[i], self.M.reshape(-1, 4, 4)[i])
+
+    def log_evaluate(self, q):
+        """log K at (x1'', x2'', x1', x2') on q's last axis, broadcast on the rest."""
+        quad = 0.5 * np.einsum("...i,...ij,...j->...", q, self.M, q)
+        return self.c0 + np.einsum("...i,...i->...", q, self.L) + quad
+
+
 def _is_corrected(decoupled, variant):
     """Check the variant name, and admissibility for the corrected one."""
     if variant not in ("corrected", "lw"):
@@ -189,8 +235,8 @@ def solve_channels(decoupled: DecoupledSystem, t_start, t_end, variant="correcte
 def build_kernels(decoupled: DecoupledSystem, t_start, t_end, solutions,
                   variant="corrected", quad_order=DEFAULT_QUAD_ORDER,
                   quad_panels=DEFAULT_QUAD_PANELS, caustic_tol=DEFAULT_CAUSTIC_TOL):
-    """The kernels of the windows [t_start, t_end], a list in the C order of
-    the broadcast shape of the two arrays of window ends.
+    """The KernelFamily of the windows [t_start, t_end], in the broadcast
+    shape of the two arrays of window ends.
 
     ``solutions`` is the pair returned by ``solve_channels`` for the same
     variant on a window containing every window of the family.  The
@@ -205,7 +251,8 @@ def build_kernels(decoupled: DecoupledSystem, t_start, t_end, solutions,
     corrected = _is_corrected(decoupled, variant)
     ends = np.empty((2, *np.broadcast(t_end, t_start).shape))
     ends[0], ends[1] = t_end, t_start
-    n = ends[0].size
+    t_end, t_start = ends
+    n, shape = t_end.size, t_end.shape
     ends = ends.reshape(-1)  # every t'', then every t'
     if not (ends[:n] > ends[n:]).all():  # NaN too
         raise ValueError("t_end must exceed t_start")
@@ -246,14 +293,13 @@ def build_kernels(decoupled: DecoupledSystem, t_start, t_end, solutions,
             D[c] = (to_end * running_integral(from_start, quad_order)).sum(axis=-1)
 
     hbar = spec.hbar
-    cos_phi = np.cos(phi)
     maslov = np.floor(phi / math.pi)
     k = 1.0 / (hbar * s)
     inv = 1.0 / rho
     # M / i in the rotated coordinates: a 2 x 2 block over (t'', t') per
     # channel, by (channel, end, end, window)
     Q = np.empty((2, 2, 2, n))
-    Q[:, _DIAG[:2], _DIAG[:2]] = ((cos_phi * k)[:, None] * inv**2
+    Q[:, _DIAG[:2], _DIAG[:2]] = ((np.cos(phi) * k)[:, None] * inv**2
                                   + _ENDS_SIGN / hbar * drho * inv)
     Q[:, 0, 1] = Q[:, 1, 0] = -k * inv[:, 0] * inv[:, 1]
     # T(t) by (channel, end, coordinate, window), and M / i = T^T Q T
@@ -273,16 +319,10 @@ def build_kernels(decoupled: DecoupledSystem, t_start, t_end, solutions,
     c0 = (0.25 * np.log(m[:, :n] * m[:, n:] / scale**2)
           - 1j * ((maslov + 0.5) * (0.5 * math.pi) + D * k)).sum(axis=0)
 
-    values = np.array([rho[:, 1], drho[:, 1], rho[:, 0], drho[:, 0], phi, s, cos_phi,
-                       maslov, I[:, 0], I[:, 1], D]).transpose(2, 1, 0).tolist()
-    kernels = []
-    for a, b, c, L_i, M_i, v in zip(ends[n:].tolist(), ends[:n].tolist(), c0.tolist(),
-                                    L, M, values):
-        channels = tuple(ChannelKernelData(j, sol, *x[:7], int(x[7]), *x[8:])
-                         for j, sol, x in zip((1, 2), solutions, v))
-        kernels.append(Kernel(decoupled=decoupled, t_start=a, t_end=b, variant=variant,
-                              channels=channels, c0=c, L=L_i, M=M_i))
-    return kernels
+    return KernelFamily(decoupled, variant, solutions, t_start, t_end, c0.reshape(shape),
+                        L.reshape(*shape, 4), M.reshape(*shape, 4, 4),
+                        *(v.reshape(2, *shape) for v in (rho[:, 0], drho[:, 0], phi,
+                          maslov.astype(int), I[:, 0], I[:, 1], D)))
 
 
 def build_kernel(decoupled: DecoupledSystem, t_start, t_end, variant="corrected",
@@ -406,41 +446,25 @@ def schrodinger_residual(decoupled, t_start, t_end, variant="corrected",
     hbar = spec.hbar
     times, points, sols, s_mins = _sample_points(
         decoupled, t_start, t_end, n_points, seed, variant, ode_tol)
-
+    tc, s_min = np.array(times), np.array(s_mins)
     T = t_end - t_start
-    h_x = 2.5e-3 * math.sqrt(hbar)
-    h_ts = [min(1e-3 * T, 0.2 * (t_end - tc), 0.2 * (tc - t_start))
-            * min(1.0, max(s_min**2, 0.02)) for tc, s_min in zip(times, s_mins)]
-    # every stencil time of every point, one family
-    kernels = build_kernels(decoupled, t_start,
-                            np.array(times)[:, None] + np.array(h_ts)[:, None] * _STENCIL,
-                            sols, variant, quad_order, quad_panels)
-    residuals = np.empty(len(times))
-    for i, (tc, pt, h_t) in enumerate(zip(times, points, h_ts)):
-        x1q, x2q, x1p, x2p = pt
-        stencil = kernels[7 * i:7 * i + 7]
-        k0 = stencil[3]
-        K = [k.evaluate(x1q, x2q, x1p, x2p) for k in stencil]
-        K0 = complex(K[3])
-
-        def residual_for(ht, hx, K_m2, K_m1, K_p1, K_p2):
-            dKdt = (K_m2 - 8 * K_m1 + 8 * K_p1 - K_p2) / (12 * ht)
-            shifts = np.array([-2, -1, 0, 1, 2]) * hx
-            lap = 0.0
-            for m_j, vals in [
-                (spec.m1(tc), k0.evaluate(x1q + shifts, x2q, x1p, x2p)),
-                (spec.m2(tc), k0.evaluate(x1q, x2q + shifts, x1p, x2p)),
-            ]:
-                d2 = (-vals[0] + 16 * vals[1] - 30 * vals[2]
-                      + 16 * vals[3] - vals[4]) / (12 * hx**2)
-                lap += -hbar**2 / (2.0 * m_j) * d2
-            VK = potential(spec, x1q, x2q, tc) * K0
-            lhs = 1j * hbar * dKdt
-            rhs = lap + VK
-            scale = max(abs(lhs), abs(lap), abs(VK), hbar / T * abs(K0), 1e-300)
-            return abs(lhs - rhs) / scale
-
-        r1 = residual_for(h_t, h_x, K[0], K[1], K[5], K[6])
-        r2 = residual_for(h_t / 2, h_x / 2, K[1], K[2], K[4], K[5])
-        residuals[i] = min(r1, r2)
-    return np.array(times), points, residuals
+    h_x = 2.5e-3 * math.sqrt(hbar) * _LEVELS
+    h_t = (np.minimum(np.minimum(1e-3 * T, 0.2 * (t_end - tc)), 0.2 * (tc - t_start))
+           * np.minimum(1.0, np.maximum(s_min**2, 0.02)))
+    # every stencil time of every point, one family of shape (point, 7)
+    family = build_kernels(decoupled, t_start, tc[:, None] + h_t[:, None] * _STENCIL,
+                           sols, variant, quad_order, quad_panels)
+    K = np.exp(family.log_evaluate(points[:, None]))
+    K_m2, K_m1, K_p1, K_p2 = K[:, _DT_COLUMNS].T  # by (level, point)
+    lhs = 1j * hbar * ((K_m2 - 8 * K_m1 + 8 * K_p1 - K_p2) / (12 * (h_t * _LEVELS[:, None])))
+    # x1'' and x2'' moved by each level's steps, by (shift, level, j, point,
+    # window, coordinate); the kernel at tc is the window of column 3
+    shifts = (_SHIFTS[:, None, None, None, None, None] * h_x[:, None, None, None, None]
+              * np.eye(4)[:2, None, None])
+    v = np.exp(family.log_evaluate(points[:, None] + shifts)[..., 3])
+    d2 = (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h_x[:, None, None]**2)
+    lap = (-hbar**2 / (2.0 * np.array([spec.m1(tc), spec.m2(tc)])) * d2).sum(axis=1)
+    VK = potential(spec, points[:, 0], points[:, 1], tc) * K[:, 3]
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(lap)),
+                       np.maximum(np.maximum(np.abs(VK), hbar / T * np.abs(K[:, 3])), 1e-300))
+    return tc, points, (np.abs(lhs - (lap + VK)) / scale).min(axis=0)

@@ -326,7 +326,7 @@ def _csv_reference(path):
 
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if rows and not all(number(v) for v in rows[0]):
+    if rows and rows[0] and not any(number(v) for v in rows[0]):
         rows = rows[1:]
     pts = np.array(rows, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 4 or not np.isfinite(pts).all():
@@ -351,6 +351,8 @@ POINTS_PARITY = {
     "empty": "",
     "non-numeric-cell": "1,2,3,4\n1,a,3,4\n",
     "empty-cell": "1,2,3,4\n1,,3,4\n",
+    "empty-cell-first-row": "1,,3,4\n5,6,7,8\n",
+    "non-numeric-cell-first-row": "1,2,3,4x\n5,6,7,8\n",
     "comment-row": "1,2,3,4\n# note\n",
     "blank-cells-line": "1,2,3,4\n   \n",
 }

@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -291,6 +292,17 @@ def test_rho_overflow_mid_batch_raises_at_once():
     with pytest.raises(NonPositiveRho):
         solve_ermakov(om, 0.0, 1e4, ic=(1.0, 1e152))
     assert seen == [ORDER]
+
+
+@pytest.mark.parametrize("omega_sq", [lambda t: -1.0, -1.0], ids=["callable", "constant"])
+def test_rho_overflow_late_in_a_long_window_raises_promptly(omega_sq):
+    """Om^2 = -1 on [0, 1000]: rho grows like cosh t and its square
+    overflows near t = 355, far past the first grid points.  The panel
+    solve and the closed form both raise NonPositiveRho, well inside 5 s."""
+    t0 = time.perf_counter()
+    with pytest.raises(NonPositiveRho):
+        solve_ermakov(omega_sq, 0.0, 1000.0)
+    assert time.perf_counter() - t0 < 5.0
 
 
 # --- non-finite and underflowing starts ---------------------------------------

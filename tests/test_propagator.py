@@ -23,6 +23,7 @@ import oscpair.decoupling
 from oscpair import propagator
 from oscpair.decoupling import DecoupledSystem
 from oscpair.ermakov import ErmakovSolution
+from oscpair.system import potential as spec_potential
 
 from conftest import SHIPPED, ck_spec, const_spec, random_admissible_spec
 
@@ -252,13 +253,17 @@ def _family_cases():
 def test_family_kernels_equal_their_one_window_kernels(variant):
     """Every interval of a 64-step grid, built in one family, is the kernel
     ``build_kernel`` builds for it alone from the same solve: c0, L and M
-    within 1e-12 scaled, the Maslov counts exactly."""
+    within 1e-12 scaled, the Maslov counts exactly.  The family's own
+    ``log_evaluate`` at seeded points is that of each of its kernels."""
+    pts = np.random.default_rng(23).normal(size=(16, 1, 4))
     for name, dec, window in _family_cases():
         sols = solve_channels(dec, *window, variant=variant)
         times = np.linspace(*window, 65)
         family = build_kernels(dec, times[:-1], times[1:], sols, variant)
         assert len(family) == 64
-        for kern, t_start, t_end in zip(family, times[:-1], times[1:]):
+        logs = family.log_evaluate(pts)
+        assert logs.shape == (16, 64)
+        for i, (kern, t_start, t_end) in enumerate(zip(family, times[:-1], times[1:])):
             one = build_kernel(dec, t_start, t_end, variant=variant, solutions=sols)
             assert (kern.t_start, kern.t_end) == (one.t_start, one.t_end)
             for got, want in ((kern.c0, one.c0), (kern.L, one.L), (kern.M, one.M)):
@@ -266,6 +271,95 @@ def test_family_kernels_equal_their_one_window_kernels(variant):
                 assert np.max(np.abs(got - want)) <= 1e-12 * scale, (name, t_end)
             assert ([ch.maslov for ch in kern.channels]
                     == [ch.maslov for ch in one.channels]), (name, t_end)
+            want = kern.log_evaluate(*pts[:, 0].T)
+            assert np.max(np.abs(logs[:, i] - want)) <= 1e-13 * max(
+                1.0, float(np.max(np.abs(want)))), (name, t_end)
+
+
+def test_family_arrays_and_indexing():
+    """A (3, 2) family: window arrays in the broadcast shape of the ends,
+    per-channel values behind a channel axis, and ``family[i]`` the kernel
+    of window i in C order, bit for bit that of a flat family."""
+    sc = load_shipped("driven-static")
+    dec = solve_angle(sc.system)
+    sols = solve_channels(dec, *sc.window)
+    t_start = np.array([[0.0], [0.1], [0.2]])
+    t_end = np.array([0.6, 0.9])
+    family = build_kernels(dec, t_start, t_end, sols)
+    assert len(family) == 6
+    assert family.t_start.shape == family.t_end.shape == family.c0.shape == (3, 2)
+    assert family.L.shape == (3, 2, 4) and family.M.shape == (3, 2, 4, 4)
+    for v in (family.rho_q, family.drho_q, family.phi, family.maslov, family.I_end,
+              family.I_start, family.D):
+        assert v.shape == (2, 3, 2)
+    flat = build_kernels(dec, np.repeat(t_start.ravel(), 2), np.tile(t_end, 3), sols)
+    assert family[-1].t_start == 0.2 and family[-1].t_end == 0.9
+    for i, (kern, want) in enumerate(zip(family, flat)):
+        assert kern.channels == want.channels == family[i].channels
+        assert (kern.t_start, kern.t_end) == (want.t_start, want.t_end)
+        for a, b in ((kern.c0, want.c0), (kern.L, want.L), (kern.M, want.M)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    with pytest.raises(IndexError):
+        family[6]
+
+
+def _loop_residual(dec, t_start, t_end, variant, n_points=20, seed=0):
+    """The per-sample residual loop, one kernel at a time through
+    ``family[i].evaluate``: a reference for ``schrodinger_residual``."""
+    spec, hbar = dec.system, dec.system.hbar
+    times, points, sols, s_mins = propagator._sample_points(
+        dec, t_start, t_end, n_points, seed, variant, propagator.DEFAULT_ODE_TOL)
+    T = t_end - t_start
+    h_x = 2.5e-3 * math.sqrt(hbar)
+    h_ts = [min(1e-3 * T, 0.2 * (t_end - tc), 0.2 * (tc - t_start))
+            * min(1.0, max(s_min**2, 0.02)) for tc, s_min in zip(times, s_mins)]
+    family = build_kernels(dec, t_start, np.array(times)[:, None]
+                           + np.array(h_ts)[:, None] * propagator._STENCIL, sols, variant)
+    residuals = []
+    for i, (tc, (x1q, x2q, x1p, x2p), h_t) in enumerate(zip(times, points, h_ts)):
+        K = [family[7 * i + k].evaluate(x1q, x2q, x1p, x2p) for k in range(7)]
+        k0, K0 = family[7 * i + 3], K[3]
+        levels = []
+        for ht, hx, (K_m2, K_m1, K_p1, K_p2) in ((h_t, h_x, K[:2] + K[5:]),
+                                                  (h_t / 2, h_x / 2, K[1:3] + K[4:6])):
+            dKdt = (K_m2 - 8 * K_m1 + 8 * K_p1 - K_p2) / (12 * ht)
+            shifts = np.array([-2, -1, 0, 1, 2]) * hx
+            lap = 0.0
+            for m_j, v in ((spec.m1(tc), k0.evaluate(x1q + shifts, x2q, x1p, x2p)),
+                           (spec.m2(tc), k0.evaluate(x1q, x2q + shifts, x1p, x2p))):
+                d2 = (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * hx**2)
+                lap += -hbar**2 / (2.0 * m_j) * d2
+            VK = spec_potential(spec, x1q, x2q, tc) * K0
+            lhs = 1j * hbar * dKdt
+            scale = max(abs(lhs), abs(lap), abs(VK), hbar / T * abs(K0), 1e-300)
+            levels.append(abs(lhs - lap - VK) / scale)
+        residuals.append(min(levels))
+    return np.array(times), np.array(residuals)
+
+
+def _residual_cases():
+    """(name, decoupled, window, bound) of the shipped scenarios and of 2
+    seeded driven random admissible systems.  Both residuals are finite
+    differences of kernels that differ in the last bits of log K; divided
+    by steps down to 1e-5 T, those bits leave a noise of about 1e-10 (the
+    corrected residual's floor, up to 2e-9): within 3e-11 on the shipped
+    windows, up to 3.1e-10 on 60 random driven cases."""
+    for name in SHIPPED:
+        sc = load_shipped(name)
+        yield name, solve_angle(sc.system, gamma_tol=sc.gamma_tol), sc.window, 1e-10
+    rng = np.random.default_rng(29)
+    for case in range(2):
+        yield f"random-{case}", solve_angle(random_admissible_spec(rng, drive=True)), (
+            0.0, float(rng.uniform(1.5, 3.0))), 1e-9
+
+
+@pytest.mark.parametrize("variant", ["corrected", "lw"])
+def test_residual_matches_the_per_sample_loop(variant):
+    for name, dec, window, bound in _residual_cases():
+        times, _, got = schrodinger_residual(dec, *window, variant=variant)
+        want_times, want = _loop_residual(dec, *window, variant)
+        assert np.array_equal(times, want_times), name
+        assert np.max(np.abs(got - want)) <= bound, name
 
 
 def test_corrected_variant_requires_admissible():
