@@ -2,43 +2,33 @@
 
 A state is psi(x) = exp(-x^T A x / 2 + b^T x + c) with A complex symmetric
 (real part positive definite), b complex, c complex.  This family is closed
-under propagation by any Gaussian kernel, so wavepacket evolution through
-the analytic propagator reduces to 2x2 complex linear algebra.
+under propagation by any Gaussian kernel.  Every integral here is one,
+
+    int exp(-x^T S x / 2 + v^T x) d^2x = 2 pi (det S)^(-1/2) exp(v^T mu / 2),
+
+mu = S^-1 v, completed in closed form by ``_complete_square`` (S^-1 as the
+adjugate over det S) for a symmetric 2x2 S with Re S positive definite: in
+the start coordinates for propagation, in conj(bra) ket for ``overlap``,
+and in |psi|^2 (S = 2 Re A, v = 2 Re b: mean mu, covariance S^-1) for a
+state's norm and moments.  The principal Log det S is the right branch:
+both eigenvalues of S lie in the open right half plane (its numerical range
+does), so their arguments sum to a value inside (-pi, pi).
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NonConvergentGaussian
 
-__all__ = ["GaussianState2D", "log_sqrt_det", "overlap", "fidelity"]
+__all__ = ["GaussianState2D", "overlap", "fidelity"]
 
-_TWO_PI = 2.0 * np.pi
-
-
-def _eig_halfplane(S):
-    """Eigenvalues of a complex symmetric 2x2 matrix with Re(S) > 0.
-
-    Both eigenvalues lie in the open right half plane (the numerical range
-    of S does), so their principal square roots and logs are safe.
-    """
-    tr = S[0, 0] + S[1, 1]
-    det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
-    disc = np.sqrt(tr * tr / 4.0 - det + 0j)
-    return tr / 2.0 + disc, tr / 2.0 - disc
-
-
-def log_sqrt_det(S):
-    """log sqrt(det S) with the branch appropriate for Gaussian integrals.
-
-    Taken as the sum of principal half-logs of the eigenvalues; valid
-    whenever Re(S) is positive definite.
-    """
-    l1, l2 = _eig_halfplane(S)
-    return 0.5 * (np.log(l1) + np.log(l2))
+_LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
 def _require_posdef_real(S, what):
@@ -48,7 +38,19 @@ def _require_posdef_real(S, what):
         raise NonConvergentGaussian(f"real part of {what} is not positive definite")
 
 
-@dataclass(frozen=True)
+def _complete_square(S, v, what):
+    """(S^-1, mu = S^-1 v, log I) of I = int exp(-x^T S x / 2 + v^T x) d^2x for
+    a symmetric 2x2 S; NonConvergentGaussian naming ``what`` unless Re S is
+    positive definite."""
+    _require_posdef_real(S, what)
+    (s00, s01), (_, s11) = S.tolist()
+    det = s00 * s11 - s01 * s01
+    S_inv = np.array([[s11, -s01], [-s01, s00]]) / det
+    mu = S_inv @ v
+    return S_inv, mu, _LOG_TWO_PI - 0.5 * cmath.log(det) + 0.5 * complex(v @ mu)
+
+
+@dataclass(frozen=True, eq=False)
 class GaussianState2D:
     """psi(x) = exp(-x^T A x / 2 + b^T x + c), lab coordinates."""
 
@@ -60,11 +62,13 @@ class GaussianState2D:
     def __post_init__(self):
         A = np.asarray(self.A, dtype=complex).reshape(2, 2)
         A = 0.5 * (A + A.T)
-        b = np.asarray(self.b, dtype=complex).reshape(2)
+        b = np.array(self.b, dtype=complex).reshape(2)
+        # the state's own arrays, read-only: its cached moments stay valid
+        A.flags.writeable = b.flags.writeable = False
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", complex(self.c))
-        if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
+        if not (np.isfinite(A).all() and np.isfinite(b).all() and cmath.isfinite(self.c)):
             raise ValueError("non-finite Gaussian parameters")
         _require_posdef_real(A, "the width matrix")
 
@@ -86,14 +90,15 @@ class GaussianState2D:
 
     # -- norms and moments -------------------------------------------------
 
+    @cached_property
+    def _density(self):
+        """The completed square of |psi|^2: (covariance, mean, log of its integral
+        without the factor exp(2 Re c))."""
+        return _complete_square(2.0 * self.A.real, 2.0 * self.b.real, "the width matrix")
+
     def log_norm_sq(self):
         """log of ||psi||^2 (stable even when the norm under/overflows)."""
-        AR = np.real(self.A)
-        bR = np.real(self.b)
-        mu = np.linalg.solve(AR, bR)
-        l1, l2 = _eig_halfplane(AR.astype(complex))
-        return float(2.0 * np.real(self.c) + np.log(np.pi)
-                     - 0.5 * np.real(np.log(l1) + np.log(l2)) + bR @ mu)
+        return 2.0 * self.c.real + self._density[2].real
 
     def norm(self):
         return float(np.exp(0.5 * self.log_norm_sq()))
@@ -103,15 +108,14 @@ class GaussianState2D:
                                hbar=self.hbar)
 
     def mean_position(self):
-        return np.linalg.solve(np.real(self.A), np.real(self.b))
+        return self._density[1].copy()
 
     def covariance_position(self):
         """Covariance matrix of |psi|^2."""
-        return 0.5 * np.linalg.inv(np.real(self.A))
+        return self._density[0].copy()
 
     def mean_momentum(self):
-        mu = self.mean_position()
-        return self.hbar * (np.imag(self.b) - np.imag(self.A) @ mu)
+        return self.hbar * (self.b.imag - self.A.imag @ self._density[1])
 
     # -- evaluation ---------------------------------------------------------
 
@@ -126,18 +130,17 @@ class GaussianState2D:
         return np.exp(self.log_psi(x1, x2))
 
 
+def _log_overlap(bra, ket):
+    """log <bra|ket>, the one integral behind ``overlap`` and ``fidelity``."""
+    return (_complete_square(np.conj(bra.A) + ket.A, np.conj(bra.b) + ket.b,
+                             "the overlap quadratic form")[2] + bra.c.conjugate() + ket.c)
+
+
 def overlap(bra: GaussianState2D, ket: GaussianState2D) -> complex:
     """<bra|ket> = int conj(psi_a) psi_b d^2x, computed in closed form."""
-    S = np.conj(bra.A) + ket.A
-    _require_posdef_real(S, "the overlap quadratic form")
-    v = np.conj(bra.b) + ket.b
-    Sinv_v = np.linalg.solve(S, v)
-    logI = (np.log(_TWO_PI) - log_sqrt_det(S) + 0.5 * v @ Sinv_v
-            + np.conj(bra.c) + ket.c)
-    return complex(np.exp(logI))
+    return complex(np.exp(_log_overlap(bra, ket)))
 
 
 def fidelity(a: GaussianState2D, b: GaussianState2D) -> float:
-    """|<a|b>|^2 for the normalized pair."""
-    o = overlap(a, b)
-    return float(abs(o) ** 2 * np.exp(-a.log_norm_sq() - b.log_norm_sq()))
+    """|<a|b>|^2 for the normalized pair, formed in logs (no overflow for large c)."""
+    return float(np.exp(2.0 * _log_overlap(a, b).real - a.log_norm_sq() - b.log_norm_sq()))

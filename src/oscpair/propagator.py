@@ -38,9 +38,10 @@ rho_j and phi_j, so one auxiliary solve per window fixes them all.
 ``solve_channels`` is the one place that solve happens, and
 ``build_kernels`` assembles a ``KernelFamily`` from its pair: the stacked
 kernels of any windows inside the solved one, such as the intervals of
-``evolve_gaussian`` or the stencil times of the residual check, which
-reads them all in two ``log_evaluate`` calls.  ``build_kernel`` is a
-family of one, after its own solve unless it is handed ``solutions``.
+``evolve_gaussian``, propagated straight from its stacked c0, L and M,
+or the stencil times of the residual check, which reads them all in two
+``log_evaluate`` calls.  ``build_kernel`` is a family of one, after its
+own solve unless it is handed ``solutions``.
 
 A family checks its variant, admissibility and windows once and reads
 each channel's dense output once (``ErmakovSolution.rho_drho_phi``): at
@@ -63,14 +64,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .decoupling import DecoupledSystem, channel_forces
 from .ermakov import ErmakovSolution, solve_ermakov
-from .errors import CausticError, InadmissibleSystem, NonConvergentGaussian
-from .gaussian import GaussianState2D, log_sqrt_det, _require_posdef_real
+from .errors import CausticError, InadmissibleSystem
+from .gaussian import GaussianState2D, _complete_square
 from .quadrature import composite_gl_nodes, running_integral
 from .system import potential
 
@@ -121,7 +121,7 @@ class ChannelKernelData:
     D: float          # double integral over tau <= t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kernel:
     """Evaluatable complex Gaussian propagator K(x'', t''; x', t')."""
 
@@ -154,7 +154,7 @@ class Kernel:
         return self.evaluate(x1q, x2q, x1p, x2p)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class KernelFamily:
     """Stacked kernels of windows inside one solve: t_start, t_end and c0 in the
     windows' shape, L and M with trailing axes (4,) and (4, 4), per-channel values
@@ -176,22 +176,17 @@ class KernelFamily:
     I_start: np.ndarray
     D: np.ndarray
 
-    @cached_property
-    def _scalars(self):
-        """t_start, t_end, c0 and the channels' values by window, as Python numbers."""
-        v = np.array([self.rho_q, self.drho_q, self.phi, self.maslov, self.I_end, self.I_start,
-                      self.D]).reshape(7, 2, -1).T.tolist()
-        return list(zip(*(x.ravel().tolist() for x in (self.t_start, self.t_end, self.c0)), v))
-
     def __len__(self):
-        return len(self._scalars)
+        return self.c0.size
 
     def __getitem__(self, i):
-        a, b, c, v = self._scalars[i]
+        c0 = self.c0.item(i)  # IndexError beyond the windows, like a list
+        v = np.array([self.rho_q, self.drho_q, self.phi, self.maslov, self.I_end,
+                      self.I_start, self.D]).reshape(7, 2, -1)[:, :, i].T.tolist()
         channels = tuple(ChannelKernelData(j, sol, *x[:3], int(x[3]), *x[4:])
                          for j, sol, x in zip((1, 2), self.solutions, v))
-        return Kernel(self.decoupled, a, b, self.variant, channels, c,
-                      self.L.reshape(-1, 4)[i], self.M.reshape(-1, 4, 4)[i])
+        return Kernel(self.decoupled, self.t_start.item(i), self.t_end.item(i), self.variant,
+                      channels, c0, self.L.reshape(-1, 4)[i], self.M.reshape(-1, 4, 4)[i])
 
     def log_evaluate(self, q):
         """log K at (x1'', x2'', x1', x2') on q's last axis, broadcast on the rest."""
@@ -355,14 +350,17 @@ def evolve_gaussian(decoupled: DecoupledSystem, state, times,
     at every time, ``state`` first.
 
     One auxiliary solve on [times[0], times[-1]] serves the family of
-    interval kernels; the states are propagated in order.
+    interval kernels, and the states are propagated in order straight from
+    the family's c0, L and M, as ``propagate_gaussian`` does for each.
     """
     times = np.asarray(times, dtype=float)
     sols = solve_channels(decoupled, times[0], times[-1], ode_tol=ode_tol)
+    family = build_kernels(decoupled, times[:-1], times[1:], sols, quad_order=quad_order,
+                           quad_panels=quad_panels, caustic_tol=caustic_tol)
+    hbar = decoupled.system.hbar
     states = [state]
-    for kern in build_kernels(decoupled, times[:-1], times[1:], sols, quad_order=quad_order,
-                              quad_panels=quad_panels, caustic_tol=caustic_tol):
-        states.append(propagate_gaussian(kern, states[-1]))
+    for c0, L, M in zip(family.c0.tolist(), family.L, family.M):
+        states.append(_propagate(c0, L, M, states[-1], hbar))
     return states
 
 
@@ -372,24 +370,19 @@ def propagate_gaussian(kernel: Kernel, state: GaussianState2D) -> GaussianState2
     Completing the square in x' reduces the integral to 2x2 complex linear
     algebra; norm is preserved to roundoff.  Raises NonConvergentGaussian
     if the x' quadratic form loses its positive-definite real part (a
-    caustic-adjacent degeneracy or a non-normalizable input).
+    caustic-adjacent degeneracy or a non-normalizable input), or if the
+    propagated state's does.
     """
-    M, L, c0 = kernel.M, kernel.L, kernel.c0
-    M_ee, M_es, M_ss = M[:2, :2], M[:2, 2:], M[2:, 2:]
-    S = state.A - M_ss
-    _require_posdef_real(S, "the propagation quadratic form")
-    v0 = state.b + L[2:]
-    Sinv_v0 = np.linalg.solve(S, v0)
-    Sinv_Mse = np.linalg.solve(S, M_es.T)
-    A_new = -(M_ee + M_es @ Sinv_Mse)
-    b_new = L[:2] + M_es @ Sinv_v0
-    c_new = (c0 + state.c + math.log(2.0 * math.pi)
-             - log_sqrt_det(S) + 0.5 * v0 @ Sinv_v0)
-    A_new = 0.5 * (A_new + A_new.T)
-    if not (np.real(A_new)[0, 0] > 0
-            and np.linalg.det(np.real(A_new)) > 0):
-        raise NonConvergentGaussian("propagated state lost normalizability")
-    return GaussianState2D(A=A_new, b=b_new, c=c_new, hbar=kernel.system.hbar)
+    return _propagate(kernel.c0, kernel.L, kernel.M, state, kernel.system.hbar)
+
+
+def _propagate(c0, L, M, state, hbar):
+    """``state`` carried by the kernel log K(q) = c0 + L.q + q.M.q/2."""
+    S_inv, mu, log_I = _complete_square(state.A - M[2:, 2:], state.b + L[2:],
+                                        "the propagation quadratic form")
+    M_es = M[:2, 2:]
+    return GaussianState2D(A=-(M[:2, :2] + M_es @ S_inv @ M_es.T), b=L[:2] + M_es @ mu,
+                           c=c0 + state.c + log_I, hbar=hbar)
 
 
 # --- finite-difference Schrodinger-equation check --------------------------

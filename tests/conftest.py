@@ -76,6 +76,18 @@ def random_admissible_spec(rng, kind=None, drive=False):
                       t_min=0.0, t_max=6.0, hbar=hbar)
 
 
+def reference_completion(S, v):
+    """(S^-1, S^-1 v, log I) of I = int exp(-x^T S x / 2 + v^T x) d^2x by the
+    former route: ``np.linalg`` and the sum of the eigenvalues' principal
+    half-logs for log sqrt(det S)."""
+    tr = S[0, 0] + S[1, 1]
+    det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
+    disc = np.sqrt(tr * tr / 4.0 - det + 0j)
+    log_sqrt_det = 0.5 * (np.log(tr / 2.0 + disc) + np.log(tr / 2.0 - disc))
+    mu = np.linalg.solve(S, v)
+    return np.linalg.inv(S), mu, np.log(2.0 * np.pi) - log_sqrt_det + 0.5 * v @ mu
+
+
 SHIPPED = ["static", "static-uncoupled", "free", "driven-static",
            "caldirola-kanai", "pulsed-coupling", "equal-effective-frequency"]
 

@@ -11,6 +11,7 @@ from oscpair import (
     build_kernel,
     build_kernels,
     decoupled_at_angle,
+    evolve_gaussian,
     gaussian_fidelity,
     load_shipped,
     overlap,
@@ -22,10 +23,12 @@ from oscpair import (
 import oscpair.decoupling
 from oscpair import propagator
 from oscpair.decoupling import DecoupledSystem
+from oscpair.errors import NonConvergentGaussian
 from oscpair.ermakov import ErmakovSolution
 from oscpair.system import potential as spec_potential
 
-from conftest import SHIPPED, ck_spec, const_spec, random_admissible_spec
+from conftest import (SHIPPED, ck_spec, const_spec, random_admissible_spec,
+                      reference_completion)
 
 
 def feynman_ho(xq, xp, w, T, hbar=1.0, m=1.0):
@@ -301,6 +304,68 @@ def test_family_arrays_and_indexing():
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
     with pytest.raises(IndexError):
         family[6]
+
+
+def test_kernels_and_families_compare_and_hash_by_identity():
+    dec = solve_angle(ck_spec())
+    family = build_kernels(dec, np.array([0.0, 0.5]), np.array([0.5, 1.0]),
+                           solve_channels(dec, 0.0, 1.0))
+    a, b = family[0], family[0]
+    twin = dataclasses.replace(family)
+    assert a == a and a != b and family == family and family != twin
+    assert len({a, b, family, twin}) == 4
+    assert dataclasses.replace(a, c0=0j).c0 == 0j
+
+
+def _reference_propagate(kern, A, b, c):
+    """(A, b, c) carried by ``kern``, the square completed on the former route."""
+    M, L = kern.M, kern.L
+    S_inv, mu, log_I = reference_completion(A - M[2:, 2:], b + L[2:])
+    M_es = M[:2, 2:]
+    A_new = -(M[:2, :2] + M_es @ S_inv @ M_es.T)
+    return 0.5 * (A_new + A_new.T), L[:2] + M_es @ mu, kern.c0 + c + log_I
+
+
+def _evolve_cases():
+    """(name, decoupled, initial state, times) of the shipped scenarios and of
+    2 seeded driven random admissible systems, 64 intervals each."""
+    for name in SHIPPED:
+        sc = load_shipped(name)
+        yield (name, solve_angle(sc.system, gamma_tol=sc.gamma_tol), sc.initial_state(),
+               np.linspace(*sc.window, 65))
+    rng = np.random.default_rng(31)
+    for case in range(2):
+        spec = random_admissible_spec(rng, drive=True)
+        g0 = GaussianState2D.coherent(center=rng.normal(size=2), momentum=rng.normal(size=2),
+                                      hbar=spec.hbar)
+        yield (f"random-{case}", solve_angle(spec), g0,
+               np.linspace(0.0, float(rng.uniform(1.5, 3.0)), 65))
+
+
+def test_evolve_gaussian_matches_the_linalg_chain():
+    """Every state of ``evolve_gaussian`` is that of the former chain, one
+    ``family[i]`` at a time through ``np.linalg``: A, b and c within 1e-12,
+    scaled by max(1, |.|).  The worst is 2.4e-13 (static-uncoupled)."""
+    for name, dec, g0, times in _evolve_cases():
+        states = evolve_gaussian(dec, g0, times)
+        family = build_kernels(dec, times[:-1], times[1:], solve_channels(dec, *times[[0, -1]]))
+        want = (g0.A, g0.b, g0.c)
+        assert states[0] is g0 and len(states) == 65
+        for i, st in enumerate(states[1:]):
+            want = _reference_propagate(family[i], *want)
+            for got, w in zip((st.A, st.b, st.c), want):
+                scale = max(1.0, float(np.max(np.abs(w))))
+                assert np.max(np.abs(got - w)) <= 1e-12 * scale, (name, i)
+
+
+def test_propagation_error_keeps_its_type_and_message():
+    dec = solve_angle(const_spec())
+    kern = build_kernel(dec, 0.0, 1.0)
+    M = kern.M.copy()
+    M[2:, 2:] += 3.0 * np.eye(2)  # S = A - M_ss loses its positive real part
+    with pytest.raises(NonConvergentGaussian, match="^real part of the propagation "
+                       "quadratic form is not positive definite$"):
+        propagate_gaussian(dataclasses.replace(kern, M=M), GaussianState2D.coherent())
 
 
 def _loop_residual(dec, t_start, t_end, variant, n_points=20, seed=0):

@@ -12,12 +12,13 @@ that imports the ``oscpair`` of this checkout (``src/``):
     evolve --steps 64
     residual --variant both --points 8
     oracle --steps 256 --dump-psi
+    compare --grid 64 --steps 256
 
 and keeps each command's CSV outputs, the oracle's final density dump,
-stdout, stderr and exit code.  In
-stderr the source directory of this checkout (warning locations) reads
-``<src>`` and OUTDIR reads ``<out>``, so that snapshots of two checkouts
-compare byte for byte::
+stdout, stderr and exit code.  In stderr the source directory of this
+checkout (warning locations) reads ``<src>``, OUTDIR reads ``<out>`` and
+``compare``'s wall-clock runtime ``(12.3s)`` reads ``(<runtime>)``, so that
+snapshots of two checkouts compare byte for byte::
 
     python3 tools/cli_snapshot.py /tmp/a        # in one checkout
     python3 other/tools/cli_snapshot.py /tmp/b  # in another
@@ -62,6 +63,8 @@ KERNEL_POINTS = 1024
 POINTS_SEED = 20031
 
 PHASE_COLUMNS = {"phase", "phi1", "phi2"}
+#: the runtime ``compare`` prints in stderr, which no two runs share
+RUNTIME = re.compile(r"\(\d+\.\ds\)")
 #: a number standing on its own, not a digit inside a name such as x1q
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                     r"|inf|nan)(?![\w.])")
@@ -85,6 +88,8 @@ def commands(name, scenario, points, out):
                       "--out", o("residual.csv")]),
         ("oracle", ["oracle", *common, "--steps", "256", "--out", o("oracle.csv"),
                     "--dump-psi", o("oracle-psi.bin")]),
+        ("compare", ["compare", *common, "--grid", "64", "--steps", "256",
+                     "--out", o("compare.csv")]),
     ]
     return cmds
 
@@ -100,7 +105,8 @@ def run(argv, out, tag):
     proc = subprocess.run([sys.executable, "-m", "oscpair.cli", *argv],
                           capture_output=True, text=True, env=env)
     (out / f"{tag}.stdout").write_text(proc.stdout)
-    err = proc.stderr.replace(str(SRC), "<src>").replace(str(out), "<out>")
+    err = RUNTIME.sub("(<runtime>)", proc.stderr.replace(str(SRC), "<src>")
+                      .replace(str(out), "<out>"))
     (out / f"{tag}.stderr").write_text(err)
     (out / f"{tag}.exit").write_text(f"{proc.returncode}\n")
     return proc.returncode
