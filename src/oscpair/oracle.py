@@ -33,8 +33,24 @@ each plane once per call; a standalone ``step`` builds both planes by the
 same code, so ``evolve`` equals ``step`` applied n times bit for bit.
 ``evolve``'s work also holds two psi planes used in turn: a step writes
 the kicked psi into the plane its input does not occupy and transforms it
-in place.  A state passed to ``evolve``'s observer is therefore valid only
-until the observer returns; the returned state owns its psi.
+in place.
+
+The helper thread.  ``evolve`` runs one helper thread per call, joined
+before it returns or raises.  numpy's FFTs, ufuncs and gemms release the
+GIL, so the helper's work overlaps the step in flight.  While step i runs,
+the helper builds step i+1's kick and kinetic planes into spare planes
+(allocated the first time a key changes, so constant coefficients need
+none), and, when step i's input state is observed, computes its row
+moments of |psi|^2 and |psi_hat|^2 into the state's private caches
+(``GridState._prefetch``).  The helper runs private code only; every
+public function and method (``step``, the observables, the observer) runs
+on the calling thread, which keeps a tracer that wraps them, such as the
+span recorder of the benchmark, on one stack.  Nothing changes order or
+operands, so every result is the serial loop's, bit for bit.  The observer
+is called on the calling thread one step late, after step i+1 and once
+the state's moments are cached.  The state stays valid until the
+observer returns, because step i+1 only reads its plane, and no longer:
+step i+2 writes there.  The returned state owns its psi.
 
 Transforms are numpy's, always in place (``_fft2``, ``_ifft2``): a 2D
 transform is two 1D passes with ``out=``, axis 0 first, the order
@@ -51,16 +67,18 @@ Observables (``GridState.norm``, ``mean``, ``mean_sq`` and
 ``energy_expectation``) use the row moments of |psi|^2, the sums over x2
 weighted by 1, x2 and x2^2 for every x1 row, which a state computes once,
 in one gemm on the squared float view of psi, and shares.
-``energy_expectation`` transforms psi into a plane that the caller may
-allocate once per run and pass as ``work``; its kinetic term takes the
-same kind of row moments of |psi_hat|^2, weighted by 1 and k2^2.
+``energy_expectation``'s kinetic term takes the same kind of row moments
+of |psi_hat|^2, weighted by 1 and k2^2, also cached on the state; its
+spectrum goes into a plane the caller may pass as ``work``.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -73,9 +91,14 @@ __all__ = ["Grid2D", "GridState", "from_gaussian", "step", "evolve",
 
 BOUNDARY_DENSITY_WARN = 1e-12
 
-#: grid sizes per axis are powers of two, at least this large
+#: grid sizes per axis are powers of two from MIN_GRID_POINTS to
+#: MAX_GRID_POINTS.  At the top, 4096^2, one complex plane takes 256 MiB
+#: and an observed time-dependent run holds eight of them (2 GiB); one
+#: power of two more would need 8 GiB, so larger sizes are refused before
+#: anything is allocated instead of failing in numpy.
 MIN_GRID_POINTS = 32
-GRID_POINTS_RULE = f"powers of two, >= {MIN_GRID_POINTS}"
+MAX_GRID_POINTS = 4096
+GRID_POINTS_RULE = f"powers of two from {MIN_GRID_POINTS} to {MAX_GRID_POINTS}"
 
 
 def _is_pow2(n):
@@ -83,7 +106,7 @@ def _is_pow2(n):
 
 
 def _grid_points_ok(n):
-    return _is_pow2(n) and n >= MIN_GRID_POINTS
+    return _is_pow2(n) and MIN_GRID_POINTS <= n <= MAX_GRID_POINTS
 
 
 def _moment_weights(*columns):
@@ -97,7 +120,8 @@ class Grid2D:
     """Uniform periodic grid centered on the origin.
 
     ``extent`` is the full box length per axis (x in [-L/2, L/2)),
-    ``points`` the number of samples per axis (powers of two, >= 32).
+    ``points`` the number of samples per axis (powers of two from 32 to
+    4096).
     The axes ``x1``, ``x2``, wave numbers ``k1``, ``k2`` and their squares
     are read-only 1D arrays.
     """
@@ -182,8 +206,8 @@ class GridState:
     """Wave function sampled on ``grid`` at ``time``.
 
     ``psi`` must not be modified in place: the observables share one
-    set of row moments of |psi|^2 (and ``boundary_density`` one |psi|^2),
-    computed on first use.
+    set of row moments of |psi|^2 and one of |psi_hat|^2, computed on
+    first use.
     """
 
     psi: np.ndarray
@@ -197,17 +221,38 @@ class GridState:
         object.__setattr__(self, "psi", psi)
 
     @cached_property
-    def _density(self):
-        re, im = self.psi.real, self.psi.imag
-        return re * re + im * im
-
-    @cached_property
     def _moments(self):
         """(rows, total): for every x1 row the x2 sums of |psi|^2,
         x2 |psi|^2 and x2^2 |psi|^2, an (N1, 3) array, and the sum of
         |psi|^2 over the plane."""
-        rows = _row_moments(self.psi, self.grid._x2_weights)
+        return self._x_moments()
+
+    def _x_moments(self, out=None):
+        rows = _row_moments(self.psi, self.grid._x2_weights, out=out)
         return rows, np.sum(rows[:, 0])
+
+    def _k_moments(self, work=None):
+        """For every k1 row the k2 sums of |psi_hat|^2 and k2^2 |psi_hat|^2,
+        an (N1, 2) array, cached.  The spectrum goes into ``work``, a
+        C-contiguous complex plane of the grid's shape that is overwritten,
+        or into a plane allocated here."""
+        rows = self.__dict__.get("_k_rows")
+        if rows is None:
+            if work is None:
+                work = np.empty(self.grid.points, dtype=complex)
+            _fft2(self.psi, out=work)
+            rows = _row_moments(work, self.grid._k2_weights, out=work.view(float))
+            self.__dict__["_k_rows"] = rows
+        return rows
+
+    def _prefetch(self, work):
+        """Fill the caches of both row moments, with ``work`` (as for
+        ``_k_moments``) as the only scratch.  It reads psi and writes only
+        the state's private caches, so it may run on another thread while
+        psi is read there."""
+        if "_moments" not in self.__dict__:
+            self.__dict__["_moments"] = self._x_moments(out=work.view(float))
+        self._k_moments(work)
 
     def norm_sq(self):
         return float(self._moments[1] * self.grid.cell)
@@ -219,8 +264,13 @@ class GridState:
         return GridState(self.psi / self.norm(), self.grid, self.time)
 
     def boundary_density(self):
-        """max |psi|^2 on the boundary ring relative to the global max."""
-        d = self._density
+        """max |psi|^2 on the boundary ring relative to the global max.
+
+        The |psi|^2 plane is not kept: ``evolve`` checks its input state,
+        which the caller keeps through the run, and a cached plane would
+        stay in memory beside the run's planes."""
+        re, im = self.psi.real, self.psi.imag
+        d = re * re + im * im
         peak = float(d.max()) or 1.0
         ring = max(d[0, :].max(), d[-1, :].max(), d[:, 0].max(), d[:, -1].max())
         return float(ring) / peak
@@ -297,39 +347,94 @@ def _key(*values):
     return np.array(values, dtype=float).tobytes()
 
 
+class _Planes:
+    """Planes of one kind, kick or kinetic, each kept with its key.
+
+    ``get`` returns the plane of a key and builds it into the first slot
+    when no slot holds it; it is for a step without a helper.  In
+    ``evolve`` the helper thread ``prepare``s each step's plane while the
+    step before it runs, so that step's ``get`` only looks it up.  A
+    prepared plane goes into a slot other than the one the step in flight
+    reads (the key prepared last); a second slot is allocated the first
+    time a key changes.  So constant coefficients keep one plane and
+    changing ones two, and the two threads never touch the same plane.
+    """
+
+    def __init__(self, shape):
+        self._shape = shape
+        self._slots = [[None, np.empty(shape, dtype=complex)]]
+        self._in_flight = None
+
+    def get(self, key, build):
+        for slot_key, plane in self._slots:
+            if slot_key == key:
+                return plane
+        return self._build(self._slots[0], key, build)
+
+    def prepare(self, key, build):
+        if all(slot_key != key for slot_key, _ in self._slots):
+            slot = next((s for s in self._slots
+                         if s[0] is None or s[0] != self._in_flight), None)
+            if slot is None:
+                slot = [None, np.empty(self._shape, dtype=complex)]
+                self._slots.append(slot)
+            self._build(slot, key, build)
+        self._in_flight = key
+
+    @staticmethod
+    def _build(slot, key, build):
+        slot[0] = None
+        build(slot[1])
+        slot[0] = key
+        return slot[1]
+
+
 class _StepWork:
     """Planes shared by the steps of one run on one grid and system.
 
-    The kick and kinetic planes are kept with the key they were built
-    from and rebuilt when a step's key differs.  ``psi_planes`` receive
-    the steps' psi: a step writes into the first one that is not its
-    input's psi.
+    The kick and kinetic planes are ``_Planes`` keyed by the coefficients
+    they are built from.  ``psi_planes`` receive the steps' psi: a step
+    writes into the first one that is not its input's psi.
     """
 
     def __init__(self, shape, n_psi):
-        self._kick = np.empty(shape, dtype=complex)
-        self._kinetic = np.empty(shape, dtype=complex)
-        self._kick_key = self._kinetic_key = None
+        self._kick = _Planes(shape)
+        self._kinetic = _Planes(shape)
         self.psi_planes = tuple(np.empty(shape, dtype=complex) for _ in range(n_psi))
 
-    def kick(self, spec, grid, t, dt):
-        """The half kick of ``_half_kick`` at checked time t."""
+    @staticmethod
+    def _kick_job(spec, grid, t, dt):
+        """Key and builder of the half kick of ``_half_kick`` at checked time t."""
         key = _key(*_potential_coefficients(spec, t), dt)
-        if key != self._kick_key:
-            _half_kick(spec, grid, t, dt, out=self._kick)
-            self._kick_key = key
-        return self._kick
+        return key, lambda out: _half_kick(spec, grid, t, dt, out=out)
 
-    def kinetic(self, spec, grid, t, dt):
-        """exp(-i dt hbar (k1^2 / 2 m1 + k2^2 / 2 m2)) at checked time t."""
+    @staticmethod
+    def _kinetic_job(spec, grid, t, dt):
+        """Key and builder of exp(-i dt hbar (k1^2 / 2 m1 + k2^2 / 2 m2)) at
+        checked time t."""
         m1, m2 = spec.m1._value(t), spec.m2._value(t)
-        key = _key(m1, m2, dt)
-        if key != self._kinetic_key:
+
+        def build(out):
             kin1 = _unit_phase(-dt * spec.hbar / (2 * m1) * grid.k1_sq)
             kin2 = _unit_phase(-dt * spec.hbar / (2 * m2) * grid.k2_sq)
-            np.multiply(kin1[:, None], kin2, out=self._kinetic)
-            self._kinetic_key = key
-        return self._kinetic
+            np.multiply(kin1[:, None], kin2, out=out)
+
+        return _key(m1, m2, dt), build
+
+    def kick(self, spec, grid, t, dt):
+        return self._kick.get(*self._kick_job(spec, grid, t, dt))
+
+    def kinetic(self, spec, grid, t, dt):
+        return self._kinetic.get(*self._kinetic_job(spec, grid, t, dt))
+
+    def prepare(self, spec, grid, t, dt):
+        """Build the planes of a step at midpoint time t (a float) unless
+        they are at hand.  Outside the system's domain nothing is built:
+        that step's own time check raises."""
+        t = np.asarray(t, dtype=float)
+        if spec.t_min <= t <= spec.t_max:
+            self._kick.prepare(*self._kick_job(spec, grid, t, dt))
+            self._kinetic.prepare(*self._kinetic_job(spec, grid, t, dt))
 
     def psi_plane(self, psi):
         return next(p for p in self.psi_planes if p is not psi)
@@ -365,20 +470,36 @@ def step(spec: SystemSpec, state: GridState, dt, *, work=None) -> GridState:
 
 
 def evolve(spec: SystemSpec, state: GridState, t0, t1, n_steps,
-           observer=None) -> GridState:
+           observer=None, *, every=1) -> GridState:
     """Uniform-step evolution from t0 to t1; norm is conserved to roundoff.
 
-    ``observer(state)`` is called after every step when given (used for
-    time-series output).  The steps share one ``_StepWork``: a kick and a
-    kinetic plane, each rebuilt only when its key changes, and two psi
-    planes used in turn, so the state passed to ``observer`` is valid only
-    until the observer returns: read what it needs, keep no reference to
-    the state or its ``psi``.  The command line's ``oracle`` is the only
-    observer.  The returned state owns its ``psi``; ``state`` itself is
-    never written.
+    ``observer(state)``, when given, is called with the state after every
+    ``every``-th step and after the last (used for time-series output).
+    The steps share one ``_StepWork``: a kick and a kinetic plane, each
+    rebuilt only when its key changes, and two psi planes used in turn.
+
+    One helper thread per call, joined before the call returns or raises,
+    works beside the steps.  While step i runs it builds step i+1's kick
+    and kinetic planes into spare planes, and it computes the row moments
+    of |psi|^2 and |psi_hat|^2 of the state the step reads, if that state
+    is observed, into the state's private caches.  The helper runs private
+    code only (``_StepWork.prepare``, ``GridState._prefetch``); every
+    public call, ``step`` and the observer included, runs on the calling
+    thread.  Nothing changes order or operands, so the result equals
+    ``step`` applied n times, bit for bit.
+
+    The observer runs on the calling thread one step late: after step
+    i+1, once the state's moments are cached.  The state stays valid
+    until the observer returns, because step i+1 only reads its plane:
+    read what it needs, keep no reference to the state or its ``psi``.
+    If a step raises, the state before it is not observed.  The command
+    line's ``oracle`` is the only observer.  The returned state owns its
+    ``psi``; ``state`` itself is never written.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if every < 1:
+        raise ValueError("every must be >= 1")
     if abs(state.time - t0) > 1e-12:
         state = GridState(state.psi, state.grid, float(t0))
     if t1 == t0:
@@ -388,16 +509,90 @@ def evolve(spec: SystemSpec, state: GridState, t0, t1, n_steps,
         warnings.warn(f"initial boundary density {bd:.2e} above "
                       f"{BOUNDARY_DENSITY_WARN:g}; enlarge the grid extent")
     dt = (float(t1) - float(t0)) / int(n_steps)
-    work = _StepWork(state.grid.points, n_psi=2)
-    for _ in range(int(n_steps)):
-        state = step(spec, state, dt, work=work)
-        if observer is not None:
-            observer(state)
+    with _Helper() as helper:
+        state = _steps(spec, state, dt, int(n_steps), observer, every, helper)
     bd = state.boundary_density()
     if bd > BOUNDARY_DENSITY_WARN:
         warnings.warn(f"final boundary density {bd:.2e} above "
                       f"{BOUNDARY_DENSITY_WARN:g}; enlarge the grid extent")
     return state
+
+
+def _steps(spec, state, dt, n, observer, every, helper):
+    """``evolve``'s n steps, with ``helper`` beside them.  The work planes
+    are freed once this returns and the helper is joined, before the final
+    density check."""
+    g = state.grid
+    work = _StepWork(g.points, n_psi=2)
+    scratch = None if observer is None else np.empty(g.points, dtype=complex)
+
+    def observed(k):
+        return observer is not None and k > 0 and (k % every == 0 or k == n)
+
+    work.prepare(spec, g, state.time + dt / 2, dt)
+    for k in range(1, n + 1):
+        # the next step's midpoint, (state.time + dt) + dt / 2 as it will add it
+        t_next = state.time + dt + dt / 2 if k < n else None
+        seen = state if observed(k - 1) else None
+        helper.submit(_side_work, work, spec, g, t_next, dt, seen, scratch)
+        new = step(spec, state, dt, work=work)
+        helper.wait()
+        if seen is not None:
+            observer(seen)
+        state = new
+    if observed(n):
+        state._prefetch(scratch)
+        observer(state)
+    return state
+
+
+def _side_work(work, spec, grid, t_next, dt, seen, scratch):
+    """The helper's share of a step: the next step's planes (midpoint time
+    ``t_next``, None after the last step) and the moments of ``seen``, the
+    state the step reads if it is observed."""
+    if t_next is not None:
+        work.prepare(spec, grid, t_next, dt)
+    if seen is not None:
+        seen._prefetch(scratch)
+
+
+class _Helper:
+    """One worker thread that runs submitted calls in order.
+
+    ``wait`` returns once the oldest call not yet waited for has finished,
+    and raises what it raised.  Leaving the ``with`` block stops the thread
+    and joins it, after the calls already submitted.
+    """
+
+    def __init__(self):
+        self._jobs = SimpleQueue()
+        self._done = SimpleQueue()
+        self._thread = threading.Thread(target=self._run, name="oracle-helper")
+
+    def _run(self):
+        while (job := self._jobs.get()) is not None:
+            try:
+                job[0](*job[1])
+            except BaseException as exc:  # handed to the calling thread
+                self._done.put(exc)
+            else:
+                self._done.put(None)
+
+    def submit(self, fn, *args):
+        self._jobs.put((fn, args))
+
+    def wait(self):
+        exc = self._done.get()
+        if exc is not None:
+            raise exc
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._jobs.put(None)
+        self._thread.join()
 
 
 def fidelity(a: GridState, b: GridState) -> float:
@@ -411,18 +606,15 @@ def fidelity(a: GridState, b: GridState) -> float:
 def energy_expectation(spec: SystemSpec, state: GridState, *, work=None) -> float:
     """<H(t)> at the state's own time stamp.
 
-    The spectrum of psi is written into ``work``, a C-contiguous complex
-    plane of the grid's shape whose contents are overwritten; a caller
-    that evaluates many states allocates it once.  Without it a plane is
-    allocated here.
+    The kinetic term reads the state's cached row moments of
+    |psi_hat|^2.  When they are not cached yet, the spectrum of psi is
+    written into ``work``, a C-contiguous complex plane of the grid's
+    shape whose contents are overwritten, or into a plane allocated here.
     """
     t = spec.check_time(state.time)
     g = state.grid
     hbar = spec.hbar
-    if work is None:
-        work = np.empty(g.points, dtype=complex)
-    _fft2(state.psi, out=work)
-    k_rows = _row_moments(work, g._k2_weights, out=work.view(float))
+    k_rows = state._k_moments(work)
     # Parseval: grid inner product equals (1/N) spectral inner product
     kin = hbar**2 * (g.k1_sq @ k_rows[:, 0] / (2 * spec.m1._value(t))
                      + np.sum(k_rows[:, 1]) / (2 * spec.m2._value(t)))

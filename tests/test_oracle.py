@@ -1,9 +1,14 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from scipy import fft as sfft
 
 import oscpair.oracle
 from oscpair import (
+    DomainError,
     GaussianState2D,
     Grid2D,
     GridMismatch,
@@ -20,7 +25,7 @@ from oscpair import (
 from oscpair.coefficients import Constant, Exponential, Polynomial, Power, Sinusoidal
 from oscpair.system import _potential, _potential_coefficients
 
-from conftest import ck_spec, const_spec, random_admissible_spec
+from conftest import SHIPPED, ck_spec, const_spec, random_admissible_spec
 
 
 def driven_spec():
@@ -442,3 +447,243 @@ def test_energy_expectation_work_plane():
     assert e == energy_expectation(spec, st)
     assert energy_expectation(spec, st, work=work) == e  # a used plane works too
     assert np.array_equal(st.psi, psi0)
+
+
+def _row(state, spec):
+    """What the command line's ``oracle`` records of an observed state."""
+    return (state.time, state.norm(), state.mean(0), state.mean(1),
+            state.mean_sq(0), state.mean_sq(1), energy_expectation(spec, state))
+
+
+def serial_evolve(spec, state, dt, n, observer, every):
+    """The loop ``evolve`` ran before its helper thread: ``step`` n times
+    and the observer inline, right after each observed step."""
+    for k in range(1, n + 1):
+        state = step(spec, state, dt)
+        if k % every == 0 or k == n:
+            observer(state)
+    return state
+
+
+@pytest.mark.filterwarnings("ignore:initial boundary density",
+                            "ignore:final boundary density")
+@pytest.mark.parametrize("every", [1, 3])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_pipelined_evolve_equals_the_serial_loop(name, every, shipped):
+    """The helper changes no order and no operand: the final psi and every
+    observed (time, norm, means, energy) equal the serial loop's bits."""
+    sc = shipped[name]
+    spec, (t0, t1) = sc.system, sc.window
+    st = from_gaussian(sc.grid(points=64), sc.initial_state().normalized(), time=t0)
+    n = 32
+    rows, ref_rows = [], []
+    out = evolve(spec, st, t0, t1, n, observer=lambda s: rows.append(_row(s, spec)),
+                 every=every)
+    ref = serial_evolve(spec, st, (t1 - t0) / n, n,
+                        lambda s: ref_rows.append(_row(s, spec)), every)
+    assert len(rows) == (n // every) + (n % every != 0)
+    assert rows == ref_rows
+    assert out.time == ref.time
+    assert np.array_equal(out.psi, ref.psi)
+
+
+@pytest.mark.filterwarnings("ignore:initial boundary density",
+                            "ignore:final boundary density")
+def test_pipelined_evolve_equals_the_serial_loop_on_a_driven_system():
+    spec = driven_spec()
+    grid = Grid2D(extent=(12.0, 20.0), points=(64, 128))
+    st = from_gaussian(grid, GaussianState2D.coherent(
+        center=(0.5, -0.3), momentum=(0.4, -0.2), sigma=(0.8, 1.1),
+        hbar=spec.hbar), time=0.2).normalized()
+    rows, ref_rows = [], []
+    out = evolve(spec, st, 0.2, 2.6, 40, observer=lambda s: rows.append(_row(s, spec)),
+                 every=7)
+    ref = serial_evolve(spec, st, 2.4 / 40, 40, lambda s: ref_rows.append(_row(s, spec)), 7)
+    assert len(rows) == 6  # steps 7, 14, 21, 28, 35 and the last
+    assert rows == ref_rows
+    assert np.array_equal(out.psi, ref.psi)
+
+
+def _small_run(spec=None):
+    spec = spec or const_spec()
+    grid = Grid2D(extent=(14.0, 14.0), points=(64, 64))
+    return spec, from_gaussian(grid, GaussianState2D.coherent(hbar=spec.hbar)).normalized()
+
+
+def test_evolve_joins_its_helper_on_return_and_on_errors(monkeypatch):
+    """One helper thread per call, joined before ``evolve`` returns or
+    raises: an observer's exception and a step's ``DomainError`` reach the
+    caller as they are, and so does one raised on the helper."""
+    before = threading.active_count()
+    spec, st = _small_run(driven_spec())
+    evolve(spec, st, 0.0, 0.5, 5, observer=lambda s: None)
+    evolve(spec, st, 0.0, 0.5, 5)
+    assert threading.active_count() == before
+
+    boom = RuntimeError("observer failed")
+    seen = []
+
+    def failing(state):
+        seen.append(state.time)
+        if len(seen) == 2:
+            raise boom
+
+    with pytest.raises(RuntimeError) as info:
+        evolve(spec, st, 0.0, 0.5, 5, observer=failing)
+    assert info.value is boom
+    assert threading.active_count() == before
+
+    # the window leaves the domain [0, 3] in its third step, as at the
+    # serial loop, with the same error
+    with pytest.raises(DomainError) as serial:
+        serial_evolve(spec, st, 1.4, 4, lambda s: None, 1)
+    with pytest.raises(DomainError) as piped:
+        evolve(spec, st, 0.0, 5.6, 4, observer=lambda s: None)
+    assert str(piped.value) == str(serial.value)
+    assert threading.active_count() == before
+
+    half_kick = oscpair.oracle._half_kick
+    built = []
+
+    def failing_kick(*args, **kwargs):
+        built.append(threading.get_ident())
+        if len(built) == 3:
+            raise MemoryError("no plane")
+        return half_kick(*args, **kwargs)
+
+    monkeypatch.setattr(oscpair.oracle, "_half_kick", failing_kick)
+    with pytest.raises(MemoryError, match="no plane"):
+        evolve(spec, st, 0.0, 0.5, 5, observer=lambda s: None)
+    assert built[-1] != threading.get_ident()  # raised on the helper
+    assert threading.active_count() == before
+    with pytest.raises(ValueError, match="every must be >= 1"):
+        evolve(spec, st, 0.0, 0.5, 5, every=0)
+
+
+def test_public_calls_stay_on_the_calling_thread(monkeypatch):
+    """The span recorder keeps one stack, so ``step`` and the observer run
+    on the caller's thread; plane builds after the first step's and the
+    observed states' spectra run on the helper."""
+    caller = threading.get_ident()
+    threads = {"step": set(), "observer": set(), "kick": set(), "fft": set()}
+    original_step, half_kick = oscpair.oracle.step, oscpair.oracle._half_kick
+    fft2 = oscpair.oracle._fft2
+
+    def on(kind, fn):
+        def wrapped(*args, **kwargs):
+            threads[kind].add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(oscpair.oracle, "step", on("step", original_step))
+    monkeypatch.setattr(oscpair.oracle, "_half_kick", on("kick", half_kick))
+    monkeypatch.setattr(oscpair.oracle, "_fft2", on("fft", fft2))
+    spec, st = _small_run(driven_spec())
+    evolve(spec, st, 0.0, 0.5, 5, observer=on("observer", lambda s: s.norm()))
+    assert threads["step"] == threads["observer"] == {caller}
+    assert len(threads["kick"] - {caller}) == 1
+    assert len(threads["fft"] - {caller}) == 1
+
+
+#: the spec's number of kick and of kinetic planes in an ``evolve``
+PLANE_SLOTS = {"constant": (1, 1), "constant-mass": (2, 1), "driven": (2, 2)}
+
+
+@pytest.mark.filterwarnings("ignore:initial boundary density",
+                            "ignore:final boundary density")
+@pytest.mark.parametrize("case", sorted(PLANE_SLOTS))
+def test_spare_planes_only_when_a_key_changes(case, monkeypatch):
+    works = []
+    step_work = oscpair.oracle._StepWork
+
+    def recorded(*args, **kwargs):
+        works.append(step_work(*args, **kwargs))
+        return works[-1]
+
+    monkeypatch.setattr(oscpair.oracle, "_StepWork", recorded)
+    spec, st = _small_run(PLANE_REUSE[case][0]())
+    evolve(spec, st, 0.2, 1.4, 9, observer=lambda s: None)
+    (work,) = works
+    assert (len(work._kick._slots), len(work._kinetic._slots)) == PLANE_SLOTS[case]
+
+
+#: plane shapes of the transforms the calling thread and the helper run at once
+FFT_SHAPES = [(32, 32), (64, 32), (32, 64), (64, 64), (128, 32), (32, 256),
+              (128, 128), (256, 64), (256, 256)]
+
+
+def test_numpy_fft_gives_the_same_bits_on_two_threads():
+    """The helper transforms a state while the calling thread transforms a
+    step's psi; numpy releases the GIL inside its FFT.  Transforms run on
+    two threads at once (for about 1.5 s) must equal the ones run on
+    one thread, bit for bit, so a numpy whose FFT is not thread-safe fails
+    here."""
+    rng = np.random.default_rng(7003)
+    planes = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in FFT_SHAPES]
+
+    def transforms(a):
+        spectrum = oscpair.oracle._fft2(a, out=np.empty_like(a))
+        return spectrum, oscpair.oracle._ifft2(spectrum.copy())
+
+    want = [transforms(a) for a in planes]
+    deadline = time.perf_counter() + 1.5
+    rounds, bad = [0, 0], []
+    start = threading.Barrier(2)
+
+    def worker(i):
+        start.wait()
+        order = list(range(len(planes)))[::1 if i == 0 else -1]
+        while rounds[i] < 2 or (time.perf_counter() < deadline and rounds[i] < 200):
+            for j in order:
+                got = transforms(planes[j])
+                if not all(np.array_equal(g, w) for g, w in zip(got, want[j])):
+                    bad.append((i, FFT_SHAPES[j]))
+            rounds[i] += 1
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert min(rounds) >= 2
+    assert bad == []
+
+
+@pytest.mark.filterwarnings("ignore:initial boundary density",
+                            "ignore:final boundary density")
+def test_pipelined_evolve_under_thread_switching():
+    """Three callers, each with its own helper (six threads on fewer
+    cores), switching threads every few microseconds: a plane the helper
+    wrote while a step read it, or a state observed after its plane was
+    reused, would change the bits of the rows or of the final psi."""
+    spec = driven_spec()
+    grid = Grid2D(extent=(14.0, 14.0), points=(32, 32))
+    st = from_gaussian(grid, GaussianState2D.coherent(
+        center=(0.5, -0.3), momentum=(0.4, -0.2), sigma=(0.8, 1.1),
+        hbar=spec.hbar), time=0.2).normalized()
+    ref_rows = []
+    ref = serial_evolve(spec, st, 2.4 / 48, 48, lambda s: ref_rows.append(_row(s, spec)), 2)
+    results = [[] for _ in range(3)]
+
+    def caller(i):
+        deadline = time.perf_counter() + 1.5
+        while len(results[i]) < 2 or (time.perf_counter() < deadline
+                                      and len(results[i]) < 100):
+            rows = []
+            out = evolve(spec, st, 0.2, 2.6, 48,
+                         observer=lambda s: rows.append(_row(s, spec)), every=2)
+            results[i].append(rows == ref_rows and np.array_equal(out.psi, ref.psi))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(len(r) >= 2 and all(r) for r in results)

@@ -10,6 +10,7 @@ import pytest
 
 import oscpair.cli
 import oscpair.comparison
+import oscpair.oracle
 import oscpair.propagator
 from oscpair import (
     SchemaError,
@@ -122,6 +123,27 @@ def test_quadrature_sizes_bounded_at_parse(field, limit, tmp_path, capsys):
 def test_grid_values_rejected_at_parse(grid, field):
     with pytest.raises(SchemaError, match=f"field '{field}'"):
         parse_scenario(_doc(grid=grid))
+
+
+def test_grid_points_bounded_above(tmp_path, capsys):
+    """Sizes per axis stop at 4096; above it ``grid.points``, ``--grid``
+    and ``Grid2D`` all refuse before anything is allocated (before, a
+    ``--grid`` of 2^20 died in ``np.meshgrid`` with a numpy MemoryError)."""
+    rule = "powers of two from 32 to 4096"
+    assert parse_scenario(_doc(grid={"points": [32, 4096]})).grid_points == (32, 4096)
+    for points in (8192, 2**20, [64, 2**40]):
+        with pytest.raises(SchemaError, match=f"field 'grid.points' must be {rule}"):
+            parse_scenario(_doc(grid={"points": points}))
+    with pytest.raises(ValueError, match=rule):
+        oscpair.oracle.Grid2D(extent=(10.0, 10.0), points=(32, 8192))
+    scen = tmp_path / "s.json"
+    scen.write_text(_doc(grid={"points": 32, "steps": 4}))
+    for command in ("oracle", "compare"):
+        rc = main([command, "--scenario", str(scen), "--grid", str(2**20),
+                   "--out", str(tmp_path / "out.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: points per axis must be {rule}\n"
+        assert not (tmp_path / "out.csv").exists()
 
 
 BAD_PARAMETERS = {
