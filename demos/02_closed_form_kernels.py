@@ -42,7 +42,7 @@ for x1q, x2q, x1p, x2p in pts:
 
 print("\nsame system, T = 3.5 (one caustic passed, extra phase -pi/2):")
 kern = build_kernel(dec, 0.0, 3.5)
-print(f"  Maslov counts per channel: {[c.maslov for c in kern.channels]}")
+print(f"  Maslov counts per channel: {kern.maslov.tolist()}")
 for x1q, x2q, x1p, x2p in pts[:3]:
     K = kern.evaluate(x1q, x2q, x1p, x2p)
     ref = feynman_ho(x1q, x1p, 1.0, 3.5) * feynman_ho(x2q, x2p, 1.0, 3.5)
@@ -59,6 +59,6 @@ for x1q, x2q, x1p, x2p in pts[:3]:
 
 print("\nthe auxiliary representation behind the free case: "
       "rho = sqrt(1 + t^2), phi = arctan t")
-ch = kern0.channels[0]
-print(f"  rho(1) = {ch.solution.rho(1.0):.12f}   (sqrt(2) = {np.sqrt(2):.12f})")
-print(f"  phi(1) = {ch.solution.phi(1.0):.12f}   (pi/4   = {np.pi/4:.12f})")
+sol = kern0.solutions[0]
+print(f"  rho(1) = {sol.rho(1.0):.12f}   (sqrt(2) = {np.sqrt(2):.12f})")
+print(f"  phi(1) = {sol.phi(1.0):.12f}   (pi/4   = {np.pi/4:.12f})")

@@ -44,7 +44,6 @@ from .oracle import (
 )
 from .propagator import (
     Kernel,
-    KernelFamily,
     build_kernel,
     build_kernels,
     evolve_gaussian,

@@ -9,7 +9,7 @@ kernel     evaluate K on position tuples from a CSV/JSON file; emit CSV
 evolve     propagate the scenario's Gaussian state; emit a CSV time series
            of means, covariances, norm and global phase
            (``propagator.evolve_gaussian``: one auxiliary solve for the
-           window, one kernel family of its intervals)
+           window, one stacked kernel of its intervals)
 oracle     split-operator evolution; emit CSV observables and optionally a
            binary |psi|^2 dump
 compare    corrected vs lw variant vs oracle; exit 0 iff the corrected
@@ -572,8 +572,8 @@ def _cmd_kernel(args):
     if args.dump_aux:
         ts = np.linspace(sc.window[0], sc.window[1], args.aux_points)
         cols = [ts]
-        for ch in kern.channels:
-            cols += ch.solution.rho_drho_phi(ts)
+        for sol in kern.solutions:
+            cols += sol.rho_drho_phi(ts)
         _write_csv(args.dump_aux,
                    ["t", "rho1", "drho1", "phi1", "rho2", "drho2", "phi2"], cols)
     return EXIT_OK

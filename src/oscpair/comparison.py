@@ -85,7 +85,7 @@ def run_comparison(decoupled: DecoupledSystem, window, initial: GaussianState2D,
             max_residual=float(np.max(resid)),
             gamma_max=decoupled.gamma_max,
             alpha=decoupled.alpha,
-            maslov=tuple(ch.maslov for ch in kern.channels),
+            maslov=tuple(kern.maslov.tolist()),
             window=(t_start, t_end),
             grid_points=grid.points,
             n_steps=int(n_steps),

@@ -68,8 +68,7 @@ Observables (``GridState.norm``, ``mean``, ``mean_sq`` and
 weighted by 1, x2 and x2^2 for every x1 row, which a state computes once,
 in one gemm on the squared float view of psi, and shares.
 ``energy_expectation``'s kinetic term takes the same kind of row moments
-of |psi_hat|^2, weighted by 1 and k2^2, also cached on the state; its
-spectrum goes into a plane the caller may pass as ``work``.
+of |psi_hat|^2, weighted by 1 and k2^2, also cached on the state.
 """
 
 from __future__ import annotations
@@ -603,18 +602,16 @@ def fidelity(a: GridState, b: GridState) -> float:
     return float(num / (a.norm_sq() * b.norm_sq()))
 
 
-def energy_expectation(spec: SystemSpec, state: GridState, *, work=None) -> float:
+def energy_expectation(spec: SystemSpec, state: GridState) -> float:
     """<H(t)> at the state's own time stamp.
 
     The kinetic term reads the state's cached row moments of
-    |psi_hat|^2.  When they are not cached yet, the spectrum of psi is
-    written into ``work``, a C-contiguous complex plane of the grid's
-    shape whose contents are overwritten, or into a plane allocated here.
+    |psi_hat|^2, which are computed here when they are not cached yet.
     """
     t = spec.check_time(state.time)
     g = state.grid
     hbar = spec.hbar
-    k_rows = state._k_moments(work)
+    k_rows = state._k_moments()
     # Parseval: grid inner product equals (1/N) spectral inner product
     kin = hbar**2 * (g.k1_sq @ k_rows[:, 0] / (2 * spec.m1._value(t))
                      + np.sum(k_rows[:, 1]) / (2 * spec.m2._value(t)))

@@ -36,16 +36,17 @@ update, so there is a single code path to validate.
 Inside a window every kernel depends on the auxiliary data only through
 rho_j and phi_j, so one auxiliary solve per window fixes them all.
 ``solve_channels`` is the one place that solve happens, and
-``build_kernels`` assembles a ``KernelFamily`` from its pair: the stacked
-kernels of any windows inside the solved one, such as the intervals of
-``evolve_gaussian``, propagated straight from its stacked c0, L and M,
-or the stencil times of the residual check, which reads them all in two
-``log_evaluate`` calls.  ``build_kernel`` is a family of one, after its
-own solve unless it is handed ``solutions``.
+``build_kernels`` assembles one ``Kernel`` from its pair: the stacked
+kernels of any windows inside the solved one, in the windows' shape.
+Those are the intervals of ``evolve_gaussian``, propagated straight from
+the stacked c0, L and M, or the stencil times of the residual check,
+which evaluates them all in two ``evaluate`` calls.  ``build_kernel`` is
+the kernel of shape () of one window, after its own solve unless it is
+handed ``solutions``.
 
-A family checks its variant, admissibility and windows once and reads
-each channel's dense output once (``ErmakovSolution.rho_drho_phi``): at
-every window end and, for a driven channel, at the composite
+``build_kernels`` checks its variant, admissibility and windows once and
+reads each channel's dense output once (``ErmakovSolution.rho_drho_phi``):
+at every window end and, for a driven channel, at the composite
 Gauss-Legendre nodes of every window, where F_1 and F_2 alone are read
 together (``channel_forces``).  The masses, mdot_j and T(t) are read once
 as arrays, and the kernels are assembled together.  The node values serve
@@ -63,21 +64,19 @@ masses the two variants coincide identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .decoupling import DecoupledSystem, channel_forces
-from .ermakov import ErmakovSolution, solve_ermakov
+from .ermakov import solve_ermakov
 from .errors import CausticError, InadmissibleSystem
 from .gaussian import GaussianState2D, _complete_square
 from .quadrature import composite_gl_nodes, running_integral
 from .system import potential
 
 __all__ = [
-    "ChannelKernelData",
     "Kernel",
-    "KernelFamily",
     "build_kernel",
     "build_kernels",
     "evolve_gaussian",
@@ -106,59 +105,14 @@ _ENDS_SIGN = np.array([[1.0], [-1.0]])
 _DIAG = np.arange(4)
 
 
-@dataclass(frozen=True)
-class ChannelKernelData:
-    """Cached per-channel endpoint scalars and driving integrals."""
-
-    channel: int
-    solution: ErmakovSolution
-    rho_q: float      # rho at t''
-    drho_q: float
-    phi: float        # phi(t'', t')
-    maslov: int
-    I_end: float      # int G sin phi(t, t') dt   (couples to Q'')
-    I_start: float    # int G sin phi(t'', t) dt  (couples to Q')
-    D: float          # double integral over tau <= t
-
-
-@dataclass(frozen=True, eq=False)
-class Kernel:
-    """Evaluatable complex Gaussian propagator K(x'', t''; x', t')."""
-
-    decoupled: DecoupledSystem
-    t_start: float
-    t_end: float
-    variant: str
-    channels: tuple
-    c0: complex = field(repr=False)
-    L: np.ndarray = field(repr=False)
-    M: np.ndarray = field(repr=False)
-
-    @property
-    def system(self):
-        return self.decoupled.system
-
-    def log_evaluate(self, x1q, x2q, x1p, x2p):
-        q = np.stack(np.broadcast_arrays(
-            np.asarray(x1q, dtype=float), np.asarray(x2q, dtype=float),
-            np.asarray(x1p, dtype=float), np.asarray(x2p, dtype=float)), axis=-1)
-        lin = q @ self.L
-        quad = 0.5 * np.einsum("...i,ij,...j->...", q, self.M, q)
-        return self.c0 + lin + quad
-
-    def evaluate(self, x1q, x2q, x1p, x2p):
-        """K at end positions (x1q, x2q) and start positions (x1p, x2p)."""
-        return np.exp(self.log_evaluate(x1q, x2q, x1p, x2p))
-
-    def __call__(self, x1q, x2q, x1p, x2p):
-        return self.evaluate(x1q, x2q, x1p, x2p)
-
-
 @dataclass(frozen=True, eq=False, repr=False)
-class KernelFamily:
-    """Stacked kernels of windows inside one solve: t_start, t_end and c0 in the
-    windows' shape, L and M with trailing axes (4,) and (4, 4), per-channel values
-    behind a channel axis; ``family[i]`` is the Kernel of window i in C order."""
+class Kernel:
+    """The complex Gaussian propagators K(x'', t''; x', t') of windows inside
+    one solve, stacked: t_start, t_end and c0 in the windows' shape (shape ()
+    for one window), L and M with trailing axes (4,) and (4, 4), and each
+    channel's rho_q (rho at t''), drho_q, phi = phi(t'', t'), maslov, I_end
+    (couples to Q''), I_start (couples to Q') and D behind a leading channel
+    axis."""
 
     decoupled: DecoupledSystem
     variant: str
@@ -176,22 +130,26 @@ class KernelFamily:
     I_start: np.ndarray
     D: np.ndarray
 
-    def __len__(self):
-        return self.c0.size
+    @property
+    def system(self):
+        return self.decoupled.system
 
-    def __getitem__(self, i):
-        c0 = self.c0.item(i)  # IndexError beyond the windows, like a list
-        v = np.array([self.rho_q, self.drho_q, self.phi, self.maslov, self.I_end,
-                      self.I_start, self.D]).reshape(7, 2, -1)[:, :, i].T.tolist()
-        channels = tuple(ChannelKernelData(j, sol, *x[:3], int(x[3]), *x[4:])
-                         for j, sol, x in zip((1, 2), self.solutions, v))
-        return Kernel(self.decoupled, self.t_start.item(i), self.t_end.item(i), self.variant,
-                      channels, c0, self.L.reshape(-1, 4)[i], self.M.reshape(-1, 4, 4)[i])
-
-    def log_evaluate(self, q):
-        """log K at (x1'', x2'', x1', x2') on q's last axis, broadcast on the rest."""
+    def log_evaluate(self, x1q, x2q, x1p, x2p):
+        """log K at end positions (x1q, x2q) and start positions (x1p, x2p),
+        broadcast against the windows."""
+        q = np.stack(np.broadcast_arrays(
+            np.asarray(x1q, dtype=float), np.asarray(x2q, dtype=float),
+            np.asarray(x1p, dtype=float), np.asarray(x2p, dtype=float)), axis=-1)
+        lin = (q[..., None, :] @ self.L[..., None])[..., 0, 0]
         quad = 0.5 * np.einsum("...i,...ij,...j->...", q, self.M, q)
-        return self.c0 + np.einsum("...i,...i->...", q, self.L) + quad
+        return self.c0 + lin + quad
+
+    def evaluate(self, x1q, x2q, x1p, x2p):
+        """K at end positions (x1q, x2q) and start positions (x1p, x2p)."""
+        return np.exp(self.log_evaluate(x1q, x2q, x1p, x2p))
+
+    def __call__(self, x1q, x2q, x1p, x2p):
+        return self.evaluate(x1q, x2q, x1p, x2p)
 
 
 def _is_corrected(decoupled, variant):
@@ -230,11 +188,11 @@ def solve_channels(decoupled: DecoupledSystem, t_start, t_end, variant="correcte
 def build_kernels(decoupled: DecoupledSystem, t_start, t_end, solutions,
                   variant="corrected", quad_order=DEFAULT_QUAD_ORDER,
                   quad_panels=DEFAULT_QUAD_PANELS, caustic_tol=DEFAULT_CAUSTIC_TOL):
-    """The KernelFamily of the windows [t_start, t_end], in the broadcast
-    shape of the two arrays of window ends.
+    """The Kernel of the windows [t_start, t_end], in the broadcast shape of
+    the two arrays of window ends.
 
     ``solutions`` is the pair returned by ``solve_channels`` for the same
-    variant on a window containing every window of the family.  The
+    variant on a window containing every one of them.  The
     variant, admissibility and windows are checked once, each channel's
     dense output is read once at every end and node, and F_j, the masses,
     mdot_j and T(t) once each, as arrays.  A window whose |sin phi_j| is at
@@ -249,6 +207,8 @@ def build_kernels(decoupled: DecoupledSystem, t_start, t_end, solutions,
     t_end, t_start = ends
     n, shape = t_end.size, t_end.shape
     ends = ends.reshape(-1)  # every t'', then every t'
+    if not n:
+        raise ValueError("no windows: t_start and t_end are empty")
     if not (ends[:n] > ends[n:]).all():  # NaN too
         raise ValueError("t_end must exceed t_start")
     spec.check_time(ends)
@@ -314,10 +274,10 @@ def build_kernels(decoupled: DecoupledSystem, t_start, t_end, solutions,
     c0 = (0.25 * np.log(m[:, :n] * m[:, n:] / scale**2)
           - 1j * ((maslov + 0.5) * (0.5 * math.pi) + D * k)).sum(axis=0)
 
-    return KernelFamily(decoupled, variant, solutions, t_start, t_end, c0.reshape(shape),
-                        L.reshape(*shape, 4), M.reshape(*shape, 4, 4),
-                        *(v.reshape(2, *shape) for v in (rho[:, 0], drho[:, 0], phi,
-                          maslov.astype(int), I[:, 0], I[:, 1], D)))
+    return Kernel(decoupled, variant, solutions, t_start, t_end, c0.reshape(shape),
+                  L.reshape(*shape, 4), M.reshape(*shape, 4, 4),
+                  *(v.reshape(2, *shape) for v in (rho[:, 0], drho[:, 0], phi,
+                    maslov.astype(int), I[:, 0], I[:, 1], D)))
 
 
 def build_kernel(decoupled: DecoupledSystem, t_start, t_end, variant="corrected",
@@ -332,14 +292,14 @@ def build_kernel(decoupled: DecoupledSystem, t_start, t_end, variant="corrected"
     ``solutions`` is the pair returned by ``solve_channels`` for the same
     variant on a window containing [t_start, t_end]; it lets many kernels
     share one solve, and ``ode_tol`` and ``ermakov_ic`` are then unused.
-    Without it the kernel solves its own window.  It is the one kernel of
-    ``build_kernels`` on that window.
+    Without it the kernel solves its own window.  It is the ``build_kernels``
+    result of that window, of shape ().
     """
     if solutions is None:
         solutions = solve_channels(decoupled, t_start, t_end, variant=variant,
                                    ode_tol=ode_tol, ic=ermakov_ic)
     return build_kernels(decoupled, t_start, t_end, solutions, variant, quad_order,
-                         quad_panels, caustic_tol)[0]
+                         quad_panels, caustic_tol)
 
 
 def evolve_gaussian(decoupled: DecoupledSystem, state, times,
@@ -349,23 +309,24 @@ def evolve_gaussian(decoupled: DecoupledSystem, state, times,
     kernels of the intervals of the ascending ``times``: the list of states
     at every time, ``state`` first.
 
-    One auxiliary solve on [times[0], times[-1]] serves the family of
-    interval kernels, and the states are propagated in order straight from
-    the family's c0, L and M, as ``propagate_gaussian`` does for each.
+    One auxiliary solve on [times[0], times[-1]] serves the stacked kernel
+    of the intervals, and the states are propagated in order straight from
+    its c0, L and M, as ``propagate_gaussian`` does for each.
     """
     times = np.asarray(times, dtype=float)
     sols = solve_channels(decoupled, times[0], times[-1], ode_tol=ode_tol)
-    family = build_kernels(decoupled, times[:-1], times[1:], sols, quad_order=quad_order,
-                           quad_panels=quad_panels, caustic_tol=caustic_tol)
+    kern = build_kernels(decoupled, times[:-1], times[1:], sols, quad_order=quad_order,
+                         quad_panels=quad_panels, caustic_tol=caustic_tol)
     hbar = decoupled.system.hbar
     states = [state]
-    for c0, L, M in zip(family.c0.tolist(), family.L, family.M):
+    for c0, L, M in zip(kern.c0.tolist(), kern.L, kern.M):
         states.append(_propagate(c0, L, M, states[-1], hbar))
     return states
 
 
 def propagate_gaussian(kernel: Kernel, state: GaussianState2D) -> GaussianState2D:
-    """psi''(x'') = int K(x''; x') psi'(x') d^2 x', in closed form.
+    """psi''(x'') = int K(x''; x') psi'(x') d^2 x', in closed form, for a
+    ``kernel`` of one window (shape ()).
 
     Completing the square in x' reduces the integral to 2x2 complex linear
     algebra; norm is preserved to roundoff.  Raises NonConvergentGaussian
@@ -373,6 +334,8 @@ def propagate_gaussian(kernel: Kernel, state: GaussianState2D) -> GaussianState2
     caustic-adjacent degeneracy or a non-normalizable input), or if the
     propagated state's does.
     """
+    if np.ndim(kernel.c0):
+        raise ValueError("propagate_gaussian takes the kernel of one window, of shape ()")
     return _propagate(kernel.c0, kernel.L, kernel.M, state, kernel.system.hbar)
 
 
@@ -444,17 +407,17 @@ def schrodinger_residual(decoupled, t_start, t_end, variant="corrected",
     h_x = 2.5e-3 * math.sqrt(hbar) * _LEVELS
     h_t = (np.minimum(np.minimum(1e-3 * T, 0.2 * (t_end - tc)), 0.2 * (tc - t_start))
            * np.minimum(1.0, np.maximum(s_min**2, 0.02)))
-    # every stencil time of every point, one family of shape (point, 7)
-    family = build_kernels(decoupled, t_start, tc[:, None] + h_t[:, None] * _STENCIL,
-                           sols, variant, quad_order, quad_panels)
-    K = np.exp(family.log_evaluate(points[:, None]))
+    # every stencil time of every point, one kernel of shape (point, 7)
+    kern = build_kernels(decoupled, t_start, tc[:, None] + h_t[:, None] * _STENCIL,
+                         sols, variant, quad_order, quad_panels)
+    K = kern.evaluate(*points.T[:, :, None])
     K_m2, K_m1, K_p1, K_p2 = K[:, _DT_COLUMNS].T  # by (level, point)
     lhs = 1j * hbar * ((K_m2 - 8 * K_m1 + 8 * K_p1 - K_p2) / (12 * (h_t * _LEVELS[:, None])))
     # x1'' and x2'' moved by each level's steps, by (shift, level, j, point,
     # window, coordinate); the kernel at tc is the window of column 3
     shifts = (_SHIFTS[:, None, None, None, None, None] * h_x[:, None, None, None, None]
               * np.eye(4)[:2, None, None])
-    v = np.exp(family.log_evaluate(points[:, None] + shifts)[..., 3])
+    v = kern.evaluate(*np.moveaxis(points[:, None] + shifts, -1, 0))[..., 3]
     d2 = (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h_x[:, None, None]**2)
     lap = (-hbar**2 / (2.0 * np.array([spec.m1(tc), spec.m2(tc)])) * d2).sum(axis=1)
     VK = potential(spec, points[:, 0], points[:, 1], tc) * K[:, 3]

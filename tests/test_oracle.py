@@ -436,16 +436,19 @@ def test_evolve_rebuilds_a_plane_only_when_its_key_changes(case, monkeypatch):
 
 
 def test_energy_expectation_work_plane():
+    """A state whose row moments ``evolve``'s helper cached through a used
+    work plane (``GridState._prefetch``) has the energy of a state that
+    computes its own, and keeps its psi."""
     spec = driven_spec()
     grid = Grid2D(extent=(12.0, 20.0), points=(64, 128))
-    st = from_gaussian(grid, GaussianState2D.coherent(
-        center=(0.7, -1.2), momentum=(0.5, 0.3), sigma=(0.9, 1.4),
-        hbar=spec.hbar), time=0.4)
+    g = GaussianState2D.coherent(center=(0.7, -1.2), momentum=(0.5, 0.3),
+                                 sigma=(0.9, 1.4), hbar=spec.hbar)
+    st, fresh = (from_gaussian(grid, g, time=0.4) for _ in range(2))
     psi0 = st.psi.copy()
-    work = np.full(grid.points, np.nan, dtype=complex)
-    e = energy_expectation(spec, st, work=work)
-    assert e == energy_expectation(spec, st)
-    assert energy_expectation(spec, st, work=work) == e  # a used plane works too
+    st._prefetch(np.full(grid.points, np.nan, dtype=complex))
+    e = energy_expectation(spec, st)
+    assert e == energy_expectation(spec, fresh)
+    assert energy_expectation(spec, st) == e  # the cached moments again
     assert np.array_equal(st.psi, psi0)
 
 

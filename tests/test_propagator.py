@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -60,10 +61,10 @@ def test_static_kernel_matches_feynman_product():
     assert abs(kern.evaluate(0, 0, 0, 0)) == pytest.approx(
         1.0 / (2 * np.pi * np.sin(T)), rel=1e-12)
     # equilibrium auxiliary data: rho stays 1, phase advances by T
-    for ch in kern.channels:
-        assert ch.rho_q == pytest.approx(1.0, rel=1e-11)
-        assert ch.drho_q == pytest.approx(0.0, abs=1e-11)
-        assert ch.phi == pytest.approx(T, rel=1e-11)
+    assert kern.rho_q.shape == kern.drho_q.shape == kern.phi.shape == (2,)
+    assert kern.rho_q == pytest.approx(1.0, rel=1e-11)
+    assert kern.drho_q == pytest.approx(0.0, abs=1e-11)
+    assert kern.phi == pytest.approx(T, rel=1e-11)
 
 
 def test_static_kernel_past_caustic():
@@ -76,7 +77,7 @@ def test_static_kernel_past_caustic():
             x1q, x2q, x1p, x2p = rng.normal(size=4)
             ref = feynman_ho(x1q, x1p, 1.0, T) * feynman_ho(x2q, x2p, 1.0, T)
             assert abs(kern.evaluate(x1q, x2q, x1p, x2p) - ref) <= 1e-8 * abs(ref)
-    assert build_kernel(dec, 0.0, 3.5).channels[0].maslov == 1
+    assert build_kernel(dec, 0.0, 3.5).maslov[0] == 1
 
 
 def test_static_kernel_hbar_not_one():
@@ -121,11 +122,11 @@ def test_shipped_static_kernel_is_the_mehler_product():
     assert np.max(np.abs(K - ref) / np.abs(ref)) <= 1e-12
 
     ts = np.linspace(t0, t1, 301)
-    for ch in kern.channels:
-        om2 = dec.constant_omega_sq(ch.channel)
+    for sol in kern.solutions:
+        om2 = dec.constant_omega_sq(sol.channel)
         wj = w[np.argmin(np.abs(w**2 - om2))]
         theta = wj * (ts - t0)
-        rho, _, phi = ch.solution.rho_drho_phi(ts)
+        rho, _, phi = sol.rho_drho_phi(ts)
         exact_rho = np.sqrt(np.cos(theta) ** 2 + np.sin(theta) ** 2 / wj**2)
         assert np.max(np.abs(rho / exact_rho - 1.0)) <= 1e-14
         assert np.max(np.abs(phi - np.arctan2(np.sin(theta) / wj, np.cos(theta)))) <= 1e-14
@@ -157,10 +158,9 @@ def test_kernel_symmetric_in_endpoints_without_driving():
 def test_driving_integrals_zero_without_forcing():
     dec = solve_angle(ck_spec())
     kern = build_kernel(dec, 0.0, 2.0)
-    for ch in kern.channels:
-        assert ch.I_end == 0.0
-        assert ch.I_start == 0.0
-        assert ch.D == 0.0
+    assert np.all(kern.I_end == 0.0)
+    assert np.all(kern.I_start == 0.0)
+    assert np.all(kern.D == 0.0)
 
 
 def test_driving_integrals_constant_force():
@@ -168,9 +168,9 @@ def test_driving_integrals_constant_force():
     #   I'' = I' = F0 (1 - cos T),  D = F0^2 (1 - cos T - (T/2) sin T)
     F0, T = 0.7, 1.3
     dec = solve_angle(const_spec(w2=2.0, f1=F0))
-    ch = build_kernel(dec, 0.0, T, ode_tol=1e-12).channels[0]
-    assert dec.alpha == 0.0 and ch.rho_q == pytest.approx(1.0, abs=1e-12)
-    I_end, I_start, D = ch.I_end, ch.I_start, ch.D
+    kern = build_kernel(dec, 0.0, T, ode_tol=1e-12)
+    assert dec.alpha == 0.0 and kern.rho_q[0] == pytest.approx(1.0, abs=1e-12)
+    I_end, I_start, D = kern.I_end[0], kern.I_start[0], kern.D[0]
     assert I_end == pytest.approx(F0 * (1 - np.cos(T)), abs=1e-10)
     assert I_start == pytest.approx(F0 * (1 - np.cos(T)), abs=1e-10)
     assert D == pytest.approx(F0**2 * (1 - np.cos(T) - T / 2 * np.sin(T)), abs=1e-10)
@@ -183,7 +183,7 @@ def test_injected_solve_starting_before_window():
     injected = build_kernel(dec, t_start, t_end,
                             solutions=solve_channels(dec, 0.0, t_end, ode_tol=1e-12))
     fresh = build_kernel(dec, t_start, t_end, ode_tol=1e-12)
-    assert any(ch.I_end != 0.0 for ch in fresh.channels)
+    assert np.any(fresh.I_end != 0.0)
     pts = np.random.default_rng(41).normal(size=(32, 4))
     a = injected.evaluate(*pts.T)
     b = fresh.evaluate(*pts.T)
@@ -196,9 +196,8 @@ def test_driving_integrals_panel_refinement():
     dec = solve_angle(spec)
     k32 = build_kernel(dec, 0.0, 1.2, quad_panels=32)
     k64 = build_kernel(dec, 0.0, 1.2, quad_panels=64)
-    for a, b in zip(k32.channels, k64.channels):
-        assert a.I_end == pytest.approx(b.I_end, abs=1e-12)
-        assert a.D == pytest.approx(b.D, abs=1e-12)
+    assert k32.I_end == pytest.approx(k64.I_end, abs=1e-12)
+    assert k32.D == pytest.approx(k64.D, abs=1e-12)
 
 
 def test_caustic_error():
@@ -230,12 +229,18 @@ def test_family_raises_the_caustic_error_of_its_first_caustic_window(w2, t_ends,
     assert family.value.nearest_caustic == pytest.approx(np.pi / w2, abs=1e-9)
 
 
-@pytest.mark.parametrize("t_end", [0.5, 1.0, np.nan])
+@pytest.mark.parametrize("t_end", [0.5, 1.0, np.nan, None])
 def test_family_rejects_windows_that_do_not_end_after_they_start(t_end):
+    """A window that does not end after it starts, or no window at all
+    (None), is rejected before any array is assembled."""
     dec = solve_angle(const_spec())
     sols = solve_channels(dec, 0.0, 2.0)
-    with pytest.raises(ValueError, match="t_end must exceed t_start"):
-        build_kernels(dec, 1.0, [1.5, t_end], sols)
+    if t_end is None:
+        ends, match = [], "no windows: t_start and t_end are empty"
+    else:
+        ends, match = [1.5, t_end], "t_end must exceed t_start"
+    with pytest.raises(ValueError, match=match):
+        build_kernels(dec, 1.0, ends, sols)
 
 
 def _family_cases():
@@ -254,76 +259,102 @@ def _family_cases():
 
 @pytest.mark.parametrize("variant", ["corrected", "lw"])
 def test_family_kernels_equal_their_one_window_kernels(variant):
-    """Every interval of a 64-step grid, built in one family, is the kernel
+    """Every interval of a 64-step grid, built in one kernel, is the kernel
     ``build_kernel`` builds for it alone from the same solve: c0, L and M
-    within 1e-12 scaled, the Maslov counts exactly.  The family's own
-    ``log_evaluate`` at seeded points is that of each of its kernels."""
+    within 1e-12 scaled, the Maslov counts exactly.  ``log_evaluate`` at
+    seeded points broadcast against the 64 windows is c0 + L.q + q.M.q/2
+    of each window."""
     pts = np.random.default_rng(23).normal(size=(16, 1, 4))
     for name, dec, window in _family_cases():
         sols = solve_channels(dec, *window, variant=variant)
         times = np.linspace(*window, 65)
         family = build_kernels(dec, times[:-1], times[1:], sols, variant)
-        assert len(family) == 64
-        logs = family.log_evaluate(pts)
+        assert family.c0.shape == (64,)
+        logs = family.log_evaluate(*pts.T[..., 0, :, None])
         assert logs.shape == (16, 64)
-        for i, (kern, t_start, t_end) in enumerate(zip(family, times[:-1], times[1:])):
+        q = pts[:, 0]
+        for i, (t_start, t_end) in enumerate(zip(times[:-1], times[1:])):
             one = build_kernel(dec, t_start, t_end, variant=variant, solutions=sols)
-            assert (kern.t_start, kern.t_end) == (one.t_start, one.t_end)
-            for got, want in ((kern.c0, one.c0), (kern.L, one.L), (kern.M, one.M)):
+            assert one.c0.shape == () and one.maslov.shape == (2,)
+            assert (family.t_start[i], family.t_end[i]) == (one.t_start, one.t_end)
+            c0, L, M = family.c0[i], family.L[i], family.M[i]
+            for got, want in ((c0, one.c0), (L, one.L), (M, one.M)):
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert np.max(np.abs(got - want)) <= 1e-12 * scale, (name, t_end)
-            assert ([ch.maslov for ch in kern.channels]
-                    == [ch.maslov for ch in one.channels]), (name, t_end)
-            want = kern.log_evaluate(*pts[:, 0].T)
+            assert family.maslov[:, i].tolist() == one.maslov.tolist(), (name, t_end)
+            want = c0 + q @ L + 0.5 * np.einsum("pi,ij,pj->p", q, M, q)
             assert np.max(np.abs(logs[:, i] - want)) <= 1e-13 * max(
                 1.0, float(np.max(np.abs(want)))), (name, t_end)
 
 
 def test_family_arrays_and_indexing():
-    """A (3, 2) family: window arrays in the broadcast shape of the ends,
-    per-channel values behind a channel axis, and ``family[i]`` the kernel
-    of window i in C order, bit for bit that of a flat family."""
+    """A (3, 2) kernel: window arrays in the broadcast shape of the ends,
+    per-channel values behind a channel axis, and its windows in C order
+    those of a flat kernel of the same windows, bit for bit."""
     sc = load_shipped("driven-static")
     dec = solve_angle(sc.system)
     sols = solve_channels(dec, *sc.window)
     t_start = np.array([[0.0], [0.1], [0.2]])
     t_end = np.array([0.6, 0.9])
     family = build_kernels(dec, t_start, t_end, sols)
-    assert len(family) == 6
     assert family.t_start.shape == family.t_end.shape == family.c0.shape == (3, 2)
     assert family.L.shape == (3, 2, 4) and family.M.shape == (3, 2, 4, 4)
     for v in (family.rho_q, family.drho_q, family.phi, family.maslov, family.I_end,
               family.I_start, family.D):
         assert v.shape == (2, 3, 2)
     flat = build_kernels(dec, np.repeat(t_start.ravel(), 2), np.tile(t_end, 3), sols)
-    assert family[-1].t_start == 0.2 and family[-1].t_end == 0.9
-    for i, (kern, want) in enumerate(zip(family, flat)):
-        assert kern.channels == want.channels == family[i].channels
-        assert (kern.t_start, kern.t_end) == (want.t_start, want.t_end)
-        for a, b in ((kern.c0, want.c0), (kern.L, want.L), (kern.M, want.M)):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-    with pytest.raises(IndexError):
-        family[6]
+    assert family.t_start[-1, -1] == 0.2 and family.t_end[-1, -1] == 0.9
+    assert family.solutions is flat.solutions is sols
+    for name in ("t_start", "t_end", "c0", "L", "M",
+                 "rho_q", "drho_q", "phi", "maslov", "I_end", "I_start", "D"):
+        got, want = getattr(family, name), getattr(flat, name)
+        assert got.reshape(want.shape).tobytes() == want.tobytes(), name
+    with pytest.raises(ValueError, match="the kernel of one window"):
+        propagate_gaussian(family, GaussianState2D.coherent())
 
 
 def test_kernels_and_families_compare_and_hash_by_identity():
     dec = solve_angle(ck_spec())
-    family = build_kernels(dec, np.array([0.0, 0.5]), np.array([0.5, 1.0]),
-                           solve_channels(dec, 0.0, 1.0))
-    a, b = family[0], family[0]
+    sols = solve_channels(dec, 0.0, 1.0)
+    family = build_kernels(dec, np.array([0.0, 0.5]), np.array([0.5, 1.0]), sols)
+    a, b = (build_kernel(dec, 0.0, 0.5, solutions=sols) for _ in range(2))
     twin = dataclasses.replace(family)
     assert a == a and a != b and family == family and family != twin
     assert len({a, b, family, twin}) == 4
     assert dataclasses.replace(a, c0=0j).c0 == 0j
 
 
-def _reference_propagate(kern, A, b, c):
-    """(A, b, c) carried by ``kern``, the square completed on the former route."""
-    M, L = kern.M, kern.L
+def test_benchmark_kernel_contract():
+    """What the benchmark uses of the kernel (``perfbench/workloads.py`` and
+    ``perfbench/spans.py``): ``build_kernel(...).log_evaluate(*points.T)``,
+    a ``dataclasses.replace`` of c0, L and M passed to ``propagate_gaussian``,
+    and ``Kernel.evaluate`` on four coordinates, which the traced run wraps
+    once, through the one name in ``propagator.__all__`` bound to the class."""
+    sc = load_shipped("driven-static")
+    kern = build_kernel(solve_angle(sc.system, gamma_tol=sc.gamma_tol), *sc.window)
+    pts = np.random.default_rng(37).normal(size=(64, 4))
+    log_k = kern.log_evaluate(*pts.T)
+    assert log_k.shape == (64,)
+    assert np.array_equal(np.exp(log_k), kern.evaluate(*pts.T))
+    fitted = dataclasses.replace(kern, c0=complex(kern.c0), L=kern.L.copy(), M=kern.M.copy())
+    g = propagate_gaussian(fitted, sc.initial_state().normalized())
+    assert abs(g.norm() - 1.0) <= 1e-9
+    assert "Kernel" in propagator.__all__
+    assert propagator.Kernel.__module__ == "oscpair.propagator"
+    evaluate = vars(propagator.Kernel)["evaluate"]
+    assert inspect.isfunction(evaluate)
+    assert list(inspect.signature(evaluate).parameters) == ["self", "x1q", "x2q", "x1p", "x2p"]
+    assert [name for name in propagator.__all__
+            if getattr(propagator, name) is propagator.Kernel] == ["Kernel"]
+
+
+def _reference_propagate(c0, L, M, A, b, c):
+    """(A, b, c) carried by the kernel (c0, L, M), the square completed on
+    the former route."""
     S_inv, mu, log_I = reference_completion(A - M[2:, 2:], b + L[2:])
     M_es = M[:2, 2:]
     A_new = -(M[:2, :2] + M_es @ S_inv @ M_es.T)
-    return 0.5 * (A_new + A_new.T), L[:2] + M_es @ mu, kern.c0 + c + log_I
+    return 0.5 * (A_new + A_new.T), L[:2] + M_es @ mu, c0 + c + log_I
 
 
 def _evolve_cases():
@@ -344,15 +375,16 @@ def _evolve_cases():
 
 def test_evolve_gaussian_matches_the_linalg_chain():
     """Every state of ``evolve_gaussian`` is that of the former chain, one
-    ``family[i]`` at a time through ``np.linalg``: A, b and c within 1e-12,
-    scaled by max(1, |.|).  The worst is 2.4e-13 (static-uncoupled)."""
+    interval's c0, L and M at a time through ``np.linalg``: A, b and c
+    within 1e-12, scaled by max(1, |.|).  The worst is 2.4e-13
+    (static-uncoupled)."""
     for name, dec, g0, times in _evolve_cases():
         states = evolve_gaussian(dec, g0, times)
         family = build_kernels(dec, times[:-1], times[1:], solve_channels(dec, *times[[0, -1]]))
         want = (g0.A, g0.b, g0.c)
         assert states[0] is g0 and len(states) == 65
         for i, st in enumerate(states[1:]):
-            want = _reference_propagate(family[i], *want)
+            want = _reference_propagate(family.c0[i], family.L[i], family.M[i], *want)
             for got, w in zip((st.A, st.b, st.c), want):
                 scale = max(1.0, float(np.max(np.abs(w))))
                 assert np.max(np.abs(got - w)) <= 1e-12 * scale, (name, i)
@@ -369,8 +401,9 @@ def test_propagation_error_keeps_its_type_and_message():
 
 
 def _loop_residual(dec, t_start, t_end, variant, n_points=20, seed=0):
-    """The per-sample residual loop, one kernel at a time through
-    ``family[i].evaluate``: a reference for ``schrodinger_residual``."""
+    """The per-sample residual loop, one sample at a time, each value read
+    from ``Kernel.evaluate`` of its point against all stencil windows: a
+    reference for ``schrodinger_residual``."""
     spec, hbar = dec.system, dec.system.hbar
     times, points, sols, s_mins = propagator._sample_points(
         dec, t_start, t_end, n_points, seed, variant, propagator.DEFAULT_ODE_TOL)
@@ -382,16 +415,18 @@ def _loop_residual(dec, t_start, t_end, variant, n_points=20, seed=0):
                            + np.array(h_ts)[:, None] * propagator._STENCIL, sols, variant)
     residuals = []
     for i, (tc, (x1q, x2q, x1p, x2p), h_t) in enumerate(zip(times, points, h_ts)):
-        K = [family[7 * i + k].evaluate(x1q, x2q, x1p, x2p) for k in range(7)]
-        k0, K0 = family[7 * i + 3], K[3]
+        K = list(family.evaluate(x1q, x2q, x1p, x2p)[i])
+        K0 = K[3]
         levels = []
         for ht, hx, (K_m2, K_m1, K_p1, K_p2) in ((h_t, h_x, K[:2] + K[5:]),
                                                   (h_t / 2, h_x / 2, K[1:3] + K[4:6])):
             dKdt = (K_m2 - 8 * K_m1 + 8 * K_p1 - K_p2) / (12 * ht)
             shifts = np.array([-2, -1, 0, 1, 2]) * hx
             lap = 0.0
-            for m_j, v in ((spec.m1(tc), k0.evaluate(x1q + shifts, x2q, x1p, x2p)),
-                           (spec.m2(tc), k0.evaluate(x1q, x2q + shifts, x1p, x2p))):
+            moved = shifts[:, None, None]  # by (shift, point, window)
+            for m_j, K_j in ((spec.m1(tc), family.evaluate(x1q + moved, x2q, x1p, x2p)),
+                             (spec.m2(tc), family.evaluate(x1q, x2q + moved, x1p, x2p))):
+                v = K_j[:, i, 3]  # the kernel at tc
                 d2 = (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * hx**2)
                 lap += -hbar**2 / (2.0 * m_j) * d2
             VK = spec_potential(spec, x1q, x2q, tc) * K0
@@ -596,7 +631,7 @@ def test_kernel_reads_each_solution_once_per_node_set(name, limit):
     sols = tuple(counted(s) for s in solve_channels(dec, *sc.window))
     kern = build_kernel(dec, *sc.window, solutions=sols)
     driven = name == "driven-static"
-    assert all((ch.I_end != 0.0) == driven for ch in kern.channels)
+    assert np.all((kern.I_end != 0.0) == driven)
     assert all(0 < n <= limit for n in calls.values()), calls
 
 
@@ -627,13 +662,13 @@ def test_undriven_kernel_reads_no_drive_and_builds_no_nodes(name, monkeypatch):
     kern = build_kernel(dec, *sc.window, solutions=sols)
     driven = name == "driven-static"
     assert dec.undriven != driven
-    assert all((ch.I_end != 0.0) == driven for ch in kern.channels)
+    assert np.all((kern.I_end != 0.0) == driven)
     assert calls == {"nodes": int(driven), "forces": int(driven), "quantities": 0,
                      1: 1, 2: 1}
     # a family of 64 windows makes the same calls
     calls.update(dict.fromkeys(calls, 0))
     times = np.linspace(*sc.window, 65)
-    assert len(build_kernels(dec, times[:-1], times[1:], sols)) == 64
+    assert build_kernels(dec, times[:-1], times[1:], sols).c0.shape == (64,)
     assert calls == {"nodes": int(driven), "forces": int(driven), "quantities": 0,
                      1: 1, 2: 1}
     monkeypatch.setattr(DecoupledSystem, "undriven", False)
