@@ -71,11 +71,10 @@ multiple of 2 pi that puts it nearest w tau (:class:`_ClosedForm`).
 
 Both solves keep the same checks: the Wronskian residual on the check
 grid against ``tol``, the phase-monotonicity check and the
-ill-conditioned flag.  ``brentq`` (caustic polishing) and ``solve_ivp``
-(the nonlinear cross-check) are imported on first use, so importing this
-module loads numpy and the standard library only.  Direct integration
-of the nonlinear equation is kept as an independent cross-check oracle
-(`solve_ermakov_nonlinear`, on ``solve_ivp``), not used by the kernel.
+ill-conditioned flag.  ``brentq`` (caustic polishing) is imported on
+first use, so importing this module loads numpy and the standard library
+only.  Direct integration of the nonlinear equation, the independent
+cross-check of the Pinney route, lives with the tests that use it.
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ import numpy as np
 from .errors import DomainError, NonPositiveRho, SolverFailure
 from .quadrature import _gauss_legendre, integration_matrix
 
-__all__ = ["ErmakovSolution", "SolveStats", "solve_ermakov", "solve_ermakov_nonlinear"]
+__all__ = ["ErmakovSolution", "SolveStats", "solve_ermakov"]
 
 DEFAULT_TOL = 1e-10
 ILL_CONDITIONED_RHO = 1e8
@@ -111,7 +110,9 @@ _READ_CHUNK = 4096
 
 
 def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on first call."""
+    """``scipy.integrate.solve_ivp``, imported on first call.  No solve here
+    calls it: it is kept only as the hook that the traced benchmark run
+    (``perfbench/spans.py``) rebinds to count ODE right-hand sides."""
     from scipy.integrate import solve_ivp
     return solve_ivp(*args, **kwargs)
 
@@ -659,34 +660,3 @@ def solve_ermakov(omega_sq, t0, t1, ic=(1.0, 0.0), tol=DEFAULT_TOL,
         stats=stats,
         _sol=sol,
     )
-
-
-class _DirectSolution:
-    """Minimal rho/drho/phi interface for the nonlinear cross-check."""
-
-    def __init__(self, sol):
-        self._sol = sol
-
-    def rho(self, t):
-        return self._sol(t)[0]
-
-    def drho(self, t):
-        return self._sol(t)[1]
-
-    def phi(self, t):
-        return self._sol(t)[2]
-
-
-def solve_ermakov_nonlinear(omega_sq, t0, t1, ic=(1.0, 0.0), tol=DEFAULT_TOL):
-    """Integrate rho'' = 1/rho^3 - Om^2 rho directly (cross-check only)."""
-
-    def rhs(t, y):
-        r, dr, _ = y
-        return [dr, 1.0 / r**3 - omega_sq(t) * r, 1.0 / r**2]
-
-    sol = solve_ivp(rhs, (t0, t1), [float(ic[0]), float(ic[1]), 0.0],
-                    method="DOP853", rtol=tol, atol=tol * 1e-2,
-                    dense_output=True)
-    if not sol.success:
-        raise SolverFailure(f"nonlinear auxiliary solve failed: {sol.message}")
-    return _DirectSolution(sol.sol)

@@ -40,9 +40,9 @@ rho_j and phi_j, so one auxiliary solve per window fixes them all.
 kernels of any windows inside the solved one, in the windows' shape.
 Those are the intervals of ``evolve_gaussian``, propagated straight from
 the stacked c0, L and M, or the stencil times of the residual check,
-which evaluates them all in two ``evaluate`` calls.  ``build_kernel`` is
-the kernel of shape () of one window, after its own solve unless it is
-handed ``solutions``.
+which evaluates them all in one ``evaluate`` call, and the x''-shifted
+points of its Laplacian against the centre windows alone.  ``build_kernel`` is the kernel of
+shape () of one window, after its own solve.
 
 ``build_kernels`` checks its variant, admissibility and windows once and
 reads each channel's dense output once (``ErmakovSolution.rho_drho_phi``):
@@ -140,9 +140,7 @@ class Kernel:
         q = np.stack(np.broadcast_arrays(
             np.asarray(x1q, dtype=float), np.asarray(x2q, dtype=float),
             np.asarray(x1p, dtype=float), np.asarray(x2p, dtype=float)), axis=-1)
-        lin = (q[..., None, :] @ self.L[..., None])[..., 0, 0]
-        quad = 0.5 * np.einsum("...i,...ij,...j->...", q, self.M, q)
-        return self.c0 + lin + quad
+        return _log_kernel(self.c0, self.L, self.M, q)
 
     def evaluate(self, x1q, x2q, x1p, x2p):
         """K at end positions (x1q, x2q) and start positions (x1p, x2p)."""
@@ -150,6 +148,14 @@ class Kernel:
 
     def __call__(self, x1q, x2q, x1p, x2p):
         return self.evaluate(x1q, x2q, x1p, x2p)
+
+
+def _log_kernel(c0, L, M, q):
+    """c0 + L.q + q.M.q/2 at the points q (trailing axis 4), broadcast
+    against the windows of c0, L and M."""
+    lin = (q[..., None, :] @ L[..., None])[..., 0, 0]
+    quad = 0.5 * np.einsum("...i,...ij,...j->...", q, M, q)
+    return c0 + lin + quad
 
 
 def _is_corrected(decoupled, variant):
@@ -166,13 +172,13 @@ def solve_channels(decoupled: DecoupledSystem, t_start, t_end, variant="correcte
                    ode_tol=DEFAULT_ODE_TOL, ic=(1.0, 0.0)):
     """Auxiliary solutions (ErmakovSolution) of both channels on [t_start, t_end].
 
-    Every kernel of ``variant`` whose window lies inside [t_start, t_end]
-    can be built from the returned pair with ``build_kernel(...,
-    solutions=...)``.  ``ic`` is (rho, rho') at t_start for both channels;
-    the window is checked once per channel.  A channel whose Om_j^2 is
-    constant (``DecoupledSystem.constant_omega_sq``) is passed to
-    ``solve_ermakov`` as that number and solved in closed form; any other
-    as the callable of ``omega_sq_on``, solved on Gauss-Legendre panels.
+    Every kernel of ``variant`` whose windows lie inside [t_start, t_end]
+    can be built from the returned pair with ``build_kernels``.  ``ic`` is
+    (rho, rho') at t_start for both channels; the window is checked once
+    per channel.  A channel whose Om_j^2 is constant
+    (``DecoupledSystem.constant_omega_sq``) is passed to ``solve_ermakov``
+    as that number and solved in closed form; any other as the callable of
+    ``omega_sq_on``, solved on Gauss-Legendre panels.
     """
     corrected = _is_corrected(decoupled, variant)
 
@@ -197,8 +203,8 @@ def build_kernels(decoupled: DecoupledSystem, t_start, t_end, solutions,
     dense output is read once at every end and node, and F_j, the masses,
     mdot_j and T(t) once each, as arrays.  A window whose |sin phi_j| is at
     most ``caustic_tol`` raises CausticError: that of the first such
-    window, channel 1 before channel 2, as ``build_kernel`` raises it for
-    that window alone.
+    window, channel 1 before channel 2, as the kernel of that window alone
+    raises it.
     """
     spec = decoupled.system
     corrected = _is_corrected(decoupled, variant)
@@ -283,21 +289,19 @@ def build_kernels(decoupled: DecoupledSystem, t_start, t_end, solutions,
 def build_kernel(decoupled: DecoupledSystem, t_start, t_end, variant="corrected",
                  quad_order=DEFAULT_QUAD_ORDER, quad_panels=DEFAULT_QUAD_PANELS,
                  ode_tol=DEFAULT_ODE_TOL, caustic_tol=DEFAULT_CAUSTIC_TOL,
-                 ermakov_ic=(1.0, 0.0), solutions=None) -> Kernel:
-    """Assemble the kernel for the window [t_start, t_end].
+                 ermakov_ic=(1.0, 0.0)) -> Kernel:
+    """Assemble the kernel for the window [t_start, t_end] from its own
+    auxiliary solve.
 
     The corrected variant requires an admissible decoupling.  ``ermakov_ic``
     fixes the auxiliary initial condition; the kernel value is independent
     of it (a tested property), the default merely makes runs reproducible.
-    ``solutions`` is the pair returned by ``solve_channels`` for the same
-    variant on a window containing [t_start, t_end]; it lets many kernels
-    share one solve, and ``ode_tol`` and ``ermakov_ic`` are then unused.
-    Without it the kernel solves its own window.  It is the ``build_kernels``
-    result of that window, of shape ().
+    It is the ``build_kernels`` result of that window, of shape (); kernels
+    that share one solve are built by ``build_kernels`` from the pair of
+    ``solve_channels``.
     """
-    if solutions is None:
-        solutions = solve_channels(decoupled, t_start, t_end, variant=variant,
-                                   ode_tol=ode_tol, ic=ermakov_ic)
+    solutions = solve_channels(decoupled, t_start, t_end, variant=variant,
+                               ode_tol=ode_tol, ic=ermakov_ic)
     return build_kernels(decoupled, t_start, t_end, solutions, variant, quad_order,
                          quad_panels, caustic_tol)
 
@@ -358,15 +362,10 @@ def residual_sample_points(decoupled, t_start, t_end, n_points=20, seed=0,
     length scale sqrt(hbar); times are spread over the interior of the
     window, rejecting those where either channel is within ``_SIN_PHI_MIN``
     of a caustic (the kernel is singular there by construction).
-    Returns (times, points, solutions), the last from ``solve_channels``
-    on the window.
+    Returns (times, points, solutions, s_min): solutions from
+    ``solve_channels`` on the window, and min_j |sin phi_j| at each time
+    from the same read of phi.
     """
-    return _sample_points(decoupled, t_start, t_end, n_points, seed, variant, ode_tol)[:3]
-
-
-def _sample_points(decoupled, t_start, t_end, n_points, seed, variant, ode_tol):
-    """``residual_sample_points``, and min_j |sin phi_j| at each time from
-    the same read of phi."""
     spec = decoupled.system
     sols = solve_channels(decoupled, t_start, t_end, variant=variant, ode_tol=ode_tol)
     T = t_end - t_start
@@ -400,7 +399,7 @@ def schrodinger_residual(decoupled, t_start, t_end, variant="corrected",
     """
     spec = decoupled.system
     hbar = spec.hbar
-    times, points, sols, s_mins = _sample_points(
+    times, points, sols, s_mins = residual_sample_points(
         decoupled, t_start, t_end, n_points, seed, variant, ode_tol)
     tc, s_min = np.array(times), np.array(s_mins)
     T = t_end - t_start
@@ -414,10 +413,10 @@ def schrodinger_residual(decoupled, t_start, t_end, variant="corrected",
     K_m2, K_m1, K_p1, K_p2 = K[:, _DT_COLUMNS].T  # by (level, point)
     lhs = 1j * hbar * ((K_m2 - 8 * K_m1 + 8 * K_p1 - K_p2) / (12 * (h_t * _LEVELS[:, None])))
     # x1'' and x2'' moved by each level's steps, by (shift, level, j, point,
-    # window, coordinate); the kernel at tc is the window of column 3
-    shifts = (_SHIFTS[:, None, None, None, None, None] * h_x[:, None, None, None, None]
-              * np.eye(4)[:2, None, None])
-    v = kern.evaluate(*np.moveaxis(points[:, None] + shifts, -1, 0))[..., 3]
+    # coordinate), against the kernel at tc: the windows of column 3
+    shifts = (_SHIFTS[:, None, None, None, None] * h_x[:, None, None, None]
+              * np.eye(4)[:2, None])
+    v = np.exp(_log_kernel(kern.c0[:, 3], kern.L[:, 3], kern.M[:, 3], points + shifts))
     d2 = (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h_x[:, None, None]**2)
     lap = (-hbar**2 / (2.0 * np.array([spec.m1(tc), spec.m2(tc)])) * d2).sum(axis=1)
     VK = potential(spec, points[:, 0], points[:, 1], tc) * K[:, 3]

@@ -160,9 +160,6 @@ class SystemSpec:
             )
         return t
 
-    def mass(self, j, t):
-        return (self.m1 if j == 1 else self.m2)(t)
-
     def mass_deriv(self, j, t):
         return (self.m1 if j == 1 else self.m2).deriv1(t)
 

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from oscpair import SystemSpec, load_shipped, solve_angle
 from oscpair.coefficients import Constant, Exponential, Polynomial, Power, Sinusoidal
+from oscpair.errors import SolverFailure
 
 
 def const_spec(w1=1.0, w2=1.0, lam=0.0, f1=0.0, f2=0.0, m1=1.0, m2=1.0,
@@ -86,6 +88,39 @@ def reference_completion(S, v):
     log_sqrt_det = 0.5 * (np.log(tr / 2.0 + disc) + np.log(tr / 2.0 - disc))
     mu = np.linalg.solve(S, v)
     return np.linalg.inv(S), mu, np.log(2.0 * np.pi) - log_sqrt_det + 0.5 * v @ mu
+
+
+class _DirectSolution:
+    """Minimal rho/drho/phi interface for the nonlinear cross-check."""
+
+    def __init__(self, sol):
+        self._sol = sol
+
+    def rho(self, t):
+        return self._sol(t)[0]
+
+    def drho(self, t):
+        return self._sol(t)[1]
+
+    def phi(self, t):
+        return self._sol(t)[2]
+
+
+def solve_ermakov_nonlinear(omega_sq, t0, t1, ic=(1.0, 0.0), tol=1e-10):
+    """Integrate rho'' = 1/rho^3 - Om^2 rho and phi' = 1/rho^2 directly with
+    DOP853: an oracle for ``solve_ermakov``'s Pinney route that shares none
+    of its code."""
+
+    def rhs(t, y):
+        r, dr, _ = y
+        return [dr, 1.0 / r**3 - omega_sq(t) * r, 1.0 / r**2]
+
+    sol = solve_ivp(rhs, (t0, t1), [float(ic[0]), float(ic[1]), 0.0],
+                    method="DOP853", rtol=tol, atol=tol * 1e-2,
+                    dense_output=True)
+    if not sol.success:
+        raise SolverFailure(f"nonlinear auxiliary solve failed: {sol.message}")
+    return _DirectSolution(sol.sol)
 
 
 SHIPPED = ["static", "static-uncoupled", "free", "driven-static",

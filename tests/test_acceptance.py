@@ -18,13 +18,12 @@ from oscpair import (
     schrodinger_residual,
     solve_angle,
     solve_ermakov,
-    solve_ermakov_nonlinear,
 )
 from oscpair.comparison import discrepancy_significant, run_comparison
 from oscpair.errors import CausticError
 from oscpair.oracle import evolve, from_gaussian
 
-from conftest import SHIPPED, const_spec, random_admissible_spec
+from conftest import SHIPPED, const_spec, random_admissible_spec, solve_ermakov_nonlinear
 from test_propagator import feynman_ho, free_kernel
 
 

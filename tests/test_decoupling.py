@@ -22,7 +22,7 @@ from oscpair.coefficients import (
 from oscpair.decoupling import DEFAULT_GAMMA_TOL, _channel_terms, _grid, _nearest_edge
 from oscpair.ermakov import ORDER
 from oscpair.errors import DomainError
-from oscpair.propagator import build_kernel, solve_channels
+from oscpair.propagator import build_kernels, solve_channels
 from oscpair.quadrature import _gauss_legendre
 
 from conftest import SHIPPED, ck_spec, const_spec, random_admissible_spec
@@ -684,7 +684,7 @@ def test_canonical_transform_reads_coefficients_unchecked(name, monkeypatch):
         for t in (sc.window[1], ts):
             out += list(vars(ct.to_rotated(pt, t)).values())
             out += list(vars(ct.from_rotated(tpt, t)).values())
-        kern = build_kernel(dec, *sc.window, solutions=solve_channels(dec, *sc.window))
+        kern = build_kernels(dec, *sc.window, solve_channels(dec, *sc.window))
         return [np.asarray(x).tobytes() for x in out + [kern.c0, kern.L, kern.M]]
 
     want = outputs()

@@ -10,11 +10,12 @@ import pytest
 
 import oscpair.ermakov
 from oscpair import (decoupled_at_angle, load_shipped, solve_angle, solve_channels,
-                     solve_ermakov, solve_ermakov_nonlinear)
+                     solve_ermakov)
 from oscpair.ermakov import ORDER, ErmakovSolution, _check_grid
 from oscpair.errors import DomainError, NonPositiveRho, SolverFailure
 
-from conftest import SHIPPED, SRC, ck_spec, random_admissible_spec, run_python
+from conftest import (SHIPPED, SRC, ck_spec, random_admissible_spec, run_python,
+                      solve_ermakov_nonlinear)
 
 
 def test_equilibrium_solution():

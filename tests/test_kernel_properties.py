@@ -3,11 +3,13 @@
 Hypothesis draws systems of ``random_admissible_spec`` (all three mass
 families, driven or not), a window inside their domain, an auxiliary
 initial condition and a coherent state.  The draws are derandomized, so
-every run checks the same cases; the three properties, 100 cases each,
-take about 1.3 s together on a 2-vCPU VM.  On 400 such cases the worst
+every run checks the same cases; the four properties, 100 cases each,
+take about 2.4 s together on a 2-vCPU VM.  On 400 such cases the worst
 change of c0, L or M with the initial condition was 2.5e-13 scaled, the
 variants coincided bit for bit at constant mass, and the worst norm error
-was 7e-13.
+was 7e-13.  Of the 100 composition cases, 50 pass a caustic inside the
+long window; their worst errors were 9.8e-14 scaled for A and b and
+3.1e-15 for c.
 """
 
 import numpy as np
@@ -70,3 +72,31 @@ def test_propagation_preserves_the_norm(case, center, momentum, sigma):
     g0 = GaussianState2D.coherent(center=center, momentum=momentum, sigma=sigma,
                                   hbar=dec.system.hbar).normalized()
     assert abs(propagate_gaussian(_kernel(dec, window), g0).norm() - 1.0) <= 1e-9
+
+
+IC = st.tuples(st.floats(0.5, 2.0), st.floats(-0.5, 0.5))
+
+
+@PROPERTY
+@given(systems(), st.floats(0.2, 0.8), IC, IC, IC,
+       st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_kernels_compose_over_an_intermediate_time(case, share, ic_02, ic_01, ic_12,
+                                                   center, momentum):
+    """A coherent state carried over [t0, t2] by one kernel is the state
+    carried over [t0, t1] and then [t1, t2], each kernel from its own solve
+    and auxiliary initial condition: A and b within 1e-10 scaled, and c
+    within 1e-11 with Im c modulo 2 pi, which checks the Maslov phases of
+    windows that pass a caustic."""
+    dec, (t0, t2) = case
+    t1 = t0 + share * (t2 - t0)
+    g0 = GaussianState2D.coherent(center=center, momentum=momentum,
+                                  hbar=dec.system.hbar).normalized()
+    one = propagate_gaussian(_kernel(dec, (t0, t2), ermakov_ic=ic_02), g0)
+    two = propagate_gaussian(_kernel(dec, (t1, t2), ermakov_ic=ic_12),
+                             propagate_gaussian(_kernel(dec, (t0, t1), ermakov_ic=ic_01), g0))
+    for got, want in ((two.A, one.A), (two.b, one.b)):
+        assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, float(np.max(np.abs(want))))
+    dc = two.c - one.c
+    wrapped = complex(dc.real, (dc.imag + np.pi) % (2 * np.pi) - np.pi)
+    assert abs(wrapped) <= 1e-11 * max(1.0, abs(one.c))

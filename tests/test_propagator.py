@@ -23,6 +23,7 @@ from oscpair import (
 )
 import oscpair.decoupling
 from oscpair import propagator
+from oscpair.coefficients import Coefficient
 from oscpair.decoupling import DecoupledSystem
 from oscpair.errors import NonConvergentGaussian
 from oscpair.ermakov import ErmakovSolution
@@ -180,8 +181,8 @@ def test_injected_solve_starting_before_window():
     """Driving phases are measured from t_start, not from the solve's start."""
     dec = solve_angle(load_shipped("driven-static").system)
     t_start, t_end = 0.4, 1.1
-    injected = build_kernel(dec, t_start, t_end,
-                            solutions=solve_channels(dec, 0.0, t_end, ode_tol=1e-12))
+    injected = build_kernels(dec, t_start, t_end,
+                             solve_channels(dec, 0.0, t_end, ode_tol=1e-12))
     fresh = build_kernel(dec, t_start, t_end, ode_tol=1e-12)
     assert np.any(fresh.I_end != 0.0)
     pts = np.random.default_rng(41).normal(size=(32, 4))
@@ -222,7 +223,7 @@ def test_family_raises_the_caustic_error_of_its_first_caustic_window(w2, t_ends,
     with pytest.raises(CausticError) as family:
         build_kernels(dec, 0.0, t_ends, sols)
     with pytest.raises(CausticError) as alone:
-        build_kernel(dec, 0.0, t_ends[first], solutions=sols)
+        build_kernels(dec, 0.0, t_ends[first], sols)
     assert family.value.channel == alone.value.channel == channel
     assert family.value.sin_phi == alone.value.sin_phi
     assert family.value.nearest_caustic == alone.value.nearest_caustic
@@ -274,7 +275,7 @@ def test_family_kernels_equal_their_one_window_kernels(variant):
         assert logs.shape == (16, 64)
         q = pts[:, 0]
         for i, (t_start, t_end) in enumerate(zip(times[:-1], times[1:])):
-            one = build_kernel(dec, t_start, t_end, variant=variant, solutions=sols)
+            one = build_kernels(dec, t_start, t_end, sols, variant)
             assert one.c0.shape == () and one.maslov.shape == (2,)
             assert (family.t_start[i], family.t_end[i]) == (one.t_start, one.t_end)
             c0, L, M = family.c0[i], family.L[i], family.M[i]
@@ -317,7 +318,7 @@ def test_kernels_and_families_compare_and_hash_by_identity():
     dec = solve_angle(ck_spec())
     sols = solve_channels(dec, 0.0, 1.0)
     family = build_kernels(dec, np.array([0.0, 0.5]), np.array([0.5, 1.0]), sols)
-    a, b = (build_kernel(dec, 0.0, 0.5, solutions=sols) for _ in range(2))
+    a, b = (build_kernels(dec, 0.0, 0.5, sols) for _ in range(2))
     twin = dataclasses.replace(family)
     assert a == a and a != b and family == family and family != twin
     assert len({a, b, family, twin}) == 4
@@ -405,8 +406,8 @@ def _loop_residual(dec, t_start, t_end, variant, n_points=20, seed=0):
     from ``Kernel.evaluate`` of its point against all stencil windows: a
     reference for ``schrodinger_residual``."""
     spec, hbar = dec.system, dec.system.hbar
-    times, points, sols, s_mins = propagator._sample_points(
-        dec, t_start, t_end, n_points, seed, variant, propagator.DEFAULT_ODE_TOL)
+    times, points, sols, s_mins = propagator.residual_sample_points(
+        dec, t_start, t_end, n_points, seed, variant)
     T = t_end - t_start
     h_x = 2.5e-3 * math.sqrt(hbar)
     h_ts = [min(1e-3 * T, 0.2 * (t_end - tc), 0.2 * (tc - t_start))
@@ -586,10 +587,10 @@ def test_kernels_from_one_solve_compose():
         s = float(rng.uniform(0.3, 0.7)) * t_end
         sols = solve_channels(dec, 0.0, t_end)
         try:
-            one = propagate_gaussian(build_kernel(dec, 0.0, t_end, solutions=sols), g0)
+            one = propagate_gaussian(build_kernels(dec, 0.0, t_end, sols), g0)
             two = propagate_gaussian(
-                build_kernel(dec, s, t_end, solutions=sols),
-                propagate_gaussian(build_kernel(dec, 0.0, s, solutions=sols), g0))
+                build_kernels(dec, s, t_end, sols),
+                propagate_gaussian(build_kernels(dec, 0.0, s, sols), g0))
         except CausticError:
             continue
         assert np.max(np.abs(one.A - two.A)) <= 1e-12
@@ -629,7 +630,7 @@ def test_kernel_reads_each_solution_once_per_node_set(name, limit):
         return dataclasses.replace(sol, _sol=read)
 
     sols = tuple(counted(s) for s in solve_channels(dec, *sc.window))
-    kern = build_kernel(dec, *sc.window, solutions=sols)
+    kern = build_kernels(dec, *sc.window, sols)
     driven = name == "driven-static"
     assert np.all((kern.I_end != 0.0) == driven)
     assert all(0 < n <= limit for n in calls.values()), calls
@@ -659,7 +660,7 @@ def test_undriven_kernel_reads_no_drive_and_builds_no_nodes(name, monkeypatch):
                         counted("forces", propagator.channel_forces))
     monkeypatch.setattr(oscpair.decoupling, "channel_quantities",
                         counted("quantities", oscpair.decoupling.channel_quantities))
-    kern = build_kernel(dec, *sc.window, solutions=sols)
+    kern = build_kernels(dec, *sc.window, sols)
     driven = name == "driven-static"
     assert dec.undriven != driven
     assert np.all((kern.I_end != 0.0) == driven)
@@ -672,7 +673,7 @@ def test_undriven_kernel_reads_no_drive_and_builds_no_nodes(name, monkeypatch):
     assert calls == {"nodes": int(driven), "forces": int(driven), "quantities": 0,
                      1: 1, 2: 1}
     monkeypatch.setattr(DecoupledSystem, "undriven", False)
-    full = build_kernel(solve_angle(sc.system), *sc.window, solutions=sols)
+    full = build_kernels(solve_angle(sc.system), *sc.window, sols)
     for a, b in ((kern.c0, full.c0), (kern.L, full.L), (kern.M, full.M)):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
@@ -694,7 +695,7 @@ def test_residual_sample_points_read_phi_once_per_channel(monkeypatch):
 
     monkeypatch.setattr(propagator, "solve_channels",
                         lambda *args, **kwargs: tuple(map(counted, solve(*args, **kwargs))))
-    times, _, sols = propagator.residual_sample_points(dec, *sc.window, n_points=20)
+    times, _, sols, _ = propagator.residual_sample_points(dec, *sc.window, n_points=20)
     assert calls == {1: 1, 2: 1}
     # the residual check reuses those phi values: no further phi read
     phi_reads = []
@@ -714,12 +715,14 @@ def test_residual_sample_points_read_phi_once_per_channel(monkeypatch):
 @pytest.mark.parametrize("name", ["caldirola-kanai", "driven-static"])
 def test_build_kernel_reads_masses_unchecked(name, monkeypatch):
     """build_kernel checks its window once; m_j and mdot_j at the endpoints
-    are then read without the checked ``SystemSpec.mass`` and ``mass_deriv``."""
+    are then read without the checked ``m_j(t)`` (``Coefficient.__call__``)
+    and ``SystemSpec.mass_deriv``."""
     sc = load_shipped(name)
     dec = solve_angle(sc.system)
-    for attr in ("mass", "mass_deriv"):
-        monkeypatch.setattr(type(sc.system), attr,
-                            lambda *args: pytest.fail("checked mass read"))
+    monkeypatch.setattr(type(sc.system), "mass_deriv",
+                        lambda *args: pytest.fail("checked mass read"))
+    monkeypatch.setattr(Coefficient, "__call__",
+                        lambda *args: pytest.fail("checked mass read"))
     for variant in ("corrected", "lw"):
         sols = solve_channels(dec, *sc.window, variant=variant)
-        build_kernel(dec, *sc.window, variant=variant, solutions=sols)
+        build_kernels(dec, *sc.window, sols, variant)

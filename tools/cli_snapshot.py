@@ -16,9 +16,11 @@ that imports the ``oscpair`` of this checkout (``src/``):
 
 and keeps each command's CSV outputs, the oracle's final density dump,
 stdout, stderr and exit code.  In stderr the source directory of this
-checkout (warning locations) reads ``<src>``, OUTDIR reads ``<out>`` and
-``compare``'s wall-clock runtime ``(12.3s)`` reads ``(<runtime>)``, so that
-snapshots of two checkouts compare byte for byte::
+checkout (warning locations) reads ``<src>``, the line number of a
+warning location ``<src>/oscpair/oracle.py:516`` reads ``:<line>``, OUTDIR
+reads ``<out>`` and ``compare``'s wall-clock runtime ``(12.3s)`` reads
+``(<runtime>)``, so that snapshots of two checkouts compare byte for byte,
+also when a change moves the line that warns::
 
     python3 tools/cli_snapshot.py /tmp/a        # in one checkout
     python3 other/tools/cli_snapshot.py /tmp/b  # in another
@@ -65,6 +67,8 @@ POINTS_SEED = 20031
 PHASE_COLUMNS = {"phase", "phi1", "phi2"}
 #: the runtime ``compare`` prints in stderr, which no two runs share
 RUNTIME = re.compile(r"\(\d+\.\ds\)")
+#: the line number of a warning location in the source directory
+SOURCE_LINE = re.compile(r"(<src>/[^\s:]*\.py):\d+")
 #: a number standing on its own, not a digit inside a name such as x1q
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                     r"|inf|nan)(?![\w.])")
@@ -105,8 +109,8 @@ def run(argv, out, tag):
     proc = subprocess.run([sys.executable, "-m", "oscpair.cli", *argv],
                           capture_output=True, text=True, env=env)
     (out / f"{tag}.stdout").write_text(proc.stdout)
-    err = RUNTIME.sub("(<runtime>)", proc.stderr.replace(str(SRC), "<src>")
-                      .replace(str(out), "<out>"))
+    err = proc.stderr.replace(str(SRC), "<src>").replace(str(out), "<out>")
+    err = SOURCE_LINE.sub(r"\1:<line>", RUNTIME.sub("(<runtime>)", err))
     (out / f"{tag}.stderr").write_text(err)
     (out / f"{tag}.exit").write_text(f"{proc.returncode}\n")
     return proc.returncode
