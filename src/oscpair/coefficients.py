@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import _check_window
 
 if TYPE_CHECKING:
     from scipy.interpolate import CubicSpline
@@ -44,13 +44,7 @@ class Coefficient:
     domain = (-np.inf, np.inf)
 
     def _check(self, t):
-        t = np.asarray(t, dtype=float)
-        lo, hi = self.domain
-        if np.any(t < lo) or np.any(t > hi):
-            raise DomainError(
-                f"{type(self).__name__}: time outside domain [{lo:g}, {hi:g}]"
-            )
-        return t
+        return _check_window(t, *self.domain, f"{type(self).__name__}: time outside domain")
 
     # checked entry points; subclasses supply unchecked _value/_deriv1/_deriv2
     def __call__(self, t):

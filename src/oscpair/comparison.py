@@ -26,7 +26,7 @@ from .errors import InadmissibleSystem
 from .gaussian import GaussianState2D
 from .oracle import Grid2D, evolve, fidelity, from_gaussian
 from .propagator import (DEFAULT_ODE_TOL, DEFAULT_QUAD_ORDER, DEFAULT_QUAD_PANELS,
-                         build_kernel, propagate_gaussian, schrodinger_residual)
+                         _residual, build_kernels, propagate_gaussian, solve_channels)
 
 __all__ = ["ComparisonReport", "run_comparison", "discrepancy_significant"]
 
@@ -52,9 +52,10 @@ def run_comparison(decoupled: DecoupledSystem, window, initial: GaussianState2D,
                    ode_tol=DEFAULT_ODE_TOL):
     """Run both kernel variants against the oracle on one scenario.
 
-    Returns (corrected report, lw report).  Raises InadmissibleSystem when
-    no constant angle decouples the system (then there is no corrected
-    kernel to compare).
+    Each variant's auxiliary solve of the window serves both its kernel and
+    its residual check.  Returns (corrected report, lw report).  Raises
+    InadmissibleSystem when no constant angle decouples the system (then
+    there is no corrected kernel to compare).
     """
     if not decoupled.admissible:
         raise InadmissibleSystem(decoupled.gamma_max, decoupled.worst_t)
@@ -69,15 +70,12 @@ def run_comparison(decoupled: DecoupledSystem, window, initial: GaussianState2D,
     reports = []
     for variant in ("corrected", "lw"):
         t0 = _time.perf_counter()
-        kern = build_kernel(decoupled, t_start, t_end, variant=variant,
-                            quad_order=quad_order, quad_panels=quad_panels,
-                            ode_tol=ode_tol)
+        sols = solve_channels(decoupled, t_start, t_end, variant=variant, ode_tol=ode_tol)
+        kern = build_kernels(decoupled, t_start, t_end, sols, variant, quad_order, quad_panels)
         final = propagate_gaussian(kern, initial.normalized())
         fid = fidelity(psi_oracle, from_gaussian(grid, final, time=t_end))
-        _, _, resid = schrodinger_residual(
-            decoupled, t_start, t_end, variant=variant,
-            n_points=n_residual_points, seed=seed,
-            quad_order=quad_order, quad_panels=quad_panels, ode_tol=ode_tol)
+        _, _, resid = _residual(decoupled, t_start, t_end, sols, variant,
+                                n_residual_points, seed, quad_order, quad_panels)
         reports.append(ComparisonReport(
             scenario=scenario_id,
             variant=variant,

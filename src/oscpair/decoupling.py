@@ -34,13 +34,14 @@ polygon conv(+-(D(t), g(t))), D = (w~_1^2 - w~_2^2)/2, and is least along
 the normal of its hull edge nearest the origin (:func:`solve_angle`).
 
 Om_j^2 has one code path, ``_channel_terms``, read by
-:func:`channel_quantities`, :func:`solve_angle` and the callable of
-:meth:`DecoupledSystem.omega_sq_on`.  It reads a Constant coefficient as
-its float, and m_2 once when it equals m_1 by value.  IEEE +, -, *, / and
-sqrt round a float operand as they round each element of an array filled
-with it, so a term of Constant coefficients has the bits of the array it
-used to be, and ``np.full`` broadcasts a result to the shape of the times
-only where an array is needed.
+:func:`channel_quantities`, the callable of :meth:`DecoupledSystem.omega_sq_on`
+and, once on their grid, :func:`solve_angle` or :func:`decoupled_at_angle`.
+It reads a Constant coefficient as its float, and m_2 once when it equals
+m_1 by value.  IEEE +, -, *, / and sqrt round a float operand as they round
+each element of an array filled with it, so a term of Constant
+coefficients has the bits of the array it used to be, and ``np.full``
+broadcasts a result to the shape of the times only where an array is
+needed.
 
 When Om_j^2 is constant by construction (constant w_j, and masses and
 coupling of the Caldirola-Kanai class),
@@ -66,7 +67,7 @@ from .system import (
     PhasePoint,
     SystemSpec,
     TransformedPhasePoint,
-    _mass_correction,
+    _effective_frequency_sq,
 )
 
 __all__ = [
@@ -158,20 +159,11 @@ def _reads(c, t, derivs=False):
     return c._value_derivs(t) if derivs else c._value(t)
 
 
-def _mass_reads(m, t, corrected):
-    """(m, its term of w~^2) at unchecked times t; the term is None unless
-    ``corrected``."""
-    if not corrected:
-        return _reads(m, t), None
-    mv, md, mdd = _reads(m, t, True)
-    return mv, _mass_correction(mv, md, mdd)
-
-
-def _masses(spec: SystemSpec, t, corrected):
-    """``_mass_reads`` of m_1 and m_2; m_2 is not read when it equals m_1 by
+def _masses(spec: SystemSpec, t, derivs):
+    """``_reads`` of m_1 and m_2; m_2 is not read when it equals m_1 by
     value."""
-    m1 = _mass_reads(spec.m1, t, corrected)
-    return m1, (m1 if spec.m2 == spec.m1 else _mass_reads(spec.m2, t, corrected))
+    m1 = _reads(spec.m1, t, derivs)
+    return m1, (m1 if spec.m2 == spec.m1 else _reads(spec.m2, t, derivs))
 
 
 def _channel_terms(spec: SystemSpec, t, corrected):
@@ -179,15 +171,16 @@ def _channel_terms(spec: SystemSpec, t, corrected):
 
     Each coefficient is evaluated at most once, through its unchecked
     formula.  A term built from Constant coefficients only is a float;
-    :func:`_filled` shapes a result like t.  w~_j^2 is w_j^2 plus the mass
-    term, as in ``_effective_frequency_sq``, and the bare w_j^2 when not
-    ``corrected``.
+    :func:`_filled` shapes a result like t.  w~_j^2 is
+    ``_effective_frequency_sq``, and the bare w_j^2 when not ``corrected``.
     """
-    (m1, c1), (m2, c2) = _masses(spec, t, corrected)
+    m1, m2 = _masses(spec, t, corrected)
     w1, w2 = _reads(spec.omega1, t), _reads(spec.omega2, t)
-    wt1, wt2 = w1 * w1, w2 * w2
     if corrected:
-        wt1, wt2 = wt1 + c1, wt2 + c2
+        wt1, wt2 = _effective_frequency_sq(w1, *m1), _effective_frequency_sq(w2, *m2)
+        m1, m2 = m1[0], m2[0]
+    else:
+        wt1, wt2 = w1 * w1, w2 * w2
     return wt1, wt2, _reads(spec.coupling, t) / np.sqrt(m1 * m2)
 
 
@@ -220,6 +213,15 @@ def _omega_sq(wt1, wt2, g, weights):
     return wt1 * p + wt2 * q - g * r
 
 
+def _rotated(terms, alpha, t):
+    """(Om1^2, Om2^2, Gam) shaped like t, from the ``_channel_terms`` at t."""
+    wt1, wt2, g = terms
+    w1, w2 = _channel_weights(alpha)
+    gam = 0.5 * (wt1 - wt2) * np.sin(2 * alpha) + g * np.cos(2 * alpha)
+    return tuple(_filled(x, t) for x in (_omega_sq(wt1, wt2, g, w1),
+                                         _omega_sq(wt1, wt2, g, w2), gam))
+
+
 def channel_quantities(spec: SystemSpec, alpha, t, corrected=True):
     """(Om1^2, Om2^2, F1, F2, Gam) at time(s) t for a given angle.
 
@@ -228,12 +230,8 @@ def channel_quantities(spec: SystemSpec, alpha, t, corrected=True):
     reproduce the defective construction for comparison runs.
     """
     t = spec.check_time(t)
-    wt1, wt2, g = _channel_terms(spec, t, corrected)
-    w1, w2 = _channel_weights(alpha)
-    s2, c2 = np.sin(2 * alpha), np.cos(2 * alpha)
-    gam = 0.5 * (wt1 - wt2) * s2 + g * c2
-    return (_filled(_omega_sq(wt1, wt2, g, w1), t), _filled(_omega_sq(wt1, wt2, g, w2), t),
-            *_forces(spec, alpha, t), _filled(gam, t))
+    om1, om2, gam = _rotated(_channel_terms(spec, t, corrected), alpha, t)
+    return om1, om2, *_forces(spec, alpha, t), gam
 
 
 def channel_forces(spec: SystemSpec, alpha, t):
@@ -244,7 +242,7 @@ def channel_forces(spec: SystemSpec, alpha, t):
 
 def _forces(spec: SystemSpec, alpha, t):
     """(F1, F2) at times already inside [t_min, t_max]."""
-    (m1, _), (m2, _) = _masses(spec, t, False)
+    m1, m2 = _masses(spec, t, False)
     ca, sa = np.cos(alpha), np.sin(alpha)
     sf1 = np.sqrt(m1) * _reads(spec.f1, t)
     sf2 = np.sqrt(m2) * _reads(spec.f2, t)
@@ -338,9 +336,14 @@ def decoupled_at_angle(spec: SystemSpec, alpha, n_time=1024,
     of roundoff carries no information and jumps when alpha moves by an
     ulp, so it is reported as the grid start, t_min.
     """
-    alpha = normalize_angle(alpha)
     ts = _grid(spec, n_time)
-    om1, om2, _, _, gam = channel_quantities(spec, alpha, ts)
+    return _verdict(spec, alpha, ts, _channel_terms(spec, ts, True), gamma_tol)
+
+
+def _verdict(spec, alpha, ts, terms, gamma_tol):
+    """:func:`decoupled_at_angle` from the ``_channel_terms`` on its grid ts."""
+    alpha = normalize_angle(alpha)
+    om1, om2, gam = _rotated(terms, alpha, ts)
     gam = np.abs(gam)
     i = int(np.argmax(gam))
     stiffness = float(max(np.max(np.abs(om1)), np.max(np.abs(om2))))
@@ -419,9 +422,10 @@ def solve_angle(spec: SystemSpec, n_time=1024,
     scale = float(np.max(np.abs(wt1)) + np.max(np.abs(wt2)) + np.max(np.abs(g)) + 1.0)
 
     if np.max(np.abs(g)) <= 1e-300:
-        return decoupled_at_angle(spec, 0.0, n_time, gamma_tol)
-    if np.max(np.abs(dd)) <= 1e-13 * scale:
-        return decoupled_at_angle(spec, np.pi / 4, n_time, gamma_tol)
-
-    ex, ey = _nearest_edge(dd, g)
-    return decoupled_at_angle(spec, 0.5 * math.atan2(ey, -ex), n_time, gamma_tol)
+        alpha = 0.0
+    elif np.max(np.abs(dd)) <= 1e-13 * scale:
+        alpha = np.pi / 4
+    else:
+        ex, ey = _nearest_edge(dd, g)
+        alpha = 0.5 * math.atan2(ey, -ex)
+    return _verdict(spec, alpha, ts, (wt1, wt2, g), gamma_tol)

@@ -86,7 +86,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NonPositiveRho, SolverFailure
+from .errors import NonPositiveRho, SolverFailure, _check_window
 from .quadrature import _gauss_legendre, integration_matrix
 
 __all__ = ["ErmakovSolution", "SolveStats", "solve_ermakov"]
@@ -153,17 +153,9 @@ class ErmakovSolution:
     stats: SolveStats = field(compare=False)
     _sol: object = field(repr=False, compare=False)
 
-    def _check(self, t):
-        t = np.asarray(t, dtype=float)
-        # false for a NaN time, as every comparison with NaN is
-        if not (np.all(t >= self.t_start - 1e-12) and np.all(t <= self.t_end + 1e-12)):
-            raise DomainError(
-                f"time outside solved range [{self.t_start:g}, {self.t_end:g}]"
-            )
-        return t
-
     def _state(self, t):
-        return self._sol(self._check(t))
+        t = _check_window(t, self.t_start, self.t_end, "time outside solved range", 1e-12)
+        return self._sol(t)
 
     def rho(self, t):
         u, _, v, _, _ = self._state(t)
@@ -512,14 +504,22 @@ def _panel_solve(read, t0, t1, rho0, drho0, grid, tol):
                 split = np.zeros(len(maps), dtype=bool)
                 split[sol._inner.searchsorted(grid[failing])] = True
                 if not _splittable(edges, split, width):
-                    raise SolverFailure(
-                        f"auxiliary residual {resid[failing].max():.3e} above tolerance "
-                        f"{tol:.1e} after refinement")
+                    raise SolverFailure(_failure_message(resid[failing], tol))
             rejected += int(split.sum())
             edges, new = _split(edges, split)
             kept = ~new
             basis, maps, resolved = (_spread(x[~split], kept, len(new))
                                      for x in (basis, maps, resolved))
+
+
+def _failure_message(resid, tol):
+    """SolverFailure after refinement: the largest finite failing residual, and
+    how many are not finite (a Wronskian may overflow where rho^2 does not)."""
+    finite = resid[np.isfinite(resid)]
+    worst = f"{finite.max():.3e}" if finite.size else "not finite"
+    msg = f"auxiliary residual {worst} above tolerance {tol:.1e} after refinement"
+    n_bad = resid.size - finite.size
+    return msg + (f" ({n_bad} of {resid.size} not finite)" if n_bad else "")
 
 
 def _splittable(edges, split, width):

@@ -1,8 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one time-window check."""
+
+import numpy as np
 
 
 class DomainError(ValueError):
     """A time argument lies outside the declared domain of a coefficient or system."""
+
+
+def _check_window(t, lo, hi, what, slack=0.0):
+    """t as a float array, or DomainError "<what> [lo, hi]" if any time lies
+    outside [lo - slack, hi + slack] or is NaN (every comparison with NaN is false)."""
+    t = np.asarray(t, dtype=float)
+    if not (np.all(t >= lo - slack) and np.all(t <= hi + slack)):
+        raise DomainError(f"{what} [{lo:g}, {hi:g}]")
+    return t
 
 
 class SchemaError(ValueError):

@@ -83,7 +83,6 @@ __all__ = [
     "solve_channels",
     "propagate_gaussian",
     "schrodinger_residual",
-    "residual_sample_points",
 ]
 
 DEFAULT_CAUSTIC_TOL = 1e-8
@@ -354,20 +353,17 @@ def _propagate(c0, L, M, state, hbar):
 
 # --- finite-difference Schrodinger-equation check --------------------------
 
-def residual_sample_points(decoupled, t_start, t_end, n_points=20, seed=0,
-                           variant="corrected", ode_tol=DEFAULT_ODE_TOL):
+def _residual_samples(spec, t_start, t_end, sols, n_points, seed):
     """Interior (t, x'', x') samples away from caustics of both channels.
 
     Positions are drawn from a seeded normal with the system's natural
     length scale sqrt(hbar); times are spread over the interior of the
     window, rejecting those where either channel is within ``_SIN_PHI_MIN``
     of a caustic (the kernel is singular there by construction).
-    Returns (times, points, solutions, s_min): solutions from
-    ``solve_channels`` on the window, and min_j |sin phi_j| at each time
-    from the same read of phi.
+    ``sols`` is the ``solve_channels`` pair of the window.  Returns (times,
+    points, s_min), with min_j |sin phi_j| at each time from the same read
+    of phi.
     """
-    spec = decoupled.system
-    sols = solve_channels(decoupled, t_start, t_end, variant=variant, ode_tol=ode_tol)
     T = t_end - t_start
     candidates = np.linspace(t_start + _MARGIN_FRAC * T,
                              t_end - _MARGIN_FRAC * T, 8 * n_points)
@@ -382,7 +378,7 @@ def residual_sample_points(decoupled, t_start, t_end, n_points=20, seed=0,
     rng = np.random.default_rng(seed)
     ell = math.sqrt(spec.hbar)
     points = rng.normal(scale=ell, size=(len(times), 4))
-    return times, points, sols, s_min
+    return times, points, s_min
 
 
 def schrodinger_residual(decoupled, t_start, t_end, variant="corrected",
@@ -397,10 +393,17 @@ def schrodinger_residual(decoupled, t_start, t_end, variant="corrected",
     on the timescale sin^2(phi), so the time step shrinks with the caustic
     margin.  Returns (times, points, residuals).
     """
+    sols = solve_channels(decoupled, t_start, t_end, variant=variant, ode_tol=ode_tol)
+    return _residual(decoupled, t_start, t_end, sols, variant, n_points, seed,
+                     quad_order, quad_panels)
+
+
+def _residual(decoupled, t_start, t_end, sols, variant, n_points, seed, quad_order,
+              quad_panels):
+    """``schrodinger_residual`` from the solutions ``sols`` of the window."""
     spec = decoupled.system
     hbar = spec.hbar
-    times, points, sols, s_mins = residual_sample_points(
-        decoupled, t_start, t_end, n_points, seed, variant, ode_tol)
+    times, points, s_mins = _residual_samples(spec, t_start, t_end, sols, n_points, seed)
     tc, s_min = np.array(times), np.array(s_mins)
     T = t_end - t_start
     h_x = 2.5e-3 * math.sqrt(hbar) * _LEVELS

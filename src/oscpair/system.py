@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import Coefficient, Constant
-from .errors import DomainError
+from .errors import _check_window
 
 __all__ = [
     "SystemSpec",
@@ -152,13 +152,7 @@ class SystemSpec:
         Every coefficient's domain covers the window (checked above), so
         times that pass may go to the unchecked coefficient formulas.
         """
-        t = np.asarray(t, dtype=float)
-        # false for a NaN time, as every comparison with NaN is
-        if not (np.all(t >= self.t_min) and np.all(t <= self.t_max)):
-            raise DomainError(
-                f"time outside system domain [{self.t_min:g}, {self.t_max:g}]"
-            )
-        return t
+        return _check_window(t, self.t_min, self.t_max, "time outside system domain")
 
     def mass_deriv(self, j, t):
         return (self.m1 if j == 1 else self.m2).deriv1(t)
@@ -179,12 +173,7 @@ def _effective_frequency_sq(w, mv, md, mdd):
     ``x ** 2`` goes through libm ``pow``, which is not always correctly
     rounded, so a product keeps 0-d and array reads equal.
     """
-    return w * w + _mass_correction(mv, md, mdd)
-
-
-def _mass_correction(mv, md, mdd):
-    """(1/4) (mdot^2 / m^2 - 2 mddot / m), the mass term of w~^2."""
-    return 0.25 * (md * md / (mv * mv) - 2.0 * mdd / mv)
+    return w * w + 0.25 * (md * md / (mv * mv) - 2.0 * mdd / mv)
 
 
 def potential(spec: SystemSpec, x1, x2, t):

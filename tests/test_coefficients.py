@@ -129,6 +129,12 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         pw(3.0)
     assert pw(0.0) == 1.0
+    # NaN fails every checked read, on an unbounded domain too
+    for read in (Constant(1.0).__call__, Exponential(1.0, 0.5).deriv1,
+                 Sinusoidal(1.0, 0.5, 2.0, 0.3).deriv2, sp):
+        for t in (np.nan, [0.5, np.nan]):
+            with pytest.raises(DomainError, match="time outside domain"):
+                read(t)
 
 
 def test_json_round_trip():

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from oscpair import (
@@ -220,6 +223,50 @@ def test_alpha_override():
     assert dec.alpha == pytest.approx(0.1)
     assert not dec.admissible
     assert dec.gamma_max > 0.1
+
+
+@st.composite
+def _verdict_cases(draw):
+    """(spec, the angle solve_angle must find or None) of a seeded random
+    admissible system, a system with g = 0 (alpha = 0), one with w~_1^2 =
+    w~_2^2 and g != 0 (alpha = pi/4), or an inadmissible one of
+    ``_inadmissible_spec``'s kinds."""
+    kind = draw(st.sampled_from(["admissible", "uncoupled", "equal", "inadmissible"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("admissible", "uncoupled"):
+        spec = random_admissible_spec(rng, kind=draw(st.sampled_from([0, 1, 2])),
+                                      drive=draw(st.booleans()))
+        if kind == "admissible":
+            return spec, None
+        return dataclasses.replace(spec, coupling=Constant(0.0)), 0.0
+    a, b, nu = (float(x) for x in rng.uniform([0.5, 0.1, 0.5], [2.0, 1.0, 2.5]))
+    if kind == "equal":
+        # equal-rate masses shift both w_j^2 by the same -g^2/4
+        g = float(rng.uniform(0.0, 0.4))
+        spec = SystemSpec(m1=Exponential(a, g), m2=Exponential(b + 0.5, g),
+                          omega1=Constant(nu), omega2=Constant(nu),
+                          f1=Constant(0.0), f2=Constant(0.0),
+                          coupling=Exponential(b, g), t_min=0.0, t_max=4.0)
+        return spec, np.pi / 4
+    if draw(st.booleans()):
+        theta = float(rng.uniform(-3.0, 3.0))
+        return _inadmissible_spec(coupling=Sinusoidal(a - 1.0, b, nu, theta)), None
+    return _inadmissible_spec(omega1=Sinusoidal(a, b / 2, nu), coupling=Constant(b)), None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_verdict_cases())
+def test_solve_angle_verdict_equals_decoupled_at_its_angle(case):
+    """solve_angle judges its angle from its own read of the grid; that
+    verdict is decoupled_at_angle's at the same angle, bit for bit."""
+    spec, alpha = case
+    got = solve_angle(spec)
+    want = decoupled_at_angle(spec, got.alpha)
+    if alpha is not None:
+        assert got.alpha == alpha
+    fields = ("alpha", "gamma_max", "worst_t", "gamma_tol")
+    assert [getattr(got, f).hex() for f in fields] == [getattr(want, f).hex() for f in fields]
+    assert got.admissible is want.admissible
 
 
 def _lab_rhs(spec):

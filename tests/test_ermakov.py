@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import re
 import sys
 import time
 import warnings
@@ -361,6 +362,23 @@ def test_cli_kernel_with_overflowing_masses_fails_without_hanging(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert "error: coefficient m1 (value, first or second derivative) is not finite" \
         in proc.stderr
+
+
+def test_failure_names_the_largest_finite_residual():
+    """Om^2 = -2.78 over 259 time units: rho grows like e^431, the Wronskian
+    of the failing points overflows to inf or NaN while rho^2 stays finite,
+    and the message names the largest finite residual and counts the rest."""
+    with pytest.raises(SolverFailure) as exc:
+        solve_ermakov(lambda t: -2.78 + 0 * t, 0.0, 259.0, ic=(1.0154, 0.238))
+    m = re.fullmatch(r"auxiliary residual (\S+) above tolerance 1\.0e-10 after "
+                     r"refinement \((\d+) of (\d+) not finite\)", str(exc.value))
+    assert m, str(exc.value)
+    assert math.isfinite(float(m[1])) and float(m[1]) > 1e-10
+    assert 0 < int(m[2]) < int(m[3])
+    # the closed form of the same window names its first failing residual
+    with pytest.raises(SolverFailure, match="^auxiliary residual 1.010e-10 above "
+                       "tolerance 1.0e-10 in closed form$"):
+        solve_ermakov(-2.78, 0.0, 259.0, ic=(1.0154, 0.238))
 
 
 def test_nan_time_read_rejected():

@@ -406,8 +406,9 @@ def _loop_residual(dec, t_start, t_end, variant, n_points=20, seed=0):
     from ``Kernel.evaluate`` of its point against all stencil windows: a
     reference for ``schrodinger_residual``."""
     spec, hbar = dec.system, dec.system.hbar
-    times, points, sols, s_mins = propagator.residual_sample_points(
-        dec, t_start, t_end, n_points, seed, variant)
+    sols = solve_channels(dec, t_start, t_end, variant)
+    times, points, s_mins = propagator._residual_samples(spec, t_start, t_end, sols,
+                                                         n_points, seed)
     T = t_end - t_start
     h_x = 2.5e-3 * math.sqrt(hbar)
     h_ts = [min(1e-3 * T, 0.2 * (t_end - tc), 0.2 * (tc - t_start))
@@ -695,7 +696,8 @@ def test_residual_sample_points_read_phi_once_per_channel(monkeypatch):
 
     monkeypatch.setattr(propagator, "solve_channels",
                         lambda *args, **kwargs: tuple(map(counted, solve(*args, **kwargs))))
-    times, _, sols, _ = propagator.residual_sample_points(dec, *sc.window, n_points=20)
+    sols = propagator.solve_channels(dec, *sc.window)
+    times, _, _ = propagator._residual_samples(sc.system, *sc.window, sols, 20, 0)
     assert calls == {1: 1, 2: 1}
     # the residual check reuses those phi values: no further phi read
     phi_reads = []

@@ -322,20 +322,54 @@ def test_cli_evolve_columns(scenario_file, tmp_path):
     assert np.allclose(norms, 1.0, atol=1e-9)
 
 
-@pytest.mark.parametrize("steps", [8, 64])
-def test_cli_evolve_solves_once_per_window(steps, scenario_file, monkeypatch):
-    solves = []
-    solve = oscpair.propagator.solve_ermakov
+def _counted_solves(monkeypatch):
+    """{variant: the window of each ``solve_ermakov`` call}, filled as the
+    package solves; the variant is that of the enclosing ``solve_channels``."""
+    solves, variants = {}, []
+    solve, channels = oscpair.propagator.solve_ermakov, oscpair.propagator.solve_channels
+
+    def counted_channels(decoupled, t_start, t_end, variant="corrected", *args, **kwargs):
+        variants.append(variant)
+        try:
+            return channels(decoupled, t_start, t_end, variant, *args, **kwargs)
+        finally:
+            variants.pop()
 
     def counted(*args, **kwargs):
-        solves.append(args[1:3])
+        solves.setdefault(variants[-1] if variants else None, []).append(args[1:3])
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(oscpair.propagator, "solve_ermakov", counted)
+    for module in (oscpair.propagator, oscpair.comparison):
+        monkeypatch.setattr(module, "solve_channels", counted_channels, raising=False)
+    return solves
+
+
+@pytest.mark.parametrize("steps", [8, 64])
+def test_cli_evolve_solves_once_per_window(steps, scenario_file, monkeypatch):
+    solves = _counted_solves(monkeypatch)
     rc = main(["evolve", "--scenario", scenario_file(window=[0.0, 1.0]),
                "--steps", str(steps), "--out", "/dev/null"])
     assert rc == 0
-    assert solves == [(0.0, 1.0), (0.0, 1.0)]
+    assert solves == {"corrected": [(0.0, 1.0), (0.0, 1.0)]}
+
+
+@pytest.mark.filterwarnings("ignore:final boundary density")  # the 64^2 oracle grid
+@pytest.mark.parametrize("command", ["kernel", "residual", "compare"])
+def test_cli_solves_once_per_window_and_variant(command, tmp_path, monkeypatch):
+    """One solve of each channel per variant: ``compare`` builds its window
+    kernel and its residual's stencil kernels from one pair."""
+    options = {"kernel": ["--points", str(tmp_path / "pts.csv")],
+               "residual": ["--variant", "both"],
+               "compare": ["--grid", "64", "--steps", "64"]}[command]
+    np.savetxt(tmp_path / "pts.csv", np.zeros((2, 4)), delimiter=",")
+    path = str(resources.files("oscpair.scenarios") / "static.json")
+    solves = _counted_solves(monkeypatch)
+    rc = main([command, "--scenario", path, *options, "--out", "/dev/null"])
+    assert rc == 0
+    window = [(0.0, 1.2), (0.0, 1.2)]
+    assert solves == ({"corrected": window} if command == "kernel"
+                      else {"corrected": window, "lw": window})
 
 
 @pytest.mark.parametrize("name", ["static", "caldirola-kanai"])

@@ -181,3 +181,9 @@ def test_nan_time_rejected():
     with pytest.raises(DomainError):
         spec.check_time([0.5, np.nan, 1.0])
     assert spec.check_time([]).shape == (0,)
+    # the checked coefficient reads behind mass_deriv reject NaN as well
+    for t in (np.nan, [0.5, np.nan]):
+        with pytest.raises(DomainError, match="^Exponential: time outside domain"):
+            spec.mass_deriv(1, t)
+    with pytest.raises(DomainError, match=r"^time outside system domain \[0, 4\]$"):
+        spec.check_time(np.nan)

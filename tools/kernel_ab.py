@@ -20,13 +20,15 @@ of each op is printed.
 Then it runs R rounds.  In each round every op runs with A and with B,
 in alternating order, so that both see the same load; the round prints
 the ops/s of each (14 ops over the summed op times) and their ratio B/A.
-The end prints two tables.  The first gives, per op, the best time of
+The end prints three tables.  The first gives, per op, the best time of
 the whole op and of ``solve_channels`` (both channels' auxiliary solves)
 under A and B, and the median over the rounds of the op's minor page
 faults (``ru_minflt`` of the process) under A and B.  The second gives,
-per op, the best time of ``cli._read_points`` (the points file) and of
-``cli._write_csv`` (the kernel table) under A and B.  Each table ends
-with the sums over the 14 ops.  Read the ratios: the absolute times
+per op, the best time of ``cli.load_scenario`` (parse), ``cli._decoupled``
+(the decoupling angle and its verdict) and ``propagator.build_kernels``
+(the kernel's assembly from the solve) under A and B; the third, that of
+``cli._read_points`` (the points file) and of ``cli._write_csv`` (the
+kernel table).  Each table ends with the sums over the 14 ops.  Read the ratios: the absolute times
 depend on the host, and the faults on what the process freed before
 (glibc's thresholds for returning memory to the system move with the
 sizes freed).
@@ -91,8 +93,8 @@ def load_workloads():
 
 
 #: the stages timed inside each op: (module, function) of a checkout
-STAGES = (("propagator", "solve_channels"), ("cli", "_read_points"),
-          ("cli", "_write_csv"))
+STAGES = (("propagator", "solve_channels"), ("cli", "load_scenario"), ("cli", "_decoupled"),
+          ("propagator", "build_kernels"), ("cli", "_read_points"), ("cli", "_write_csv"))
 
 
 class Side:
@@ -231,7 +233,8 @@ def main(argv=None):
 
         flt = [[statistics.median(f) for f in side] for side in faults]
         print_table(labels, [("op", best[0]), ("solve", best[1])], flt)
-        print_table(labels, [("read", best[2]), ("write", best[3])])
+        print_table(labels, [("load", best[2]), ("decouple", best[3]), ("assemble", best[4])])
+        print_table(labels, [("read", best[5]), ("write", best[6])])
     return 0
 
 
